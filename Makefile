@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report examples reproduce all clean
+.PHONY: install test bench bench-report bench-e2e examples reproduce all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -16,6 +16,11 @@ bench:
 # Prints the paper-table reports while running and refreshes benchmarks/out/.
 bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The calibrated end-to-end serving benchmark (BENCHMARK.json): all four
+# workloads, every metric by name, answers verified.  See benchmarks/e2e/README.md.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
 
 examples:
 	@for script in examples/*.py; do \
@@ -31,5 +36,5 @@ reproduce:
 all: test bench examples
 
 clean:
-	rm -rf .pytest_cache .benchmarks benchmarks/out
+	rm -rf .pytest_cache .benchmarks benchmarks/out benchmarks/e2e/out
 	find . -name __pycache__ -type d -exec rm -rf {} +

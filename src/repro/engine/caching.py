@@ -4,12 +4,18 @@ Real workloads (the paper's Table 4 query sets included) touch the same hub
 vertices over and over: every coauthor query against a community re-reads
 the same prolific authors' vectors.  :class:`CachingStrategy` wraps any
 materialization strategy with a bounded LRU cache of ``(meta-path, vertex)``
-rows, turning that repetition into hits.
+rows, turning that repetition into hits.  A row is stored as a private
+``(indices, data)`` array pair and a block of rows is assembled in one pass
+(one ``cumsum``, two ``concatenate``, one CSR construction), so the cache's
+own bookkeeping stays far below the products and traversals it saves.
 
 This composes with the paper's indexes rather than replacing them: a cached
 Baseline avoids repeated traversals, a cached SPM avoids repeated traversal
-*misses*, and a cached PM mostly measures lookup overhead.  The
-``ablation_row_cache`` benchmark quantifies each pairing.
+*misses*, and a cached PM keeps the rows of paths longer than its index
+reaches.  Where the inner strategy already answers a path by one gather
+(PM up to length 2 — the whole point of §6.2), the cache steps aside and
+the request goes straight to that lookup.  The ``ablation_row_cache``
+benchmark quantifies each pairing.
 
 :class:`SubpathCache` caches one level lower, following Atrapos' observation
 that concurrent meta-path workloads are dominated by *overlapping
@@ -32,38 +38,12 @@ import numpy as np
 from scipy import sparse
 
 from repro import faultinject
-from repro.engine.strategies import MaterializationStrategy, _stitch_rows
+from repro.engine.strategies import MaterializationStrategy
 from repro.exceptions import ExecutionError, TransientFaultError
 from repro.metapath.metapath import MetaPath
 from repro.utils.sparsetools import csr_storage_bytes, sparse_row_bytes
 
 __all__ = ["CachingStrategy", "SubpathCache"]
-
-
-def _split_rows(block: sparse.csr_matrix) -> list[sparse.csr_matrix]:
-    """Slice a CSR block into independent 1 x n rows via raw indptr views.
-
-    Each row copies its own data/indices slices so cached rows never pin
-    the whole source block in memory.  This is cache *bookkeeping* (cheap
-    array slicing), not materialization — the expensive work already
-    happened in one bulk block computation.
-    """
-    width = block.shape[1]
-    indptr, indices, data = block.indptr, block.indices, block.data
-    rows = []
-    for position in range(block.shape[0]):
-        start, stop = int(indptr[position]), int(indptr[position + 1])
-        rows.append(
-            sparse.csr_matrix(
-                (
-                    data[start:stop].copy(),
-                    indices[start:stop].copy(),
-                    np.array([0, stop - start], dtype=np.int64),
-                ),
-                shape=(1, width),
-            )
-        )
-    return rows
 
 
 class SubpathCache:
@@ -222,20 +202,32 @@ class CachingStrategy(MaterializationStrategy):
 
     Notes
     -----
+    A cached row is a private ``(indices, data)`` pair of 1-D arrays copied
+    out of the miss block's CSR buffers (so a row never pins its source
+    block), and a block is answered in **one** pass in request order: one
+    ``cumsum`` for ``indptr``, one ``np.concatenate`` each for ``indices``
+    and ``data`` over hit rows and fresh miss rows, one ``csr_matrix``.
+    Every returned matrix owns its arrays — writing to a result can never
+    change what a later request reads.  ``neighbor_row`` is the one-row
+    block, so hit/miss/fault/eviction logic exists once.
+
+    Paths the inner strategy already answers by a single gather
+    (:meth:`~MaterializationStrategy.answers_by_lookup` — PM up to length
+    2) bypass the cache entirely: they go straight to the inner strategy
+    and touch neither the rows nor the counters.
+
     The cache delegates statistics to the inner strategy only on misses, so
     per-phase accounting stays truthful: a hit costs (and records) nothing.
 
     The cache is thread-safe: an ``RLock`` guards every read and write of
-    the LRU ``OrderedDict`` and its counters, so one instance can sit in
-    front of a shared index inside :class:`~repro.service.QueryService`'s
-    worker pool.  Misses materialize *outside* the lock — concurrent misses
-    never serialize on each other, at worst both compute the same row and
-    the second insert wins.
-
-    Bulk requests (``neighbor_matrix``) use a batch protocol per block:
-    one lock acquisition gathers every cached row, all misses compute in a
-    single bulk call to the inner strategy, and one more lock acquisition
-    inserts the new rows — so a warm service worker never loops per vertex.
+    the LRU ``OrderedDict``, its byte total and its counters, so one
+    instance can sit in front of a shared index inside
+    :class:`~repro.service.QueryService`'s worker pool.  Per block, one lock
+    acquisition gathers every cached row, all misses compute **outside**
+    the lock in a single bulk ``inner.neighbor_matrix`` call — concurrent
+    misses never serialize on each other, at worst both compute the same
+    row and the second insert wins — and one more acquisition inserts the
+    new rows.
     """
 
     def __init__(self, inner: MaterializationStrategy, *, max_rows: int = 4096) -> None:
@@ -245,7 +237,12 @@ class CachingStrategy(MaterializationStrategy):
         self.inner = inner
         self.max_rows = max_rows
         self.name = f"cached-{inner.name}"
-        self._rows: OrderedDict[tuple[MetaPath, int], sparse.csr_matrix] = OrderedDict()
+        self._rows: OrderedDict[
+            tuple[MetaPath, int], tuple[np.ndarray, np.ndarray]
+        ] = OrderedDict()
+        #: Running ``sparse_row_bytes`` total of ``_rows`` (kept on insert,
+        #: evict, flush and clear so ``/stats`` never walks the cache).
+        self._row_bytes = 0
         self._lock = threading.RLock()
         self._cached_version = inner.network.version
         self.hits = 0
@@ -253,110 +250,99 @@ class CachingStrategy(MaterializationStrategy):
         #: Cache reads dropped due to (injected or real) transient faults.
         self.faulted_reads = 0
 
+    def _drop_locked(self, key: tuple[MetaPath, int]) -> None:
+        row = self._rows.pop(key, None)
+        if row is not None:
+            self._row_bytes -= sparse_row_bytes(len(row[0]))
+
     # ------------------------------------------------------------------
     # MaterializationStrategy interface
     # ------------------------------------------------------------------
     def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        key = (path, vertex_index)
+        if self.inner.answers_by_lookup(path):
+            return self.inner.neighbor_row(path, vertex_index, stats)
+        return self._materialize_block(
+            path, np.array([vertex_index], dtype=np.int64), stats
+        )
+
+    def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
+        if self.inner.answers_by_lookup(path):
+            return self.inner.neighbor_matrix(path, vertex_indices, stats)
+        return super().neighbor_matrix(path, vertex_indices, stats)
+
+    def _materialize_block(self, path, vertex_indices, stats) -> sparse.csr_matrix:
+        """One block in request order: gather hits, bulk-compute misses.
+
+        One lock acquisition looks every row up (and runs a single
+        per-block ``cache_read`` fault check); the misses materialize
+        **outside** the lock with one bulk ``inner.neighbor_matrix`` call;
+        a second single lock acquisition inserts every new row.  Hits cost
+        (and record) nothing.
+        """
+        keys = [(path, index) for index in vertex_indices.tolist()]
         with self._lock:
             # Mutations invalidate every cached row: serving pre-mutation
             # vectors silently would desynchronize results from the live data.
             if self.network.version != self._cached_version:
                 self._rows.clear()
+                self._row_bytes = 0
                 self._cached_version = self.network.version
-            cached = self._rows.get(key)
-            if cached is not None:
-                try:
-                    faultinject.check("cache_read")
-                except TransientFaultError:
-                    # A failed cache read is self-healing: drop the suspect
-                    # row and recompute from the inner strategy (a miss, not
-                    # an error) — a cache must never make a query fail.
-                    self._rows.pop(key, None)
-                    self.faulted_reads += 1
-                else:
-                    self._rows.move_to_end(key)
-                    self.hits += 1
-                    return cached
-        # Materialize outside the lock so concurrent misses don't serialize;
-        # two threads may compute the same row, the second insert wins.
-        row = self.inner.neighbor_row(path, vertex_index, stats)
-        with self._lock:
-            self.misses += 1
-            self._rows[key] = row
-            if len(self._rows) > self.max_rows:
-                self._rows.popitem(last=False)
-        return row
-
-    def _materialize_block(self, path, vertex_indices, stats) -> sparse.csr_matrix:
-        """Batch interface: gather hits, compute all misses in one block.
-
-        One lock acquisition partitions the block into cached rows and
-        misses (and runs a single per-block ``cache_read`` fault check);
-        the misses materialize **outside** the lock with one bulk
-        ``inner.neighbor_matrix`` call; a second single lock acquisition
-        inserts every new row.  Hits cost (and record) nothing, exactly
-        like the row-at-a-time path.
-        """
-        hit_positions: list[int] = []
-        hit_rows: list[sparse.csr_matrix] = []
-        miss_positions: list[int] = []
-        miss_indices: list[int] = []
-        with self._lock:
-            if self.network.version != self._cached_version:
-                self._rows.clear()
-                self._cached_version = self.network.version
-            cached = [self._rows.get((path, int(i))) for i in vertex_indices]
-            if any(row is not None for row in cached):
+            rows = [self._rows.get(key) for key in keys]
+            hit_keys = [key for key, row in zip(keys, rows) if row is not None]
+            if hit_keys:
                 try:
                     # One fault check per block (not per row): a transient
                     # cache fault drops the whole block's hits and recomputes
-                    # them as misses — self-healing, never an error.
+                    # them as misses — self-healing, never an error, because
+                    # a cache must never make a query fail.
                     faultinject.check("cache_read")
                 except TransientFaultError:
-                    for position, row in enumerate(cached):
-                        if row is not None:
-                            self._rows.pop((path, int(vertex_indices[position])), None)
-                            self.faulted_reads += 1
-                    cached = [None] * len(cached)
-            for position, row in enumerate(cached):
-                if row is None:
-                    miss_positions.append(position)
-                    miss_indices.append(int(vertex_indices[position]))
+                    for key in hit_keys:
+                        self._drop_locked(key)
+                    self.faulted_reads += len(hit_keys)
+                    rows = [None] * len(keys)
                 else:
-                    self._rows.move_to_end((path, int(vertex_indices[position])))
-                    self.hits += 1
-                    hit_positions.append(position)
-                    hit_rows.append(row)
-        parts: list[tuple[np.ndarray, sparse.csr_matrix]] = []
-        if hit_rows:
-            hit_block = (
-                hit_rows[0]
-                if len(hit_rows) == 1
-                else sparse.vstack(hit_rows, format="csr")
-            )
-            parts.append((np.asarray(hit_positions, dtype=np.int64), hit_block))
-        if miss_indices:
+                    for key in hit_keys:
+                        self._rows.move_to_end(key)
+                    self.hits += len(hit_keys)
+        miss_positions = [
+            position for position, row in enumerate(rows) if row is None
+        ]
+        if miss_positions:
             # Bulk miss computation outside the lock: concurrent blocks
             # never serialize on each other; duplicated work is bounded by
             # one block and the last insert wins.
-            miss_block = self.inner.neighbor_matrix(path, miss_indices, stats)
+            block = self.inner.neighbor_matrix(
+                path, vertex_indices[miss_positions], stats
+            )
+            bounds, indices, data = block.indptr.tolist(), block.indices, block.data
+            for position, start, stop in zip(miss_positions, bounds, bounds[1:]):
+                # Copies, so a cached row never pins its source block.
+                rows[position] = (indices[start:stop].copy(), data[start:stop].copy())
             with self._lock:
-                self.misses += len(miss_indices)
-                for vertex, row in zip(miss_indices, _split_rows(miss_block)):
-                    self._rows[(path, vertex)] = row
+                self.misses += len(miss_positions)
+                for position in miss_positions:
+                    self._drop_locked(keys[position])
+                    self._rows[keys[position]] = rows[position]
+                    self._row_bytes += sparse_row_bytes(len(rows[position][0]))
                 while len(self._rows) > self.max_rows:
-                    self._rows.popitem(last=False)
-            parts.append((np.asarray(miss_positions, dtype=np.int64), miss_block))
-        return _stitch_rows(parts, len(vertex_indices))
+                    _, (evicted, _data) = self._rows.popitem(last=False)
+                    self._row_bytes -= sparse_row_bytes(len(evicted))
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(indices) for indices, _ in rows], out=indptr[1:])
+        return sparse.csr_matrix(
+            (
+                np.concatenate([data for _, data in rows]),
+                np.concatenate([indices for indices, _ in rows]),
+                indptr,
+            ),
+            shape=(len(rows), self.network.num_vertices(path.target)),
+        )
 
     def index_size_bytes(self) -> int:
         """Inner index bytes plus the cache's current row storage."""
         with self._lock:
-            cache_bytes = sum(
-                sparse_row_bytes(int(row.nnz)) for row in self._rows.values()
-            )
-        return self.inner.index_size_bytes() + cache_bytes
+            return self.inner.index_size_bytes() + self._row_bytes
 
     # ------------------------------------------------------------------
     # Cache introspection
@@ -396,6 +382,7 @@ class CachingStrategy(MaterializationStrategy):
         """Drop all cached rows and reset hit/miss counters."""
         with self._lock:
             self._rows.clear()
+            self._row_bytes = 0
             self.hits = 0
             self.misses = 0
             self.faulted_reads = 0

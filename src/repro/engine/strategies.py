@@ -252,6 +252,16 @@ class MaterializationStrategy(abc.ABC):
         """Bytes of index storage this strategy holds (0 when unindexed)."""
         return 0
 
+    def answers_by_lookup(self, path: MetaPath) -> bool:
+        """Whether ``φ_path`` is a single index/adjacency gather here.
+
+        A row cache in front of such a path saves nothing — the lookup it
+        would skip costs less than the cache's own bookkeeping — so
+        :class:`~repro.engine.caching.CachingStrategy` steps aside for it.
+        ``False`` (the default) wherever a product or traversal is involved.
+        """
+        return False
+
     def _check_path(self, path: MetaPath) -> None:
         path.validate(self.network.schema)
 
@@ -402,6 +412,11 @@ class PMStrategy(MaterializationStrategy):
 
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
+
+    def answers_by_lookup(self, path: MetaPath) -> bool:
+        # Up to one full length-2 segment: one gather from the index (or
+        # from an adjacency matrix), no product chained after it.
+        return path.length <= 2
 
     def _check_fresh(self) -> None:
         if self._allow_stale:

@@ -1,16 +1,21 @@
 """Tests for :mod:`repro.engine.caching`."""
 
+import numpy as np
 import pytest
 
+from repro import faultinject
 from repro.engine.caching import CachingStrategy
 from repro.engine.executor import QueryExecutor
 from repro.engine.stats import ExecutionStats
 from repro.engine.strategies import BaselineStrategy, PMStrategy
 from repro.exceptions import ExecutionError
+from repro.faultinject import FaultRule
 from repro.metapath.metapath import MetaPath
+from repro.utils.sparsetools import sparse_row_bytes
 
 PV = MetaPath.parse("author.paper.venue")
 PCA = MetaPath.parse("author.paper.author")
+PVPA = MetaPath.parse("author.paper.venue.paper.author")
 
 
 class TestCachingStrategy:
@@ -81,8 +86,61 @@ class TestCachingStrategy:
     def test_index_size_includes_cache(self, figure1):
         cached = CachingStrategy(PMStrategy(figure1))
         base = cached.index_size_bytes()
-        cached.neighbor_row(PV, 0)
+        cached.neighbor_row(PVPA, 0)  # PM answers PV by lookup: not cached
         assert cached.index_size_bytes() > base
+
+    def test_running_byte_total_matches_recomputed_sum(self, figure1):
+        """``index_size_bytes`` reads a running total; it must agree with a
+        walk over the stored rows after inserts, re-inserts, evictions, a
+        faulted read, ``clear()`` and a version flush."""
+        cached = CachingStrategy(BaselineStrategy(figure1), max_rows=3)
+
+        def recomputed():
+            return sum(
+                sparse_row_bytes(len(indices)) for indices, _ in cached._rows.values()
+            )
+
+        authors = list(range(figure1.num_vertices("author")))
+        for path in (PV, PCA):
+            cached.neighbor_matrix(path, authors + authors[:2])
+            assert cached.index_size_bytes() == recomputed() > 0
+        assert cached.cached_rows == 3  # evictions happened
+        with faultinject.inject(FaultRule(point="cache_read", times=1)):
+            cached.neighbor_matrix(PCA, authors[:2])
+        assert cached.faulted_reads > 0
+        assert cached.index_size_bytes() == recomputed() > 0
+        figure1.add_vertex("venue", "NEWVENUE")  # version bump: next read flushes
+        cached.neighbor_row(PV, 0)
+        assert cached.cached_rows == 1
+        assert cached.index_size_bytes() == recomputed() > 0
+        cached.clear()
+        assert cached.index_size_bytes() == 0
+
+    def test_results_never_alias_cache_storage(self, figure1):
+        """Regression: a hit used to hand out the cache's own matrix, so a
+        caller writing to its result poisoned every later request."""
+        cached = CachingStrategy(BaselineStrategy(figure1))
+        clean = BaselineStrategy(figure1).neighbor_matrix(PV, [0, 1]).toarray()
+        cached.neighbor_row(PV, 0).data[:] = 99  # the miss that fills the row
+        cached.neighbor_row(PV, 0).data[:] = 99  # a row hit
+        cached.neighbor_matrix(PV, [0]).data[:] = 99  # a one-row block hit
+        cached.neighbor_matrix(PV, [0, 1]).data[:] = 99  # a mixed block
+        cached.neighbor_matrix(PV, [0, 1]).indices[:] = 0
+        assert np.array_equal(cached.neighbor_row(PV, 0).toarray(), clean[:1])
+        assert np.array_equal(cached.neighbor_matrix(PV, [0, 1]).toarray(), clean)
+
+    def test_pm_lookup_paths_bypass_the_cache(self, figure1):
+        """PM answers paths up to length 2 by one gather: no rows stored,
+        no counters moved, results still the inner strategy's."""
+        inner = PMStrategy(figure1)
+        cached = CachingStrategy(inner)
+        block = cached.neighbor_matrix(PV, [2, 0, 2])
+        assert (block != inner.neighbor_matrix(PV, [2, 0, 2])).nnz == 0
+        assert (cached.neighbor_row(PV, 1) != inner.neighbor_row(PV, 1)).nnz == 0
+        assert (cached.hits, cached.misses, cached.cached_rows) == (0, 0, 0)
+        cached.neighbor_matrix(PVPA, [0, 1])  # a product follows the lookup
+        cached.neighbor_matrix(PVPA, [1, 0])
+        assert (cached.hits, cached.misses, cached.cached_rows) == (2, 2, 2)
 
     def test_name_reflects_inner(self, figure1):
         assert CachingStrategy(BaselineStrategy(figure1)).name == "cached-baseline"
