@@ -7,7 +7,7 @@ large-graph tier end to end:
 1. **Scale leg** (runs first, so its RSS attribution is clean): stream a
    ≥1M-vertex synthetic network straight onto ``storage="mmap"``, build
    the full PM index **out-of-core** in bounded row blocks
-   (:func:`~repro.engine.index.build_pm_index_blocked`), reload it
+   (:func:`~repro.engine.index.build_pm_index` with ``block_rows``), reload it
    zero-copy via :func:`~repro.engine.index_io.load_index_mmap`, and run
    warm queries — sampling resident set size throughout.  The headline
    numbers: peak RSS during the whole mmap leg versus the in-RAM footprint
@@ -16,8 +16,8 @@ large-graph tier end to end:
    build held in RAM, for the warm-latency comparison (mmap must stay
    within 2x on warm paths) and full-scale score parity.
 3. **Parity grid**: ``ram``/``mmap`` storage x in-core/blocked build must
-   produce *byte-identical* scores — plus the same check for the bounded
-   SPM build against its blocked counterpart.
+   produce *byte-identical* scores — plus the same check for the
+   byte-budgeted SPM build, one block against small blocks in a store.
 
 Artifacts land in ``benchmarks/out/``:
 
@@ -44,12 +44,7 @@ from repro.datagen.synthetic import (
     streaming_bibliographic_network,
 )
 from repro.engine.detector import OutlierDetector
-from repro.engine.index import (
-    build_pm_index,
-    build_pm_index_blocked,
-    build_spm_index_blocked,
-    build_spm_index_bounded,
-)
+from repro.engine.index import build_pm_index, build_spm_index
 from repro.engine.index_io import load_index_mmap
 from repro.hin.network import VertexId
 from repro.hin.storage import MmapArrayStore, is_store_backed
@@ -193,7 +188,7 @@ def test_outofcore_scale(report, json_report):
             )
             gen_seconds = time.perf_counter() - t0
             t0 = time.perf_counter()
-            build_pm_index_blocked(
+            build_pm_index(
                 network, block_rows=BLOCK_ROWS, store=MmapArrayStore(store_dir)
             )
             build_seconds = time.perf_counter() - t0
@@ -295,7 +290,7 @@ def test_outofcore_scale(report, json_report):
                 if build == "incore":
                     index = build_pm_index(net)
                 else:
-                    index = build_pm_index_blocked(
+                    index = build_pm_index(
                         net,
                         block_rows=97,  # deliberately unaligned block size
                         store=MmapArrayStore(
@@ -311,14 +306,12 @@ def test_outofcore_scale(report, json_report):
         for key, scores in legs.items():
             assert scores == reference, f"score drift in leg {key}"
 
-        # SPM: byte-budgeted bounded build vs its blocked counterpart.
+        # SPM: the byte-budgeted build in one block vs small blocks in a store.
         net = streaming_bibliographic_network(GRID_CONFIG, seed=7)
         ranked = [VertexId("author", i) for i in range(40)]
         budget = 200_000
-        bounded_index, admitted = build_spm_index_bounded(
-            net, ranked, max_bytes=budget
-        )
-        blocked_index, admitted_blocked = build_spm_index_blocked(
+        bounded_index, admitted = build_spm_index(net, ranked, max_bytes=budget)
+        blocked_index, admitted_blocked = build_spm_index(
             net,
             ranked,
             max_bytes=budget,
@@ -333,7 +326,7 @@ def test_outofcore_scale(report, json_report):
         spm_b = _scores_of(
             OutlierDetector(net, strategy="spm", index=blocked_index), spm_queries
         )
-        assert spm_a == spm_b, "SPM bounded/blocked score drift"
+        assert spm_a == spm_b, "SPM one-block/blocked score drift"
 
     payload["parity"] = {
         "pm_grid_legs": sorted("/".join(k) for k in legs),

@@ -749,14 +749,14 @@ def _command_serve(args, out) -> int:
         # Build the full PM index out-of-core, in bounded row blocks, and
         # serve it through read-only file-backed views — the path that
         # keeps million-vertex networks off the RAM budget entirely.
-        from repro.engine.index import build_pm_index_blocked
+        from repro.engine.index import build_pm_index
         from repro.hin.storage import MmapArrayStore
 
         store_dir = None
         if storage_dir is not None:
             store_dir = str(Path(storage_dir) / "pm-index")
             Path(store_dir).mkdir(parents=True, exist_ok=True)
-        index = build_pm_index_blocked(
+        index = build_pm_index(
             network,
             block_rows=args.index_build_block_rows,
             max_build_memory_mb=args.max_build_memory_mb,

@@ -5,10 +5,11 @@ materialize neighbor vectors for each feature meta-path → score with the
 selected measure → rank.
 
 Three interchangeable materialization strategies implement the paper's
-efficiency comparison:
+efficiency comparison.  They share one materialization routine and differ
+only in which vertices their length-2 index covers:
 
-* :class:`~repro.engine.strategies.BaselineStrategy` — per-vertex frontier
-  traversal, no index (§6.1).
+* :class:`~repro.engine.strategies.BaselineStrategy` — an empty index:
+  every vector is a product over the adjacency matrices (§6.1).
 * :class:`~repro.engine.strategies.PMStrategy` — all length-2 meta-path
   matrices pre-materialized (§6.2, "Pre-materialization").
 * :class:`~repro.engine.strategies.SPMStrategy` — length-2 rows stored only

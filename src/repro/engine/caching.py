@@ -20,8 +20,9 @@ benchmark quantifies each pairing.
 :class:`SubpathCache` caches one level lower, following Atrapos' observation
 that concurrent meta-path workloads are dominated by *overlapping
 sub-paths*: a byte-bounded LRU of full length-2 segment count matrices
-(``A₁ @ A₂``), keyed by ``(segment, network version)``.  The blocked
-materialization paths of the Baseline and SPM strategies consult it, so two
+(``A₁ @ A₂``), keyed by ``(segment, network version)``.  The materialization
+routine consults it for every segment the index holds no full matrix of
+(all of them under Baseline, the uncovered ones under SPM), so two
 concurrent queries whose meta-paths share a segment — ``a.p.v`` inside both
 ``a.p.v`` and ``a.p.v.p.a`` — compute the segment product once.  Because
 path counts are non-negative integers far below 2⁵³, float64 sparse
@@ -208,8 +209,8 @@ class CachingStrategy(MaterializationStrategy):
     ``cumsum`` for ``indptr``, one ``np.concatenate`` each for ``indices``
     and ``data`` over hit rows and fresh miss rows, one ``csr_matrix``.
     Every returned matrix owns its arrays — writing to a result can never
-    change what a later request reads.  ``neighbor_row`` is the one-row
-    block, so hit/miss/fault/eviction logic exists once.
+    change what a later request reads.  ``neighbor_row`` is the inherited
+    one-row block, so hit/miss/fault/eviction logic exists once.
 
     Paths the inner strategy already answers by a single gather
     (:meth:`~MaterializationStrategy.answers_by_lookup` — PM up to length
@@ -258,13 +259,6 @@ class CachingStrategy(MaterializationStrategy):
     # ------------------------------------------------------------------
     # MaterializationStrategy interface
     # ------------------------------------------------------------------
-    def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        if self.inner.answers_by_lookup(path):
-            return self.inner.neighbor_row(path, vertex_index, stats)
-        return self._materialize_block(
-            path, np.array([vertex_index], dtype=np.int64), stats
-        )
-
     def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
         if self.inner.answers_by_lookup(path):
             return self.inner.neighbor_matrix(path, vertex_indices, stats)

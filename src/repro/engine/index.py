@@ -1,11 +1,20 @@
 """Pre-materialized length-2 meta-path indexes (paper Section 6.2).
 
-The index stores, per length-2 meta-path ``P``, either:
+The index is one row store.  Per length-2 meta-path ``P`` it holds either
 
-* the **full** count matrix ``M_P`` (PM: every vertex's row retrievable in
-  O(1)), or
-* a **partial** row store ``{vertex index: φ_P(vertex)}`` for a selected
-  vertex subset (SPM).
+* the **full** count matrix ``M_P`` — every vertex's row is stored, or
+* a **partial** store — the rows ``φ_P(v)`` of a selected vertex subset
+  stacked into one CSR matrix, the vertex array naming each stacked row,
+  and the inverse array (vertex index -> stacked row, ``-1`` when absent),
+
+or nothing.  Which vertices have a row — the *coverage* — is all that
+separates the paper's PM (every vertex), SPM (some) and unindexed baseline
+(none); the strategy layer reads it through
+:meth:`MetaPathIndex.coverage_mask` and :meth:`MetaPathIndex.gather_rows`.
+The stacked form is also the one every transport uses
+(:meth:`MetaPathIndex.export_arrays`, :mod:`repro.engine.index_io`, the
+shared-memory and mmap attach paths), so attaching an index never builds
+per-row Python objects.
 
 Index size is accounted in bytes under a conventional CSR storage model
 (8-byte values, 4-byte column indices, 8-byte row pointers) — the quantity
@@ -14,7 +23,7 @@ Figure 5(b) reports.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -22,70 +31,68 @@ from scipy import sparse
 from repro import faultinject
 from repro.engine.deadline import check_deadline
 from repro.exceptions import ExecutionError
-from repro.hin.network import HeterogeneousInformationNetwork
+from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.hin.storage import (
     ArrayStore,
     RamArrayStore,
     csr_from_buffers,
-    is_store_backed,
     spill_csr,
 )
-from repro.metapath.materialize import materialize, materialize_row
+from repro.metapath.materialize import materialize
 from repro.metapath.metapath import MetaPath
-from repro.hin.network import VertexId
-from repro.utils.sparsetools import csr_storage_bytes, sparse_row_bytes
+from repro.utils.sparsetools import (
+    INDEX_BYTES,
+    POINTER_BYTES,
+    VALUE_BYTES,
+    csr_storage_bytes,
+)
 
 __all__ = [
     "MetaPathIndex",
     "build_pm_index",
-    "build_pm_index_blocked",
     "build_spm_index",
-    "build_spm_index_bounded",
-    "build_spm_index_blocked",
     "DEFAULT_BUILD_BLOCK_ROWS",
 ]
 
-#: Default row-block width of the out-of-core builders: large enough that
+#: Default row-block width of the index builders: large enough that
 #: per-block Python overhead vanishes against the sparse products, small
 #: enough that one block of a dense-ish product stays tens of MB.
 DEFAULT_BUILD_BLOCK_ROWS = 8192
 
 
-def _mark_canonical(matrix: sparse.csr_matrix) -> None:
-    """Mark a reattached CSR matrix as having canonical format.
+class _PartialRows(NamedTuple):
+    """The stored rows of one partially covered meta-path."""
 
-    Export canonicalizes every matrix before packing, so the flags are
-    truthful — setting them up front stops scipy from ever attempting an
-    in-place ``sort_indices`` on read-only shared-memory buffers.
-    """
-    matrix.has_sorted_indices = True
-    matrix.has_canonical_format = True
+    #: Row ``i`` is ``φ_path(vertices[i])``; canonical CSR.
+    stacked: sparse.csr_matrix
+    vertices: np.ndarray
+    #: Vertex index -> row of ``stacked``, ``-1`` when the vertex has none.
+    inverse: np.ndarray
+
+
+_NO_ROWS = _PartialRows(
+    sparse.csr_matrix((0, 0), dtype=np.float64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+)
+
+
+def _all_within(values: np.ndarray, limit: int) -> bool:
+    """Whether every value lies in ``[0, limit)`` (vacuously for none)."""
+    return values.size == 0 or bool(values.min() >= 0 and values.max() < limit)
 
 
 class MetaPathIndex:
     """Row-retrievable store of pre-materialized meta-path count matrices.
 
-    Lookups return 1 x n CSR rows or ``None`` when the row is not stored —
-    the strategy layer decides whether to fall back to traversal.
+    The strategy layer asks which vertices are covered
+    (:meth:`coverage_mask`) and gathers their rows (:meth:`gather_rows`);
+    what to do about an uncovered vertex is the strategy's decision.
     """
 
-    def __init__(self, store: "ArrayStore | None" = None) -> None:
-        # Optional storage tier (repro.hin.storage): when set, stored
-        # matrices are spilled to the store's read-only memmap files and
-        # the in-RAM copies dropped — the "mmap" leg of the
-        # storage={ram,mmap} switch.  Matrices whose buffers already live
-        # in a store (the out-of-core builders hand those in) are adopted
-        # as-is.
-        self._store = store
-        self._spill_sequence = 0
+    def __init__(self) -> None:
         self._full: dict[MetaPath, sparse.csr_matrix] = {}
-        self._partial: dict[MetaPath, dict[int, sparse.csr_matrix]] = {}
-        # Lazily-built bulk view of a partial store: (stacked row matrix,
-        # vertex index -> stacked row position as a dense inverse array).
-        # Invalidated on store_row.
-        self._partial_stacked: dict[
-            MetaPath, tuple[sparse.csr_matrix, np.ndarray]
-        ] = {}
+        self._partial: dict[MetaPath, _PartialRows] = {}
         # Lazily-built per-path boolean coverage masks (vertex index ->
         # stored?), keyed by (path, width).  Invalidated on store calls.
         self._coverage: dict[tuple[MetaPath, int], np.ndarray] = {}
@@ -93,71 +100,26 @@ class MetaPathIndex:
     # ------------------------------------------------------------------
     # Population
     # ------------------------------------------------------------------
-    def _spill(self, matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-        if self._store is None or is_store_backed(matrix):
-            return matrix
-        prefix = f"index:spill:{self._spill_sequence}"
-        self._spill_sequence += 1
-        return spill_csr(self._store, prefix, matrix)
-
     def store_full(self, path: MetaPath, matrix: sparse.csr_matrix) -> None:
         """Store the complete count matrix of ``path``."""
-        self._full[path] = self._spill(matrix.tocsr())
+        self._full[path] = matrix.tocsr()
         # A full matrix supersedes any partial rows for the same path.
         self._partial.pop(path, None)
-        self._partial_stacked.pop(path, None)
         self._invalidate_coverage(path)
 
-    def store_row(self, path: MetaPath, vertex_index: int, row: sparse.spmatrix) -> None:
-        """Store one vertex's row of ``path`` (SPM-style partial coverage)."""
-        if path in self._full:
-            raise ExecutionError(
-                f"meta-path {path} already has a full matrix; refusing to "
-                "shadow it with partial rows"
-            )
-        csr = row.tocsr()
-        if csr.shape[0] != 1:
-            raise ExecutionError(
-                f"expected a single row for {path}, got shape {csr.shape}"
-            )
-        self._partial.setdefault(path, {})[vertex_index] = csr
-        self._partial_stacked.pop(path, None)
-        self._invalidate_coverage(path)
-
-    @staticmethod
-    def _rows_from_stacked(
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        vertices: np.ndarray,
-        width: int,
-    ) -> dict[int, sparse.csr_matrix]:
-        """Per-vertex 1 x width row views over stacked CSR buffers (zero-copy)."""
-        store: dict[int, sparse.csr_matrix] = {}
-        for slot, vertex in enumerate(vertices):
-            start, stop = int(indptr[slot]), int(indptr[slot + 1])
-            row = sparse.csr_matrix((1, width), dtype=data.dtype)
-            row.data = data[start:stop]
-            row.indices = indices[start:stop]
-            row.indptr = np.array([0, stop - start], dtype=indptr.dtype)
-            _mark_canonical(row)
-            store[int(vertex)] = row
-        return store
-
-    def install_partial_stacked(
+    def store_rows(
         self,
         path: MetaPath,
         vertices: "np.ndarray | list[int]",
-        stacked: sparse.csr_matrix,
+        stacked: sparse.spmatrix,
     ) -> None:
-        """Adopt a pre-stacked partial store: row ``i`` belongs to ``vertices[i]``.
+        """Store the rows of ``path`` for ``vertices`` (SPM-style coverage).
 
-        ``stacked`` must already be canonical (sorted, duplicate-free) —
-        the out-of-core SPM builder canonicalizes each block before
-        spilling, and the buffers may be read-only memmap pages scipy must
-        never sort in place.  When the index has a storage tier the stacked
-        buffers are spilled through it; individual rows become zero-copy
-        views into the (possibly file-backed) stack.
+        Row ``i`` of ``stacked`` is ``φ_path(vertices[i])``; the call
+        replaces whatever rows ``path`` held.  Buffers that are already
+        canonical (sorted, duplicate-free) and flagged so — every transport
+        hands those in, possibly as read-only shared or file-backed pages —
+        are adopted without a copy.
         """
         if path in self._full:
             raise ExecutionError(
@@ -165,23 +127,24 @@ class MetaPathIndex:
                 "shadow it with partial rows"
             )
         csr = stacked.tocsr()
-        _mark_canonical(csr)
+        if not csr.has_canonical_format:
+            csr.sum_duplicates()
         stored = np.asarray(vertices, dtype=np.int64)
-        if csr.shape[0] != stored.size:
+        if stored.ndim != 1 or csr.shape[0] != stored.size:
             raise ExecutionError(
-                f"stacked partial store for {path} has {csr.shape[0]} rows "
-                f"but {stored.size} vertex indices"
+                f"stacked rows for {path} have shape {csr.shape} but "
+                f"{stored.size} vertex indices were given"
             )
-        csr = self._spill(csr)
-        self._partial[path] = self._rows_from_stacked(
-            csr.data, csr.indices, csr.indptr, stored, csr.shape[1]
+        if stored.size and stored.min() < 0:
+            raise ExecutionError(f"negative vertex index for {path}")
+        slots = np.arange(stored.size, dtype=np.int64)
+        inverse = np.full(
+            int(stored.max()) + 1 if stored.size else 0, -1, dtype=np.int64
         )
-        if stored.size:
-            inverse = np.full(int(stored.max()) + 1, -1, dtype=np.int64)
-            inverse[stored] = np.arange(stored.size, dtype=np.int64)
-        else:
-            inverse = np.empty(0, dtype=np.int64)
-        self._partial_stacked[path] = (csr, inverse)
+        inverse[stored] = slots
+        if not np.array_equal(inverse[stored], slots):
+            raise ExecutionError(f"duplicate vertex index for {path}")
+        self._partial[path] = _PartialRows(csr, stored, inverse)
         self._invalidate_coverage(path)
 
     def _invalidate_coverage(self, path: MetaPath) -> None:
@@ -191,42 +154,21 @@ class MetaPathIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def lookup(self, path: MetaPath, vertex_index: int) -> sparse.csr_matrix | None:
-        """The stored row ``φ_path(vertex)`` or ``None`` when absent."""
-        full = self._full.get(path)
-        if full is not None:
-            if not 0 <= vertex_index < full.shape[0]:
-                return None
-            return full.getrow(vertex_index)
-        rows = self._partial.get(path)
-        if rows is None:
-            return None
-        return rows.get(vertex_index)
-
     def full_matrix(self, path: MetaPath) -> sparse.csr_matrix | None:
         """The complete matrix for ``path`` when fully materialized."""
         return self._full.get(path)
 
     def has_row(self, path: MetaPath, vertex_index: int) -> bool:
+        """Whether ``φ_path(vertex)`` is stored."""
         full = self._full.get(path)
         if full is not None:
             return 0 <= vertex_index < full.shape[0]
-        return vertex_index in self._partial.get(path, {})
-
-    def covered_indices(self, path: MetaPath) -> np.ndarray | None:
-        """Vertex indices with a stored row of ``path``.
-
-        ``None`` means *every* in-range vertex is covered (a full matrix is
-        stored); an empty array means nothing is.  Used by the bulk
-        strategies to partition whole request blocks into index hits and
-        misses with one vectorized membership test.
-        """
-        if path in self._full:
-            return None
-        rows = self._partial.get(path)
-        if not rows:
-            return np.empty(0, dtype=np.int64)
-        return np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))
+        partial = self._partial.get(path)
+        return (
+            partial is not None
+            and 0 <= vertex_index < partial.inverse.size
+            and bool(partial.inverse[vertex_index] >= 0)
+        )
 
     def coverage_mask(self, path: MetaPath, width: int) -> np.ndarray | None:
         """Boolean coverage lookup table for ``path`` over ``width`` vertices.
@@ -242,9 +184,9 @@ class MetaPathIndex:
         mask = self._coverage.get(key)
         if mask is None:
             mask = np.zeros(width, dtype=bool)
-            rows = self._partial.get(path)
-            if rows:
-                mask[np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))] = True
+            partial = self._partial.get(path)
+            if partial is not None:
+                mask[partial.vertices] = True
             self._coverage[key] = mask
         return mask
 
@@ -253,48 +195,27 @@ class MetaPathIndex:
     ) -> sparse.csr_matrix:
         """Stacked stored rows of ``path`` for ``vertex_indices`` (all hits).
 
-        One fancy-indexed row gather: full matrices are sliced directly;
-        partial stores are stacked once into a bulk matrix (cached until
-        the next :meth:`store_row`) and then sliced the same way.
+        One fancy-indexed row gather, from the full matrix or from the
+        stacked partial store through its inverse array.
 
         Raises
         ------
         ExecutionError
             If any requested vertex has no stored row — callers partition
-            with :meth:`covered_indices` first.
+            with :meth:`coverage_mask` first.
         """
-        positions = np.asarray(vertex_indices, dtype=np.int64)
-        full = self._full.get(path)
-        if full is not None:
-            if positions.size and (
-                positions.min() < 0 or positions.max() >= full.shape[0]
-            ):
-                raise ExecutionError(
-                    f"gather_rows: vertex index out of range for {path}"
-                )
-            return full[positions, :].tocsr()
-        stacked = self._partial_stacked.get(path)
-        if stacked is None:
-            rows = self._partial.get(path, {})
-            if rows:
-                matrix = sparse.vstack(list(rows.values()), format="csr")
-                stored = np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))
-                inverse = np.full(int(stored.max()) + 1, -1, dtype=np.int64)
-                inverse[stored] = np.arange(stored.size, dtype=np.int64)
-            else:
-                matrix = sparse.csr_matrix((0, 0), dtype=float)
-                inverse = np.empty(0, dtype=np.int64)
-            stacked = (matrix, inverse)
-            self._partial_stacked[path] = stacked
-        matrix, inverse = stacked
-        if positions.size and (
-            positions.min() < 0 or positions.max() >= inverse.size
-        ):
-            raise ExecutionError(
-                f"gather_rows: no stored row for some vertex of {path}"
-            )
-        slots = inverse[positions]
-        if positions.size and slots.min() < 0:
+        slots = np.asarray(vertex_indices, dtype=np.int64)
+        matrix = self._full.get(path)
+        if matrix is not None:
+            found = _all_within(slots, matrix.shape[0])
+        else:
+            partial = self._partial.get(path, _NO_ROWS)
+            matrix = partial.stacked
+            found = _all_within(slots, partial.inverse.size)
+            if found:
+                slots = partial.inverse[slots]
+                found = _all_within(slots, matrix.shape[0])
+        if not found:
             raise ExecutionError(
                 f"gather_rows: no stored row for some vertex of {path}"
             )
@@ -303,7 +224,7 @@ class MetaPathIndex:
     @property
     def paths(self) -> list[MetaPath]:
         """All meta-paths with any stored data, full matrices first."""
-        return list(self._full) + [p for p in self._partial if p not in self._full]
+        return list(self._full) + list(self._partial)
 
     # ------------------------------------------------------------------
     # Flat-buffer export / attach (shared-memory transport)
@@ -318,53 +239,30 @@ class MetaPathIndex:
         wire form the process-parallel service places in
         ``multiprocessing.shared_memory`` — see :meth:`from_arrays` for the
         zero-copy reattach and :mod:`repro.service.shm` for the transport.
-
-        Partial (SPM) stores are stacked into one CSR per path so a worker
-        attaches O(paths) matrices, not O(rows) segments.
         """
         entries: list[dict] = []
         arrays: dict[str, np.ndarray] = {}
 
-        def pack(prefix: str, matrix: sparse.csr_matrix) -> None:
+        def pack(kind: str, position: int, path: MetaPath, matrix) -> str:
             # Canonicalize in place (no-op when already canonical) so the
             # attach side can mark its read-only views canonical without
             # scipy ever attempting an in-place sort on shared pages.
             matrix.sum_duplicates()
+            prefix = f"index:{kind}:{position}"
             arrays[f"{prefix}:data"] = matrix.data
             arrays[f"{prefix}:indices"] = matrix.indices
             arrays[f"{prefix}:indptr"] = matrix.indptr
+            entries.append(_manifest_entry(kind, path, matrix, prefix))
+            return prefix
 
-        for position, path in enumerate(
-            sorted(self._full, key=lambda p: p.types)
-        ):
-            matrix = self._full[path]
-            prefix = f"index:full:{position}"
-            pack(prefix, matrix)
-            entries.append(
-                {
-                    "kind": "full",
-                    "types": list(path.types),
-                    "shape": [int(s) for s in matrix.shape],
-                    "prefix": prefix,
-                }
-            )
+        for position, path in enumerate(sorted(self._full, key=lambda p: p.types)):
+            pack("full", position, path, self._full[path])
         for position, path in enumerate(
             sorted(self._partial, key=lambda p: p.types)
         ):
-            rows = self._partial[path]
-            vertices = np.fromiter(rows.keys(), dtype=np.int64, count=len(rows))
-            stacked = sparse.vstack(list(rows.values()), format="csr")
-            prefix = f"index:partial:{position}"
-            pack(prefix, stacked)
-            arrays[f"{prefix}:vertices"] = vertices
-            entries.append(
-                {
-                    "kind": "partial",
-                    "types": list(path.types),
-                    "shape": [int(s) for s in stacked.shape],
-                    "prefix": prefix,
-                }
-            )
+            partial = self._partial[path]
+            prefix = pack("partial", position, path, partial.stacked)
+            arrays[f"{prefix}:vertices"] = partial.vertices
         return {"entries": entries}, arrays
 
     @classmethod
@@ -383,47 +281,45 @@ class MetaPathIndex:
         for entry in manifest["entries"]:
             path = MetaPath(tuple(entry["types"]))
             prefix = entry["prefix"]
-            data = arrays[f"{prefix}:data"]
-            indices = arrays[f"{prefix}:indices"]
-            indptr = arrays[f"{prefix}:indptr"]
-            shape = tuple(int(s) for s in entry["shape"])
+            matrix = csr_from_buffers(
+                arrays[f"{prefix}:data"],
+                arrays[f"{prefix}:indices"],
+                arrays[f"{prefix}:indptr"],
+                entry["shape"],
+            )
             if entry["kind"] == "full":
-                matrix = sparse.csr_matrix(shape, dtype=data.dtype)
-                matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
-                _mark_canonical(matrix)
                 index._full[path] = matrix
             else:
-                vertices = arrays[f"{prefix}:vertices"]
-                index._partial[path] = cls._rows_from_stacked(
-                    data, indices, indptr, vertices, shape[1]
-                )
+                index.store_rows(path, arrays[f"{prefix}:vertices"], matrix)
         return index
-
-    def partial_rows(self, path: MetaPath) -> dict[int, sparse.csr_matrix]:
-        """The stored rows of a partially materialized path (copy of the map).
-
-        Empty for unknown or fully materialized paths.
-        """
-        return dict(self._partial.get(path, {}))
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Total stored bytes under the CSR accounting model."""
-        total = 0
-        for matrix in self._full.values():
-            total += csr_storage_bytes(matrix)
-        for rows in self._partial.values():
-            for row in rows.values():
-                total += sparse_row_bytes(int(row.nnz))
+        """Total stored bytes under the CSR accounting model.
+
+        A partial store is priced row by row (values, column indices and
+        one pointer slot each), so its size does not depend on how the rows
+        are packed.
+        """
+        total = sum(csr_storage_bytes(matrix) for matrix in self._full.values())
+        for partial in self._partial.values():
+            total += int(partial.stacked.nnz) * (VALUE_BYTES + INDEX_BYTES)
+            total += partial.vertices.size * POINTER_BYTES
         return total
+
+    def _rows_per_path(self) -> dict[MetaPath, int]:
+        rows = {path: int(matrix.shape[0]) for path, matrix in self._full.items()}
+        rows.update(
+            (path, int(partial.vertices.size))
+            for path, partial in self._partial.items()
+        )
+        return rows
 
     def row_count(self) -> int:
         """Number of retrievable rows across all paths."""
-        total = sum(matrix.shape[0] for matrix in self._full.values())
-        total += sum(len(rows) for rows in self._partial.values())
-        return total
+        return sum(self._rows_per_path().values())
 
     def coverage_summary(self) -> dict:
         """Observability snapshot: what this index stores, per path.
@@ -431,19 +327,13 @@ class MetaPathIndex:
         Plain dicts/ints only (JSON-serializable) so the serving layer can
         embed it in ``/stats`` without further translation.
         """
-        per_path = {
-            str(path): int(matrix.shape[0])
-            for path, matrix in self._full.items()
-        }
-        per_path.update(
-            {str(path): len(rows) for path, rows in self._partial.items()}
-        )
+        per_path = self._rows_per_path()
         return {
-            "rows": self.row_count(),
+            "rows": sum(per_path.values()),
             "size_bytes": self.size_bytes(),
             "full_paths": len(self._full),
             "partial_paths": len(self._partial),
-            "rows_per_path": per_path,
+            "rows_per_path": {str(path): rows for path, rows in per_path.items()},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -453,92 +343,24 @@ class MetaPathIndex:
         )
 
 
+def _manifest_entry(
+    kind: str, path: MetaPath, matrix: sparse.csr_matrix, prefix: str
+) -> dict:
+    """One stored matrix's line in the export / array-store manifest."""
+    return {
+        "kind": kind,
+        "types": list(path.types),
+        "shape": [int(s) for s in matrix.shape],
+        "prefix": prefix,
+    }
+
+
 def _all_length2_paths(network: HeterogeneousInformationNetwork) -> list[MetaPath]:
     return [MetaPath(types) for types in network.schema.length2_metapaths()]
 
 
-def build_pm_index(
-    network: HeterogeneousInformationNetwork,
-    *,
-    store: "ArrayStore | None" = None,
-) -> MetaPathIndex:
-    """Materialize every legal length-2 meta-path in full (PM, §6.2).
-
-    This is the in-core build: each path's full product is formed in RAM
-    (and spilled afterwards when ``store`` is set).  For graphs whose
-    products do not fit, use :func:`build_pm_index_blocked`, which never
-    holds more than one row block.
-    """
-    index = MetaPathIndex(store=store)
-    for path in _all_length2_paths(network):
-        faultinject.check("index_build")
-        index.store_full(path, materialize(network, path))
-    return index
-
-
-def build_spm_index(
-    network: HeterogeneousInformationNetwork,
-    selected: Iterable[VertexId],
-) -> MetaPathIndex:
-    """Materialize length-2 rows only for ``selected`` vertices (SPM, §6.2).
-
-    For each selected vertex, rows are stored for every legal length-2
-    meta-path starting at the vertex's type.
-    """
-    faultinject.check("index_build")
-    index = MetaPathIndex()
-    paths_by_source: dict[str, list[MetaPath]] = {}
-    for path in _all_length2_paths(network):
-        paths_by_source.setdefault(path.source, []).append(path)
-    for vertex in selected:
-        faultinject.check("index_build")
-        for path in paths_by_source.get(vertex.type, []):
-            row = materialize_row(network, path, vertex)
-            index.store_row(path, vertex.index, row)
-    return index
-
-
-def build_spm_index_bounded(
-    network: HeterogeneousInformationNetwork,
-    ranked_vertices: Iterable[VertexId],
-    *,
-    max_bytes: int | None = None,
-) -> tuple[MetaPathIndex, list[VertexId]]:
-    """SPM build with a byte budget: index hottest-first until full.
-
-    ``ranked_vertices`` must be ordered hottest-first (the re-indexer ranks
-    by observed query frequency).  Each vertex is admitted all-or-nothing —
-    either every legal length-2 row starting at it fits under ``max_bytes``
-    and is stored, or the build stops there — so the resulting index never
-    has a vertex whose coverage depends on which meta-path a query uses.
-    Returns ``(index, indexed_vertices)`` where the list records which
-    vertices made the cut, in rank order.
-    """
-    faultinject.check("index_build")
-    index = MetaPathIndex()
-    paths_by_source: dict[str, list[MetaPath]] = {}
-    for path in _all_length2_paths(network):
-        paths_by_source.setdefault(path.source, []).append(path)
-    indexed: list[VertexId] = []
-    total = 0
-    for vertex in ranked_vertices:
-        faultinject.check("index_build")
-        rows = [
-            (path, materialize_row(network, path, vertex))
-            for path in paths_by_source.get(vertex.type, [])
-        ]
-        vertex_bytes = sum(sparse_row_bytes(int(row.nnz)) for _, row in rows)
-        if max_bytes is not None and total + vertex_bytes > max_bytes:
-            break
-        for path, row in rows:
-            index.store_row(path, vertex.index, row)
-        total += vertex_bytes
-        indexed.append(vertex)
-    return index, indexed
-
-
 # ----------------------------------------------------------------------
-# Out-of-core (blocked) builders — the million-vertex tier
+# PM: every vertex covered
 # ----------------------------------------------------------------------
 def _effective_block_rows(
     a1: sparse.csr_matrix,
@@ -613,34 +435,41 @@ def _blocked_segment_product(
     )
 
 
-def build_pm_index_blocked(
+def build_pm_index(
     network: HeterogeneousInformationNetwork,
     *,
-    block_rows: int = DEFAULT_BUILD_BLOCK_ROWS,
+    block_rows: "int | None" = None,
     max_build_memory_mb: "float | None" = None,
     store: "ArrayStore | None" = None,
     paths: "Iterable[MetaPath] | None" = None,
 ) -> MetaPathIndex:
-    """Out-of-core PM build: every length-2 product streamed in row blocks.
+    """Materialize every legal length-2 meta-path in full (PM, §6.2).
 
-    The million-vertex counterpart of :func:`build_pm_index`: instead of
-    forming each full product in RAM, length-2 segment products are
-    computed ``block_rows`` rows at a time and each completed block is
-    spilled to ``store`` (a :class:`repro.hin.storage.MmapArrayStore` for
-    the mmap tier) before the next is formed.  ``max_build_memory_mb``
-    shrinks the block width when a product's expected density would blow
-    the per-block budget.
+    With neither ``block_rows`` nor ``max_build_memory_mb`` each product
+    is formed whole in RAM and stored as it comes.  Giving either selects
+    the **out-of-core** build for graphs whose products do not fit: each
+    product is computed ``block_rows`` rows at a time (default
+    :data:`DEFAULT_BUILD_BLOCK_ROWS`, shrunk when the product's expected
+    density would blow ``max_build_memory_mb``) and every completed block
+    is appended to ``store`` before the next is formed.  The two builds
+    store byte-identical matrices (after canonicalization), because blocked
+    CSR products concatenate to exactly the whole product's rows.
 
-    When ``store`` is a persistent mmap store the finished index is
+    The whole-product build is not "one infinite block" on purpose: a
+    block pays a ``sort_indices`` and an append copy the whole product
+    does not need — on the e2e benchmark corpus (12 paths, 19.9 M
+    non-zeros) 1.10 s through a single block against 0.21 s whole.
+
+    When ``store`` is given (a :class:`repro.hin.storage.MmapArrayStore`
+    for the mmap tier) the matrices live in it and the finished index is
     **published atomically**: array files carry no meaning until the
     store's manifest is committed (written last, via the ``io`` fault
     point), so an interrupted build is invisible to
     :func:`repro.engine.index_io.load_index_mmap`.
-
-    Index contents are byte-identical to the in-core build's (after
-    canonicalization) and scores computed from them are byte-identical,
-    because blocked CSR products concatenate to exactly the in-core rows.
     """
+    blocked = block_rows is not None or max_build_memory_mb is not None
+    if block_rows is None:
+        block_rows = DEFAULT_BUILD_BLOCK_ROWS
     index = MetaPathIndex()
     entries: list[dict] = []
     target_paths = sorted(
@@ -648,27 +477,34 @@ def build_pm_index_blocked(
         key=lambda p: p.types,
     )
     for position, path in enumerate(target_paths):
-        a1 = network.adjacency(path.types[0], path.types[1])
-        a2 = network.adjacency(path.types[1], path.types[2])
-        effective = _effective_block_rows(a1, a2, block_rows, max_build_memory_mb)
         prefix = f"index:full:{position}"
-        matrix = _blocked_segment_product(
-            a1, a2, block_rows=effective, store=store, prefix=prefix
-        )
+        if blocked:
+            a1 = network.adjacency(path.types[0], path.types[1])
+            a2 = network.adjacency(path.types[1], path.types[2])
+            matrix = _blocked_segment_product(
+                a1,
+                a2,
+                block_rows=_effective_block_rows(
+                    a1, a2, block_rows, max_build_memory_mb
+                ),
+                store=store,
+                prefix=prefix,
+            )
+        else:
+            faultinject.check("index_build")
+            matrix = materialize(network, path)
+            if store is not None:
+                matrix = spill_csr(store, prefix, matrix)
         index.store_full(path, matrix)
-        entries.append(
-            {
-                "kind": "full",
-                "types": list(path.types),
-                "shape": [int(s) for s in matrix.shape],
-                "prefix": prefix,
-            }
-        )
+        entries.append(_manifest_entry("full", path, matrix, prefix))
     if store is not None:
         store.commit({"index": {"entries": entries}})
     return index
 
 
+# ----------------------------------------------------------------------
+# SPM: the hottest vertices covered
+# ----------------------------------------------------------------------
 def _selection_rows(
     network: HeterogeneousInformationNetwork,
     path: MetaPath,
@@ -692,92 +528,97 @@ def _selection_rows(
     return product
 
 
-def build_spm_index_blocked(
+def build_spm_index(
     network: HeterogeneousInformationNetwork,
-    ranked_vertices: Iterable[VertexId],
+    ranked: Iterable[VertexId],
     *,
     max_bytes: "int | None" = None,
     block_rows: int = DEFAULT_BUILD_BLOCK_ROWS,
     store: "ArrayStore | None" = None,
 ) -> tuple[MetaPathIndex, list[VertexId]]:
-    """Out-of-core SPM build: bounded blocks, same admission as the bounded build.
+    """Materialize length-2 rows for the ``ranked`` vertices only (SPM, §6.2).
 
-    Semantically identical to :func:`build_spm_index_bounded` — vertices
-    are admitted hottest-first, all-or-nothing, and the build stops at the
-    first vertex that does not fit ``max_bytes`` — but rows are computed a
-    block at a time with one selection-gather product per (type, path)
-    instead of one vector-matrix chain per vertex, and the finished rows
-    are stacked per path and spilled to ``store`` instead of held as
-    thousands of row objects.  Returns ``(index, indexed_vertices)``.
+    For each admitted vertex, rows are stored for every legal length-2
+    meta-path starting at the vertex's type.  ``ranked`` must be ordered
+    hottest-first (the re-indexer ranks by observed query frequency);
+    with a ``max_bytes`` budget each vertex is admitted all-or-nothing —
+    either every one of its rows fits and is stored, or the build stops
+    there — so the index never has a vertex whose coverage depends on
+    which meta-path a query uses.  Returns ``(index, admitted)`` where the
+    list records which vertices made the cut, in rank order.
+
+    Rows are computed ``block_rows`` vertices at a time with one
+    selection-gather product per (type, path); every block passes the
+    ``index_build`` fault point and the cooperative deadline.  When
+    ``store`` is given the stacked rows live in it and the index is
+    published atomically by the manifest commit, as in
+    :func:`build_pm_index`.
     """
     faultinject.check("index_build")
-    ranked = list(ranked_vertices)
+    if block_rows < 1:
+        raise ExecutionError(f"block_rows must be >= 1, got {block_rows}")
+    ranked = list(dict.fromkeys(ranked))
     paths_by_source: dict[str, list[MetaPath]] = {}
     for path in _all_length2_paths(network):
         paths_by_source.setdefault(path.source, []).append(path)
 
     admitted: list[VertexId] = []
-    rows_per_path: dict[MetaPath, list[tuple[int, sparse.csr_matrix]]] = {}
+    # Per path, the admitted (vertex indices, row block) pairs in rank order.
+    kept_rows: dict[MetaPath, list[tuple[np.ndarray, sparse.csr_matrix]]] = {}
     total = 0
-    exhausted = False
-    for block_start in range(0, len(ranked), max(1, block_rows)):
-        if exhausted:
-            break
-        block = ranked[block_start:block_start + max(1, block_rows)]
+    for block_start in range(0, len(ranked), block_rows):
+        block = ranked[block_start:block_start + block_rows]
         faultinject.check("index_build")
-        check_deadline("out-of-core SPM build")
-        by_type: dict[str, list[int]] = {}
+        check_deadline("SPM index build")
+        positions_by_type: dict[str, list[int]] = {}
         for position, vertex in enumerate(block):
-            by_type.setdefault(vertex.type, []).append(position)
-        block_rows_map: dict[int, list[tuple[MetaPath, sparse.csr_matrix]]] = {
-            position: [] for position in range(len(block))
-        }
-        for vertex_type, positions in by_type.items():
+            positions_by_type.setdefault(vertex.type, []).append(position)
+        vertex_bytes = np.zeros(len(block), dtype=np.int64)
+        gathered: list[tuple[MetaPath, np.ndarray, np.ndarray, sparse.csr_matrix]] = []
+        for vertex_type, positions in positions_by_type.items():
+            where = np.asarray(positions, dtype=np.int64)
             indices = np.asarray(
                 [block[position].index for position in positions], dtype=np.int64
             )
             for path in paths_by_source.get(vertex_type, []):
-                gathered = _selection_rows(network, path, indices)
-                for slot, position in enumerate(positions):
-                    block_rows_map[position].append(
-                        (path, gathered.getrow(slot))
-                    )
-        for position, vertex in enumerate(block):
-            rows = block_rows_map[position]
-            vertex_bytes = sum(
-                sparse_row_bytes(int(row.nnz)) for _, row in rows
+                rows = _selection_rows(network, path, indices)
+                vertex_bytes[where] += (
+                    np.diff(rows.indptr) * (VALUE_BYTES + INDEX_BYTES)
+                    + POINTER_BYTES
+                )
+                gathered.append((path, where, indices, rows))
+        # Hottest-first, all-or-nothing: the longest prefix that fits.
+        fits = len(block)
+        if max_bytes is not None:
+            fits = int(
+                np.searchsorted(
+                    total + np.cumsum(vertex_bytes), max_bytes, side="right"
+                )
             )
-            if max_bytes is not None and total + vertex_bytes > max_bytes:
-                exhausted = True
-                break
-            for path, row in rows:
-                rows_per_path.setdefault(path, []).append((vertex.index, row))
-            total += vertex_bytes
-            admitted.append(vertex)
+        total += int(vertex_bytes[:fits].sum())
+        admitted.extend(block[:fits])
+        for path, where, indices, rows in gathered:
+            kept = int(np.searchsorted(where, fits))
+            if kept:
+                kept_rows.setdefault(path, []).append(
+                    (indices[:kept], rows[:kept])
+                )
+        if fits < len(block):
+            break
 
     index = MetaPathIndex()
     entries: list[dict] = []
-    for position, path in enumerate(
-        sorted(rows_per_path, key=lambda p: p.types)
-    ):
-        pairs = rows_per_path[path]
-        vertices = np.asarray([vertex for vertex, _ in pairs], dtype=np.int64)
-        stacked = sparse.vstack([row for _, row in pairs], format="csr")
-        stacked.sum_duplicates()
-        stacked.sort_indices()
+    for position, path in enumerate(sorted(kept_rows, key=lambda p: p.types)):
+        vertices = np.concatenate([indices for indices, _ in kept_rows[path]])
+        stacked = sparse.vstack(
+            [rows for _, rows in kept_rows[path]], format="csr"
+        )
         if store is not None:
             prefix = f"index:partial:{position}"
             stacked = spill_csr(store, prefix, stacked)
             store.put(f"{prefix}:vertices", vertices)
-            entries.append(
-                {
-                    "kind": "partial",
-                    "types": list(path.types),
-                    "shape": [int(s) for s in stacked.shape],
-                    "prefix": prefix,
-                }
-            )
-        index.install_partial_stacked(path, vertices, stacked)
+            entries.append(_manifest_entry("partial", path, stacked, prefix))
+        index.store_rows(path, vertices, stacked)
     if store is not None:
         store.commit({"index": {"entries": entries}})
     return index, admitted

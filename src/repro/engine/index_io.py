@@ -7,7 +7,9 @@ directory and loads it back:
 * ``manifest.json`` — which meta-paths are stored, and how;
 * one ``.npz`` per fully materialized meta-path (scipy CSR format);
 * per partially materialized meta-path, one ``.npz`` holding the stored
-  rows stacked into a matrix plus a ``.rows.npy`` with their vertex indices.
+  rows stacked into a matrix plus a ``.rows.npy`` with their vertex indices
+  — the stacked form the index itself holds
+  (:meth:`~repro.engine.index.MetaPathIndex.export_arrays`).
 
 Writes are **atomic at file granularity**: every file is written to a
 temporary sibling and renamed into place, and the manifest is written last,
@@ -31,7 +33,7 @@ from scipy import sparse
 from repro import faultinject
 from repro.engine.index import MetaPathIndex
 from repro.exceptions import ExecutionError
-from repro.hin.storage import MmapArrayStore
+from repro.hin.storage import MmapArrayStore, csr_from_buffers
 from repro.metapath.metapath import MetaPath
 
 __all__ = ["save_index", "load_index", "load_index_mmap"]
@@ -93,32 +95,24 @@ def save_index(index: MetaPathIndex, directory: str | Path) -> None:
     target.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"format_version": _FORMAT_VERSION, "full": [], "partial": []}
 
-    position = 0
-    for path in index.paths:
-        stem = _file_stem(position)
-        position += 1
-        full = index.full_matrix(path)
-        if full is not None:
-            _save_npz_atomic(target / f"{stem}.npz", full)
-            manifest["full"].append({"path": str(path), "file": f"{stem}.npz"})
-            continue
-        rows = index.partial_rows(path)
-        vertex_indices = sorted(rows)
-        stacked = sparse.vstack(
-            [rows[i] for i in vertex_indices], format="csr"
+    exported, arrays = index.export_arrays()
+    for position, entry in enumerate(exported["entries"]):
+        stem, prefix = _file_stem(position), entry["prefix"]
+        matrix = csr_from_buffers(
+            arrays[f"{prefix}:data"],
+            arrays[f"{prefix}:indices"],
+            arrays[f"{prefix}:indptr"],
+            entry["shape"],
         )
-        _save_npz_atomic(target / f"{stem}.npz", stacked)
-        _save_npy_atomic(
-            target / f"{stem}.rows.npy",
-            np.asarray(vertex_indices, dtype=np.int64),
-        )
-        manifest["partial"].append(
-            {
-                "path": str(path),
-                "file": f"{stem}.npz",
-                "rows_file": f"{stem}.rows.npy",
-            }
-        )
+        _save_npz_atomic(target / f"{stem}.npz", matrix)
+        path = MetaPath(tuple(entry["types"]))
+        saved = {"path": str(path), "file": f"{stem}.npz"}
+        if entry["kind"] == "partial":
+            saved["rows_file"] = f"{stem}.rows.npy"
+            _save_npy_atomic(
+                target / saved["rows_file"], arrays[f"{prefix}:vertices"]
+            )
+        manifest[entry["kind"]].append(saved)
 
     manifest_temp = target / (_MANIFEST_NAME + ".tmp")
     faultinject.check("io")
@@ -215,19 +209,17 @@ def load_index(directory: str | Path) -> MetaPathIndex:
                 f"corrupt partial index for {entry['path']!r}: "
                 f"{stacked.shape[0]} rows vs {len(vertex_indices)} indices"
             )
-        path = MetaPath.parse(entry["path"])
-        for row_position, vertex_index in enumerate(vertex_indices):
-            index.store_row(path, int(vertex_index), stacked.getrow(row_position))
+        index.store_rows(MetaPath.parse(entry["path"]), vertex_indices, stacked)
     return index
 
 
 def load_index_mmap(directory: str | Path) -> MetaPathIndex:
-    """Attach an index published by an out-of-core (blocked) build, zero-copy.
+    """Attach an index a builder published into an array store, zero-copy.
 
-    The blocked builders (:func:`repro.engine.index.build_pm_index_blocked`
-    and :func:`~repro.engine.index.build_spm_index_blocked`) spill CSR
-    buffers into a :class:`repro.hin.storage.MmapArrayStore` and commit its
-    manifest **last** — the same write-data-then-manifest discipline as
+    Given a ``store``, :func:`repro.engine.index.build_pm_index` and
+    :func:`~repro.engine.index.build_spm_index` place their CSR buffers in
+    a :class:`repro.hin.storage.MmapArrayStore` and commit its manifest
+    **last** — the same write-data-then-manifest discipline as
     :func:`save_index`.  This loader therefore sees either a complete
     published index or nothing: a directory holding only the data files of
     an interrupted build raises a typed error, never a partial index.

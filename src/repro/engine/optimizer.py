@@ -89,7 +89,8 @@ class WorkloadAnalyzer:
 
     def build_index(self, threshold: float) -> MetaPathIndex:
         """Build the SPM index for the vertices above ``threshold``."""
-        return build_spm_index(self.network, self.frequent_vertices(threshold))
+        index, _ = build_spm_index(self.network, self.frequent_vertices(threshold))
+        return index
 
 
 def select_frequent_vertices(

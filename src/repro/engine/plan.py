@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine.index import MetaPathIndex
-from repro.engine.strategies import (
-    BaselineStrategy,
-    MaterializationStrategy,
-    PMStrategy,
-    SPMStrategy,
-)
+from repro.engine.strategies import MaterializationStrategy
 from repro.metapath.materialize import decompose_length2
 from repro.metapath.metapath import MetaPath
 from repro.query.ast import Query
@@ -97,15 +92,11 @@ def estimate_row_nnz(strategy: MaterializationStrategy, path: MetaPath) -> float
 
 def _segment_coverage(strategy: MaterializationStrategy, segment: MetaPath) -> str:
     index: MetaPathIndex | None = getattr(strategy, "index", None)
-    if isinstance(strategy, BaselineStrategy) or index is None:
+    if index is None:
         return "none"
     if index.full_matrix(segment) is not None:
         return "full"
-    if isinstance(strategy, SPMStrategy) and segment in index.paths:
-        return "partial"
-    if isinstance(strategy, PMStrategy):
-        return "none"
-    return "none"
+    return "partial" if segment in index.paths else "none"
 
 
 def explain(strategy: MaterializationStrategy, query: str | Query) -> QueryPlan:

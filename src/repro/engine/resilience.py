@@ -41,7 +41,6 @@ from repro.engine.deadline import (
     deadline_scope,
 )
 from repro.engine.index import MetaPathIndex, build_pm_index, build_spm_index
-from repro.engine.stats import ExecutionStats
 from repro.engine.strategies import (
     BaselineStrategy,
     MaterializationStrategy,
@@ -387,11 +386,11 @@ class FallbackStrategy(MaterializationStrategy):
     fail to build, so a query always gets an answer unless its deadline
     expires first.
 
-    Bulk requests delegate wholesale to the active rung's
-    ``neighbor_matrix``, so the wrapper inherits each rung's batched block
-    path (and its block-granular deadline and fault-point checks); a rung
-    failure mid-block demotes and re-runs the whole request on the next
-    rung.
+    Requests delegate wholesale to the active rung's ``neighbor_matrix``
+    (``neighbor_row`` is the inherited one-row request), so the wrapper
+    inherits each rung's block-granular deadline and fault-point checks; a
+    rung failure mid-block demotes and re-runs the whole request on the
+    next rung.
 
     Parameters
     ----------
@@ -471,7 +470,8 @@ class FallbackStrategy(MaterializationStrategy):
                 "the SPM index build",
             )
             index = self._guarded_build(
-                "spm", lambda: build_spm_index(self.network, self._spm_selected)
+                "spm",
+                lambda: build_spm_index(self.network, self._spm_selected)[0],
             )
             return SPMStrategy(self.network, index=index)
         return BaselineStrategy(self.network)
@@ -505,11 +505,11 @@ class FallbackStrategy(MaterializationStrategy):
         )
 
     # -- MaterializationStrategy interface -------------------------------
-    def _call(self, method: str, path, arg, stats: ExecutionStats | None):
+    def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
         while True:
             strategy = self._active_strategy()
             try:
-                return getattr(strategy, method)(path, arg, stats)
+                return strategy.neighbor_matrix(path, vertex_indices, stats)
             except DeadlineExceededError:
                 raise
             except ExecutionError as error:
@@ -518,13 +518,9 @@ class FallbackStrategy(MaterializationStrategy):
                     or self._position >= len(self.ladder) - 1
                 ):
                     raise
-                self._demote(self.ladder[self._position], f"{method} failed ({error})")
-
-    def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        return self._call("neighbor_row", path, vertex_index, stats)
-
-    def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
-        return self._call("neighbor_matrix", path, vertex_indices, stats)
+                self._demote(
+                    self.ladder[self._position], f"neighbor_matrix failed ({error})"
+                )
 
     def index_size_bytes(self) -> int:
         strategy = self._built.get(self.active_rung)

@@ -38,18 +38,23 @@ class ExecutionStats:
     ----------
     timer:
         Wall-clock accumulation per phase (seconds).
-    traversed_vectors:
-        Number of neighbor vectors materialized by traversal.  In block
-        mode this counts per-vertex *equivalents*: a bulk traversal of a
-        32-row block adds 32, and SPM segment expansions count one per
-        expanded element, matching the row-at-a-time accounting exactly.
-    indexed_vectors:
-        Number of neighbor vectors served (at least partly) from an index
-        (same per-vertex-equivalent convention as ``traversed_vectors``).
+    traversed_vectors, indexed_vectors:
+        One rule for every strategy: one count per *segment fetch*.  A
+        meta-path decomposes into length-2 segments (§6.2); materializing a
+        block fetches the first segment's row once per start vertex and
+        each later segment's row once per stored element of the block
+        entering it.  A fetch is **indexed** when the index covers the
+        fetched vertex for that segment, **traversed** otherwise — so PM
+        counts only indexed fetches, the baseline only traversed ones, and
+        SPM the mix Figure 4 analyzes.  A path shorter than one segment
+        (length 0 or 1) fetches nothing from any index: each of its rows
+        counts as one traversed vector.  The first segment's gather and
+        product are timed into their own phases; the rest of a block's
+        time is split between the two phases in proportion to its counts.
     materialized_blocks:
-        Number of bulk materialization blocks (≤ ``BLOCK_ROWS`` rows each)
-        processed by ``neighbor_matrix`` calls.  Zero for purely
-        row-at-a-time executions.
+        Number of materialization blocks (≤ ``BLOCK_ROWS`` rows each)
+        processed by ``neighbor_matrix`` calls; a ``neighbor_row`` call is
+        a one-row block and counts one.
     queries:
         Number of queries folded into this object (1 for a single run,
         larger after :meth:`merge`).

@@ -1,39 +1,62 @@
 """Meta-path materialization strategies (paper Sections 6.1-6.2).
 
-A strategy answers one question: *given a meta-path ``P`` and a start
-vertex, produce the neighbor vector ``φ_P``* — and accounts the time spent
-under the paper's phase taxonomy (not-indexed traversal vs indexed lookup).
+A strategy answers one question: *given a meta-path ``P`` and a block of
+start vertices, produce their neighbor vectors ``φ_P``* — and accounts the
+time spent under the paper's phase taxonomy (not-indexed traversal vs
+indexed lookup).
 
-* :class:`BaselineStrategy` materializes every vector by frontier traversal
-  over the adjacency structure (dictionary accumulation, one hop at a
-  time).  This models the paper's unindexed executor: per-vertex graph
-  traversal whose cost grows with path length and vertex degree.
-* :class:`PMStrategy` holds a full length-2 index: the first two hops are a
-  row lookup, and remaining length-2 segments are row x cached-matrix
-  products (the "multiplication of indexed vectors" of §6.2).
-* :class:`SPMStrategy` holds a partial index: rows exist only for selected
-  vertices.  Hits are lookups; misses fall back to two-hop traversal —
-  producing exactly the phase mix Figure 4 analyzes.
+The paper defines PM and SPM as the same length-2 row store differing only
+in which vertices have a row, and the baseline as the store with none.  So
+there is **one** materialization routine, driven by the coverage of a
+:class:`~repro.engine.index.MetaPathIndex`; the three named strategies are
+what they construct and what they refuse:
 
-Batched materialization
------------------------
+* :class:`BaselineStrategy` — an empty index: every segment is a product
+  over the adjacency matrices (§6.1).  It can never be stale and reaches no
+  fault point, which makes it the degradation ladder's infallible floor.
+* :class:`SPMStrategy` — a partial index: rows exist for selected vertices;
+  hits are gathered, misses computed, producing the phase mix Figure 4
+  analyzes.
+* :class:`PMStrategy` — a full index: every length-2 matrix stored, and a
+  missing one is an error rather than a reason to traverse.
+
+The routine
+-----------
+A path decomposes into length-2 segments plus one tail hop when its length
+is odd (§6.2).  For a block of start vertices:
+
+1. the **first segment** is split by ``index.coverage_mask``: covered
+   vertices are one fancy-indexed gather of stored rows, the rest one
+   ``S @ A₁ @ A₂`` product (``S`` the selection matrix of the block);
+2. each **later segment** multiplies the block by the cheapest operand
+   held: the index's full matrix of the segment, else the attached
+   sub-path cache's product, else the segment's two adjacency hops;
+3. the odd **tail hop** multiplies last.
+
+Accounting
+----------
+``indexed_vectors`` / ``traversed_vectors`` count one per *segment fetch*
+— one per start vertex for the first segment, one per stored element of
+the incoming block for each later segment — indexed when the fetched
+vertex is covered.  A path shorter than one segment fetches nothing from
+any index: its rows count as traversed.  The first segment's gather and
+product are timed into their own phases; the time of everything after is
+split between the two phases in proportion to the block's counts.
+
 :meth:`MaterializationStrategy.neighbor_matrix` is the engine's hot path:
-every query materializes ``φ_P`` for the whole candidate and reference set.
-It processes the request in **blocks of at most** :data:`BLOCK_ROWS` rows;
-each block is produced by one bulk :meth:`_materialize_block` call — a
-handful of SciPy CSR matrix-matrix products — instead of ``|S|`` per-vertex
-Python iterations.  Cooperative deadline checks run once per block, so an
-expired budget still surfaces within one block's cost, and every returned
-matrix is canonicalized (``float64``, duplicate-free, sorted indices) so
-downstream equality comparisons and cache hashing are stable.
+it processes a request in **blocks of at most** :data:`BLOCK_ROWS` rows,
+one :meth:`~MaterializationStrategy._materialize_block` call and one
+cooperative deadline check per block, and canonicalizes what it returns
+(``float64``, duplicate-free, sorted indices) so downstream equality
+comparisons and cache hashing are stable.  ``neighbor_row`` is the one-row
+block.
 """
 
 from __future__ import annotations
 
+import abc
 import time
 from typing import Iterable, Sequence
-
-import abc
 
 import numpy as np
 from scipy import sparse
@@ -44,7 +67,6 @@ from repro.engine.index import MetaPathIndex, build_pm_index, build_spm_index
 from repro.engine.stats import PHASE_INDEXED, PHASE_NOT_INDEXED, ExecutionStats
 from repro.exceptions import ExecutionError, MetaPathError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
-from repro.metapath.counting import neighbor_counts
 from repro.metapath.materialize import decompose_length2, materialize_segment
 from repro.metapath.metapath import MetaPath
 
@@ -62,40 +84,6 @@ __all__ = [
 #: that one cooperative deadline check per block keeps overrun latency
 #: bounded by a single block's cost.
 BLOCK_ROWS = 512
-
-# Shared all-zero 1 x width rows, one per width.  Empty neighbor vectors
-# are common (isolated vertices, exhausted frontiers) and immutable under
-# every CSR operation the engine performs, so one singleton per width
-# avoids re-allocating three empty arrays per vertex.
-_EMPTY_ROWS: dict[int, sparse.csr_matrix] = {}
-
-
-def _empty_row(width: int) -> sparse.csr_matrix:
-    row = _EMPTY_ROWS.get(width)
-    if row is None:
-        row = sparse.csr_matrix((1, width), dtype=np.float64)
-        _EMPTY_ROWS[width] = row
-    return row
-
-
-def _counts_to_row(counts: dict[int, float], width: int) -> sparse.csr_matrix:
-    """Pack a sparse ``{index: count}`` map into a 1 x width CSR row."""
-    if not counts:
-        return _empty_row(width)
-    size = len(counts)
-    indices = np.fromiter(counts.keys(), dtype=np.int64, count=size)
-    data = np.fromiter(counts.values(), dtype=np.float64, count=size)
-    order = np.argsort(indices, kind="stable")
-    return sparse.csr_matrix(
-        (data[order], indices[order], np.array([0, size], dtype=np.int64)),
-        shape=(1, width),
-    )
-
-
-def _identity_row(width: int, index: int) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
-        ([1.0], ([0], [index])), shape=(1, width), dtype=np.float64
-    )
 
 
 def _selection_matrix(indices: np.ndarray, width: int) -> sparse.csr_matrix:
@@ -135,59 +123,45 @@ def _stitch_rows(
     ``blocks`` pairs each sub-block with the output row positions it
     covers; one vstack plus one permutation gather restores request order.
     """
-    parts = [block for _, block in blocks if block.shape[0]]
-    positions = np.concatenate(
-        [pos for pos, block in blocks if block.shape[0]]
-    ) if parts else np.empty(0, dtype=np.int64)
-    if len(parts) == 1 and np.array_equal(positions, np.arange(total)):
-        return parts[0]
-    stacked = sparse.vstack(parts, format="csr") if len(parts) > 1 else parts[0]
-    order = np.argsort(positions, kind="stable")
-    return stacked[order, :].tocsr()
+    if len(blocks) == 1:
+        return blocks[0][1]
+    positions = np.concatenate([pos for pos, _ in blocks])
+    stacked = sparse.vstack([block for _, block in blocks], format="csr")
+    if np.array_equal(positions, np.arange(total)):
+        return stacked
+    return stacked[np.argsort(positions, kind="stable"), :].tocsr()
 
 
 class MaterializationStrategy(abc.ABC):
-    """Produces neighbor vectors ``φ_P`` and accounts the time per phase."""
+    """Produces neighbor vectors ``φ_P`` and accounts the time per phase.
+
+    A concrete strategy implements :meth:`_materialize_block`; the request
+    blocking, range check, deadline checks and canonical output of
+    :meth:`neighbor_matrix` — and :meth:`neighbor_row`, its one-row case —
+    are inherited.
+    """
 
     #: Registry/reporting name; subclasses set this.
     name: str = ""
 
     #: Optional shared :class:`~repro.engine.caching.SubpathCache` attached
-    #: by the serving layer: when set, the blocked materialization paths
-    #: reuse full length-2 segment products across concurrent queries whose
-    #: meta-paths overlap.  ``None`` (the default) leaves batch-library
-    #: behavior untouched.
+    #: by the serving layer: when set, segment products over the adjacency
+    #: matrices are reused across concurrent queries whose meta-paths
+    #: overlap.  ``None`` (the default) leaves batch-library behavior
+    #: untouched.
     subpath_cache = None
 
     def __init__(self, network: HeterogeneousInformationNetwork) -> None:
         self.network = network
 
-    def _segment_product(self, segment: MetaPath) -> sparse.csr_matrix:
-        """The full count matrix of a length-2 ``segment``, cache-assisted.
-
-        Consults :attr:`subpath_cache` when attached (keyed by the current
-        network version); on a miss the product is computed and offered
-        back.  Counts are exact integers in float64, so substituting the
-        cached ``A₁ @ A₂`` for the two chained hops is byte-identical —
-        the property ``tests/properties`` pins.
-        """
-        cache = self.subpath_cache
-        version = self.network.version
-        matrix = cache.get(segment, version) if cache is not None else None
-        if matrix is None:
-            matrix = materialize_segment(self.network, segment)
-            if cache is not None:
-                cache.put(segment, version, matrix)
-        return matrix
-
-    @abc.abstractmethod
     def neighbor_row(
         self,
         path: MetaPath,
         vertex_index: int,
         stats: ExecutionStats | None = None,
     ) -> sparse.csr_matrix:
-        """``φ_path(vertex)`` as a 1 x n CSR row over the target type."""
+        """``φ_path(vertex)`` as a 1 x n CSR row: the one-row block."""
+        return self.neighbor_matrix(path, [vertex_index], stats)
 
     def _materialize_block(
         self,
@@ -195,17 +169,13 @@ class MaterializationStrategy(abc.ABC):
         vertex_indices: np.ndarray,
         stats: ExecutionStats | None,
     ) -> sparse.csr_matrix:
-        """One bulk block of ``φ_path`` rows (≤ :data:`BLOCK_ROWS` of them).
+        """One bulk block of ``φ_path`` rows (1 to :data:`BLOCK_ROWS` of them).
 
-        The default stacks per-vertex rows — a correct fallback for
-        third-party strategies that only implement :meth:`neighbor_row`.
-        The built-in strategies override it with matrix-product block
-        paths; nothing on their query hot path iterates per vertex.
+        ``vertex_indices`` are in range for ``path.source``; the result
+        holds one row per index, in request order, and need not be
+        canonical.
         """
-        return sparse.vstack(
-            [self.neighbor_row(path, int(index), stats) for index in vertex_indices],
-            format="csr",
-        )
+        raise NotImplementedError
 
     def neighbor_matrix(
         self,
@@ -219,6 +189,11 @@ class MaterializationStrategy(abc.ABC):
         rows; each block is one :meth:`_materialize_block` call, with one
         cooperative deadline check per block so overrun latency stays
         bounded by a single block's cost.
+
+        Raises
+        ------
+        MetaPathError
+            If any index is outside ``path.source``'s vertex range.
         """
         width = self.network.num_vertices(path.target)
         indices = np.asarray(list(vertex_indices), dtype=np.int64)
@@ -262,149 +237,29 @@ class MaterializationStrategy(abc.ABC):
         """
         return False
 
-    def _check_path(self, path: MetaPath) -> None:
-        path.validate(self.network.schema)
 
-    def _adjacency_chain(self, path: MetaPath) -> list[sparse.csr_matrix]:
-        return [
-            self.network.adjacency(left, right)
-            for left, right in zip(path.types, path.types[1:])
-        ]
+class _CoverageStrategy(MaterializationStrategy):
+    """The one materialization routine, driven by an index's coverage.
 
-
-class BaselineStrategy(MaterializationStrategy):
-    """Unindexed execution: per-vertex frontier traversal (paper §6.1).
-
-    Bulk requests use the selection-matrix gather ``S @ A₁ @ A₂ @ …``:
-    one sparse product per hop materializes the whole block at once.  For
-    network implementations that cannot supply adjacency matrices (or when
-    ``use_matrix_products=False``), the block falls back to one bulk
-    frontier traversal assembled into a single CSR per block.
+    See the module docstring for the routine and its accounting rule.
+    Subclasses differ in the index they construct and in two refusals:
+    ``allow_stale`` (whether a network mutation after construction is an
+    error) and :attr:`_requires_full_index`.
     """
 
-    name = "baseline"
+    #: Whether a length-2 segment the index holds no full matrix for is an
+    #: error (PM) instead of a product over the adjacency matrices.
+    _requires_full_index = False
 
     def __init__(
         self,
         network: HeterogeneousInformationNetwork,
+        index: MetaPathIndex,
         *,
-        use_matrix_products: bool = True,
+        allow_stale: bool,
     ) -> None:
         super().__init__(network)
-        self.use_matrix_products = use_matrix_products
-
-    def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        self._check_path(path)
-        width = self.network.num_vertices(path.target)
-        if stats is None:
-            counts = neighbor_counts(
-                self.network, path, VertexId(path.source, vertex_index)
-            )
-            return _counts_to_row(counts, width)
-        with stats.timer.phase(PHASE_NOT_INDEXED):
-            counts = neighbor_counts(
-                self.network, path, VertexId(path.source, vertex_index)
-            )
-            row = _counts_to_row(counts, width)
-        stats.traversed_vectors += 1
-        return row
-
-    # -- bulk path -------------------------------------------------------
-    def _materialize_block(self, path, vertex_indices, stats):
-        self._check_path(path)
-        if stats is None:
-            return self._block(path, vertex_indices)
-        with stats.timer.phase(PHASE_NOT_INDEXED):
-            block = self._block(path, vertex_indices)
-        stats.traversed_vectors += len(vertex_indices)
-        return block
-
-    def _block(self, path, vertex_indices) -> sparse.csr_matrix:
-        source_width = self.network.num_vertices(path.source)
-        if path.length == 0:
-            return _selection_matrix(vertex_indices, source_width)
-        if self.use_matrix_products:
-            try:
-                chain = self._adjacency_chain(path)
-            except NotImplementedError:
-                return self._frontier_block(path, vertex_indices)
-            # No matrix_multiply fault point here: the unindexed rung is the
-            # degradation ladder's infallible floor, exactly like the
-            # row-at-a-time traversal path.  (SubpathCache faults are
-            # self-healing inside the cache, so consulting it below cannot
-            # make this rung raise.)
-            block = _selection_matrix(vertex_indices, source_width)
-            if self.subpath_cache is not None and path.length >= 2:
-                segments, tail = decompose_length2(path)
-                for segment in segments:
-                    block = block @ self._segment_product(segment)
-                if tail is not None:
-                    block = block @ self.network.adjacency(
-                        tail.types[0], tail.types[1]
-                    )
-                return block.tocsr()
-            for step in chain:
-                block = block @ step
-            return block.tocsr()
-        return self._frontier_block(path, vertex_indices)
-
-    def _frontier_block(self, path, vertex_indices) -> sparse.csr_matrix:
-        """Bulk frontier fallback: one CSR assembled per block, no vstack."""
-        width = self.network.num_vertices(path.target)
-        indptr = np.zeros(len(vertex_indices) + 1, dtype=np.int64)
-        column_chunks: list[np.ndarray] = []
-        data_chunks: list[np.ndarray] = []
-        for position, index in enumerate(vertex_indices):
-            counts = neighbor_counts(
-                self.network, path, VertexId(path.source, int(index))
-            )
-            size = len(counts)
-            indptr[position + 1] = indptr[position] + size
-            if size:
-                columns = np.fromiter(counts.keys(), dtype=np.int64, count=size)
-                values = np.fromiter(counts.values(), dtype=np.float64, count=size)
-                order = np.argsort(columns, kind="stable")
-                column_chunks.append(columns[order])
-                data_chunks.append(values[order])
-        columns = (
-            np.concatenate(column_chunks)
-            if column_chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        data = (
-            np.concatenate(data_chunks)
-            if data_chunks
-            else np.empty(0, dtype=np.float64)
-        )
-        return sparse.csr_matrix(
-            (data, columns, indptr), shape=(len(vertex_indices), width)
-        )
-
-
-class PMStrategy(MaterializationStrategy):
-    """Full length-2 pre-materialization (paper §6.2, PM).
-
-    Parameters
-    ----------
-    network:
-        The network to execute over.
-    index:
-        A pre-built index; when ``None`` every legal length-2 meta-path is
-        materialized up front (the build cost is paid here, not at query
-        time, matching the paper's offline indexing setting).
-    """
-
-    name = "pm"
-
-    def __init__(
-        self,
-        network: HeterogeneousInformationNetwork,
-        index: MetaPathIndex | None = None,
-        *,
-        allow_stale: bool = False,
-    ) -> None:
-        super().__init__(network)
-        self.index = index if index is not None else build_pm_index(network)
+        self.index = index
         # Snapshot the network's mutation counter: a pre-built index is
         # presumed consistent with the network *as passed in*.
         self._built_version = network.version
@@ -413,128 +268,201 @@ class PMStrategy(MaterializationStrategy):
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
 
+    def _check_fresh(self) -> None:
+        if self._allow_stale or self.network.version == self._built_version:
+            return
+        raise ExecutionError(
+            f"the network changed after the {self.name.upper()} index was built "
+            f"(version {self._built_version} -> {self.network.version}); "
+            "rebuild the index or pass allow_stale=True"
+        )
+
+    def _segment_product(self, segment: MetaPath) -> sparse.csr_matrix:
+        """The full count matrix of a length-2 ``segment``, cache-assisted.
+
+        Consults :attr:`subpath_cache` (keyed by the current network
+        version); on a miss the product is computed and offered back.
+        Counts are exact integers in float64, so substituting the cached
+        ``A₁ @ A₂`` for the two chained hops is byte-identical — the
+        property ``tests/properties`` pins.  The cache's fault points are
+        self-healing, so consulting it cannot make a strategy raise.
+        """
+        version = self.network.version
+        matrix = self.subpath_cache.get(segment, version)
+        if matrix is None:
+            matrix = materialize_segment(self.network, segment)
+            self.subpath_cache.put(segment, version, matrix)
+        return matrix
+
+    def _expand(
+        self, block: sparse.csr_matrix, segment: MetaPath
+    ) -> sparse.csr_matrix:
+        """``block @ M_segment`` through the cheapest operand held."""
+        matrix = self.index.full_matrix(segment)
+        if matrix is not None:
+            # The pre-multiplied operand: one product instead of two hops.
+            faultinject.check("matrix_multiply")
+            return block @ matrix
+        if self._requires_full_index:
+            raise ExecutionError(
+                f"{self.name.upper()} index is missing the matrix for {segment}"
+            )
+        if self.subpath_cache is not None:
+            return block @ self._segment_product(segment)
+        return (
+            block
+            @ self.network.adjacency(segment.types[0], segment.types[1])
+            @ self.network.adjacency(segment.types[1], segment.types[2])
+        )
+
+    def _first_segment(
+        self, segment: MetaPath, vertex_indices: np.ndarray
+    ) -> tuple[sparse.csr_matrix, int, float, float]:
+        """Rows of the first ``segment``, split by the index's coverage.
+
+        Covered vertices are one gather of stored rows, the rest one
+        product.  Returns ``(block, index hits, gather seconds, product
+        seconds)``.
+        """
+        source_width = self.network.num_vertices(segment.source)
+        coverage = self.index.coverage_mask(segment, source_width)
+        if coverage is None:
+            faultinject.check("matrix_multiply")
+            hit_mask = np.ones(len(vertex_indices), dtype=bool)
+        else:
+            hit_mask = coverage[vertex_indices]
+        hit_positions = np.flatnonzero(hit_mask)
+        parts: list[tuple[np.ndarray, sparse.csr_matrix]] = []
+        gather_seconds = product_seconds = 0.0
+        if hit_positions.size:
+            started = time.perf_counter()
+            hits = self.index.gather_rows(segment, vertex_indices[hit_mask])
+            parts.append((hit_positions, hits))
+            gather_seconds = time.perf_counter() - started
+        if hit_positions.size < len(vertex_indices):
+            started = time.perf_counter()
+            misses = _selection_matrix(vertex_indices[~hit_mask], source_width)
+            misses = self._expand(misses, segment).tocsr()
+            parts.append((np.flatnonzero(~hit_mask), misses))
+            product_seconds = time.perf_counter() - started
+        block = _stitch_rows(parts, len(vertex_indices))
+        return block, int(hit_positions.size), gather_seconds, product_seconds
+
+    def _covered_elements(
+        self, segment: MetaPath, block: sparse.csr_matrix
+    ) -> int:
+        """How many stored elements of ``block`` fetch a covered ``segment`` row.
+
+        Products and gathers never store duplicates, so the element count
+        needs no canonicalization; full and empty coverage need no look at
+        the column indices either.
+        """
+        coverage = self.index.coverage_mask(segment, block.shape[1])
+        if coverage is None:
+            return int(block.nnz)
+        if not coverage.any():
+            return 0
+        return int(np.count_nonzero(coverage[block.indices]))
+
+    def _materialize_block(self, path, vertex_indices, stats):
+        path.validate(self.network.schema)
+        self._check_fresh()
+        segments, tail = decompose_length2(path)
+        if segments:
+            block, indexed, gather_seconds, product_seconds = self._first_segment(
+                segments[0], vertex_indices
+            )
+        else:
+            source_width = self.network.num_vertices(path.source)
+            block = _selection_matrix(vertex_indices, source_width)
+            indexed, gather_seconds, product_seconds = 0, 0.0, 0.0
+        fetched = len(vertex_indices)
+        started = time.perf_counter()
+        for segment in segments[1:]:
+            check_deadline("segment block expansion")
+            if stats is not None:
+                indexed += self._covered_elements(segment, block)
+                fetched += int(block.nnz)
+            block = self._expand(block, segment)
+        if tail is not None:
+            block = block @ self.network.adjacency(tail.types[0], tail.types[1])
+        if stats is not None:
+            stats.indexed_vectors += indexed
+            stats.traversed_vectors += fetched - indexed
+            # Everything after the first segment is shared work: split it
+            # between the two phases in proportion to the block's counts.
+            shared = time.perf_counter() - started
+            fraction = indexed / fetched
+            stats.timer.add(PHASE_INDEXED, gather_seconds + shared * fraction)
+            stats.timer.add(
+                PHASE_NOT_INDEXED, product_seconds + shared * (1.0 - fraction)
+            )
+        return block.tocsr()
+
+
+class BaselineStrategy(_CoverageStrategy):
+    """Unindexed execution: nothing is covered (paper §6.1).
+
+    Every segment is a selection-gather product ``S @ A₁ @ A₂ @ …`` over
+    the adjacency matrices, which read live data: the strategy is never
+    stale, and with no index matrix to multiply it reaches no fault point —
+    the degradation ladder's infallible floor.
+    """
+
+    name = "baseline"
+
+    def __init__(self, network: HeterogeneousInformationNetwork) -> None:
+        super().__init__(network, MetaPathIndex(), allow_stale=True)
+
+
+class PMStrategy(_CoverageStrategy):
+    """Full length-2 pre-materialization: everything is covered (§6.2, PM).
+
+    Parameters
+    ----------
+    network:
+        The network to execute over.
+    index:
+        A pre-built index; when ``None`` every legal length-2 meta-path is
+        materialized up front (the build cost is paid here, not at query
+        time, matching the paper's offline indexing setting).  A segment
+        the index holds no full matrix for raises
+        :class:`~repro.exceptions.ExecutionError` at query time.
+    """
+
+    name = "pm"
+    _requires_full_index = True
+
+    def __init__(
+        self,
+        network: HeterogeneousInformationNetwork,
+        index: MetaPathIndex | None = None,
+        *,
+        allow_stale: bool = False,
+    ) -> None:
+        if index is None:
+            index = build_pm_index(network)
+        super().__init__(network, index, allow_stale=allow_stale)
+
     def answers_by_lookup(self, path: MetaPath) -> bool:
         # Up to one full length-2 segment: one gather from the index (or
         # from an adjacency matrix), no product chained after it.
         return path.length <= 2
 
-    def _check_fresh(self) -> None:
-        if self._allow_stale:
-            return
-        if self.network.version != self._built_version:
-            raise ExecutionError(
-                "the network changed after the PM index was built "
-                f"(version {self._built_version} -> {self.network.version}); "
-                "rebuild the index or pass allow_stale=True"
-            )
 
-    def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        self._check_path(path)
-        self._check_fresh()
-        width = self.network.num_vertices(path.target)
-        source_width = self.network.num_vertices(path.source)
+class SPMStrategy(_CoverageStrategy):
+    """Selective pre-materialization: some vertices are covered (§6.2, SPM).
 
-        def compute() -> sparse.csr_matrix:
-            if path.length == 0:
-                return _identity_row(width, vertex_index)
-            segments, tail = decompose_length2(path)
-            if not segments:
-                # Single-hop path: one adjacency row slice.
-                return _canonical(
-                    self.network.adjacency(path.types[0], path.types[1]).getrow(
-                        vertex_index
-                    )
-                )
-            first = self.index.lookup(segments[0], vertex_index)
-            if first is None:
-                raise ExecutionError(
-                    f"PM index is missing a row for {segments[0]} "
-                    f"(vertex {vertex_index}); was it built for this network?"
-                )
-            row = first
-            for segment in segments[1:]:
-                matrix = self.index.full_matrix(segment)
-                if matrix is None:
-                    raise ExecutionError(
-                        f"PM index is missing the matrix for {segment}"
-                    )
-                check_deadline("indexed row multiplication")
-                faultinject.check("matrix_multiply")
-                row = row @ matrix
-            if tail is not None:
-                row = row @ self.network.adjacency(tail.types[0], tail.types[1])
-            return _canonical(row)
+    Index rows exist only for a selected vertex subset; the rows of other
+    vertices are computed.  Handed an empty index this is the baseline, and
+    handed a full one it is PM — in bytes and in counters.
 
-        if vertex_index < 0 or vertex_index >= source_width:
-            raise MetaPathError(
-                f"vertex index {vertex_index} out of range for type {path.source!r}"
-            )
-        if stats is None:
-            return compute()
-        with stats.timer.phase(PHASE_INDEXED):
-            row = compute()
-        stats.indexed_vectors += 1
-        return row
-
-    # -- bulk path -------------------------------------------------------
-    def _materialize_block(self, path, vertex_indices, stats):
-        """Slice one whole index-row block, then chain block x matrix products."""
-        self._check_path(path)
-        self._check_fresh()
-
-        def compute() -> sparse.csr_matrix:
-            source_width = self.network.num_vertices(path.source)
-            if path.length == 0:
-                return _selection_matrix(vertex_indices, source_width)
-            segments, tail = decompose_length2(path)
-            if not segments:
-                adjacency = self.network.adjacency(path.types[0], path.types[1])
-                return _selection_matrix(vertex_indices, source_width) @ adjacency
-            first = self.index.full_matrix(segments[0])
-            if first is None:
-                raise ExecutionError(
-                    f"PM index is missing the matrix for {segments[0]}"
-                )
-            faultinject.check("matrix_multiply")
-            block = _selection_matrix(vertex_indices, source_width) @ first
-            for segment in segments[1:]:
-                matrix = self.index.full_matrix(segment)
-                if matrix is None:
-                    raise ExecutionError(
-                        f"PM index is missing the matrix for {segment}"
-                    )
-                check_deadline("indexed block multiplication")
-                faultinject.check("matrix_multiply")
-                block = block @ matrix
-            if tail is not None:
-                block = block @ self.network.adjacency(tail.types[0], tail.types[1])
-            return block.tocsr()
-
-        if stats is None:
-            return compute()
-        with stats.timer.phase(PHASE_INDEXED):
-            block = compute()
-        stats.indexed_vectors += len(vertex_indices)
-        return block
-
-
-class SPMStrategy(MaterializationStrategy):
-    """Selective pre-materialization (paper §6.2, SPM).
-
-    Index rows exist only for a selected vertex subset; other vertices fall
-    back to two-hop frontier traversal.  Each materialized vector is
-    attributed to the indexed phase when its *start* row came from the
-    index, else to the not-indexed phase, mirroring the paper's Figure 4
-    accounting.
-
-    Bulk requests partition each block into index **hits** — gathered with
-    one fancy-indexed row slice — and **misses** — materialized by one
-    selection-gather block traversal through the segment's adjacency
-    matrices.  Later segments run as block x adjacency products; their time
-    is split between the indexed and not-indexed phases by *element
-    counts* (how many per-vertex segment fetches the row-at-a-time path
-    would have served from the index vs by traversal), so the Figure 4
-    phase mix stays faithful without per-row timers.
+    Parameters
+    ----------
+    index:
+        A pre-built index; when ``None`` one is built for ``selected``.
+    selected:
+        Vertices to index when no pre-built index is supplied.
     """
 
     name = "spm"
@@ -547,200 +475,9 @@ class SPMStrategy(MaterializationStrategy):
         *,
         allow_stale: bool = False,
     ) -> None:
-        super().__init__(network)
         if index is None:
-            index = build_spm_index(network, selected or [])
-        self.index = index
-        self._built_version = network.version
-        self._allow_stale = allow_stale
-
-    def index_size_bytes(self) -> int:
-        return self.index.size_bytes()
-
-    def _check_fresh(self) -> None:
-        if self._allow_stale:
-            return
-        if self.network.version != self._built_version:
-            raise ExecutionError(
-                "the network changed after the SPM index was built "
-                f"(version {self._built_version} -> {self.network.version}); "
-                "rebuild the index or pass allow_stale=True"
-            )
-
-    def _segment_row(
-        self,
-        segment: MetaPath,
-        vertex_index: int,
-        stats: ExecutionStats | None,
-    ) -> sparse.csr_matrix:
-        """One vertex's row of a length-2 segment: lookup or traversal."""
-        width = self.network.num_vertices(segment.target)
-        hit = self.index.lookup(segment, vertex_index)
-        if hit is not None:
-            if stats is not None:
-                stats.indexed_vectors += 1
-            return hit
-        if stats is not None:
-            stats.traversed_vectors += 1
-        counts = neighbor_counts(
-            self.network, segment, VertexId(segment.source, vertex_index)
-        )
-        return _counts_to_row(counts, width)
-
-    def neighbor_row(self, path, vertex_index, stats=None) -> sparse.csr_matrix:
-        self._check_path(path)
-        self._check_fresh()
-        width = self.network.num_vertices(path.target)
-        if path.length == 0:
-            return _identity_row(width, vertex_index)
-        segments, tail = decompose_length2(path)
-        if not segments:
-            # Single hop: always a direct adjacency slice (cheap, indexed-like).
-            if stats is None:
-                return _canonical(
-                    self.network.adjacency(path.types[0], path.types[1]).getrow(
-                        vertex_index
-                    )
-                )
-            with stats.timer.phase(PHASE_INDEXED):
-                row = _canonical(
-                    self.network.adjacency(path.types[0], path.types[1]).getrow(
-                        vertex_index
-                    )
-                )
-            stats.indexed_vectors += 1
-            return row
-
-        first_hit = self.index.has_row(segments[0], vertex_index)
-        phase = PHASE_INDEXED if first_hit else PHASE_NOT_INDEXED
-
-        def compute() -> sparse.csr_matrix:
-            row = self._segment_row(segments[0], vertex_index, stats)
-            for segment in segments[1:]:
-                # Expand through the segment: Σ_j row[j] · φ_segment(vj).
-                accumulator: sparse.csr_matrix | None = None
-                for j, weight in zip(row.indices, row.data):
-                    check_deadline("SPM segment expansion")
-                    contribution = self._segment_row(segment, int(j), stats)
-                    term = contribution.multiply(weight)
-                    accumulator = term if accumulator is None else accumulator + term
-                if accumulator is None:
-                    return _empty_row(self.network.num_vertices(segment.target))
-                row = accumulator.tocsr()
-            if tail is not None:
-                row = row @ self.network.adjacency(tail.types[0], tail.types[1])
-            return _canonical(row)
-
-        if stats is None:
-            return compute()
-        with stats.timer.phase(phase):
-            return compute()
-
-    # -- bulk path -------------------------------------------------------
-    def _materialize_block(self, path, vertex_indices, stats):
-        self._check_path(path)
-        self._check_fresh()
-        source_width = self.network.num_vertices(path.source)
-        if path.length == 0:
-            return _selection_matrix(vertex_indices, source_width)
-        segments, tail = decompose_length2(path)
-        if not segments:
-            # Single hop: one selection-gather of adjacency rows.
-            def gather() -> sparse.csr_matrix:
-                adjacency = self.network.adjacency(path.types[0], path.types[1])
-                return _selection_matrix(vertex_indices, source_width) @ adjacency
-
-            if stats is None:
-                return gather()
-            with stats.timer.phase(PHASE_INDEXED):
-                block = gather()
-            stats.indexed_vectors += len(vertex_indices)
-            return block
-
-        first = segments[0]
-        coverage = self.index.coverage_mask(first, source_width)
-        if coverage is None:
-            hit_mask = np.ones(len(vertex_indices), dtype=bool)
-        else:
-            hit_mask = coverage[vertex_indices]
-        hit_positions = np.flatnonzero(hit_mask)
-        miss_positions = np.flatnonzero(~hit_mask)
-
-        parts: list[tuple[np.ndarray, sparse.csr_matrix]] = []
-        if hit_positions.size:
-            # Index hits: one fancy-indexed row gather from the stored rows.
-            def gather_hits() -> sparse.csr_matrix:
-                return self.index.gather_rows(first, vertex_indices[hit_mask])
-
-            if stats is None:
-                hit_block = gather_hits()
-            else:
-                with stats.timer.phase(PHASE_INDEXED):
-                    hit_block = gather_hits()
-                stats.indexed_vectors += int(hit_positions.size)
-            parts.append((hit_positions, hit_block))
-        if miss_positions.size:
-            # Index misses: the single block traversal the bulk API allows —
-            # a selection gather pushed through the segment's two hops.
-            def traverse_misses() -> sparse.csr_matrix:
-                block = _selection_matrix(vertex_indices[~hit_mask], source_width)
-                if self.subpath_cache is not None:
-                    return (block @ self._segment_product(first)).tocsr()
-                for step in self._adjacency_chain(first):
-                    block = block @ step
-                return block.tocsr()
-
-            if stats is None:
-                miss_block = traverse_misses()
-            else:
-                with stats.timer.phase(PHASE_NOT_INDEXED):
-                    miss_block = traverse_misses()
-                stats.traversed_vectors += int(miss_positions.size)
-            parts.append((miss_positions, miss_block))
-
-        started = time.perf_counter()
-        block = _stitch_rows(parts, len(vertex_indices))
-        indexed_elements = 0
-        traversed_elements = 0
-        for segment in segments[1:]:
-            if stats is not None:
-                # Element counts: the per-row path fetches φ_segment(vj)
-                # once per stored (row, j) element; count how many of those
-                # fetches the index would serve.
-                block = _canonical(block)
-                segment_coverage = self.index.coverage_mask(
-                    segment, block.shape[1]
-                )
-                if segment_coverage is None:
-                    segment_hits = int(block.nnz)
-                else:
-                    segment_hits = int(segment_coverage[block.indices].sum())
-                segment_misses = int(block.nnz) - segment_hits
-                indexed_elements += segment_hits
-                traversed_elements += segment_misses
-                stats.indexed_vectors += segment_hits
-                stats.traversed_vectors += segment_misses
-            check_deadline("SPM segment block expansion")
-            if self.subpath_cache is not None:
-                block = block @ self._segment_product(segment)
-            else:
-                for step in self._adjacency_chain(segment):
-                    block = block @ step
-        if tail is not None:
-            block = block @ self.network.adjacency(tail.types[0], tail.types[1])
-        if stats is not None:
-            # Split the shared block work (stitch + later segments + tail)
-            # between the two phases by element counts; when no expansion
-            # elements exist, fall back to the first segment's row mix.
-            elapsed = time.perf_counter() - started
-            total = indexed_elements + traversed_elements
-            if total == 0:
-                indexed_elements = int(hit_positions.size)
-                total = len(vertex_indices)
-            fraction = indexed_elements / total if total else 1.0
-            stats.timer.add(PHASE_INDEXED, elapsed * fraction)
-            stats.timer.add(PHASE_NOT_INDEXED, elapsed * (1.0 - fraction))
-        return block.tocsr()
+            index, _ = build_spm_index(network, selected or [])
+        super().__init__(network, index, allow_stale=allow_stale)
 
 
 def make_strategy(

@@ -2,9 +2,10 @@
 
 These functions implement Definitions 5-7 of the paper by walking the
 network hop by hop, accumulating path counts in dictionaries.  This is the
-*unindexed* code path: it is what the engine's Baseline strategy uses, and
-it also serves as the ground truth that the sparse-matrix materialization
-in :mod:`repro.metapath.materialize` is tested against.
+definition, executed literally: the ground truth that the sparse-matrix
+materialization in :mod:`repro.metapath.materialize` and the engine's
+materialization routine (:mod:`repro.engine.strategies`) are tested
+against.  Nothing on a query's hot path walks vertex by vertex.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ that loop over the serving stack:
    periodically mines the recorder with the same
    :class:`~repro.engine.optimizer.WorkloadAnalyzer` the paper's SPM build
    uses, ranks vertices hottest-first, rebuilds an SPM index off-thread
-   under a byte budget (:func:`~repro.engine.index.build_spm_index_bounded`),
+   under a byte budget (:func:`~repro.engine.index.build_spm_index`),
    and asks the service to hot-swap it atomically
    (:meth:`~repro.service.handle.EngineHandle.swap_index` + a backend
    refresh).  Queries never wait on a rebuild: the old index serves until
@@ -36,7 +36,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from repro.engine.index import build_spm_index_bounded
+from repro.engine.index import build_spm_index
 from repro.engine.optimizer import WorkloadAnalyzer
 from repro.exceptions import ServiceError
 
@@ -271,9 +271,7 @@ class Reindexer:
             if self.max_index_mb is not None
             else None
         )
-        index, indexed = build_spm_index_bounded(
-            network, ranked, max_bytes=max_bytes
-        )
+        index, indexed = build_spm_index(network, ranked, max_bytes=max_bytes)
         if not indexed:
             return self._skip("budget-excludes-all")
         selection = tuple(sorted(indexed))

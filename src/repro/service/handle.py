@@ -34,6 +34,7 @@ from repro.engine.index import MetaPathIndex
 from repro.engine.strategies import MaterializationStrategy, SPMStrategy
 from repro.exceptions import ServiceError
 from repro.hin.network import HeterogeneousInformationNetwork
+from repro.hin.storage import csr_from_buffers
 from repro.query.ast import Query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -284,7 +285,8 @@ class EngineHandle:
         ``row_coverage`` is the fraction of all possible length-2 rows
         (every legal length-2 meta-path × its source-type vertex count)
         the index can answer by lookup: 1.0 for PM, the selected fraction
-        for SPM, ``None`` for unindexed strategies.
+        for SPM, 0.0 for the baseline's empty index, ``None`` for a custom
+        strategy that holds no index.
         """
         concrete = self._concrete_strategy()
         index = getattr(concrete, "index", None)
@@ -437,22 +439,15 @@ class EngineHandle:
         the names assigned by :meth:`export_shared`; all CSR matrices are
         reconstructed as zero-copy wrappers over those buffers.
         """
-        from scipy import sparse
-
-        from repro.engine.index import MetaPathIndex, _mark_canonical
-        from repro.hin.network import HeterogeneousInformationNetwork
-
         adjacency = {}
         for entry in spec["adjacency"]:
             prefix = entry["prefix"]
-            shape = tuple(int(s) for s in entry["shape"])
-            data = views[f"{prefix}:data"]
-            matrix = sparse.csr_matrix(shape, dtype=data.dtype)
-            matrix.data = data
-            matrix.indices = views[f"{prefix}:indices"]
-            matrix.indptr = views[f"{prefix}:indptr"]
-            _mark_canonical(matrix)
-            adjacency[(entry["source"], entry["target"])] = matrix
+            adjacency[(entry["source"], entry["target"])] = csr_from_buffers(
+                views[f"{prefix}:data"],
+                views[f"{prefix}:indices"],
+                views[f"{prefix}:indptr"],
+                entry["shape"],
+            )
         network = HeterogeneousInformationNetwork.from_prebuilt(
             spec["schema"],
             spec["names"],

@@ -3,8 +3,8 @@
 Covers the canonical-output contract (float64, sorted, duplicate-free —
 the dtype-drift regression), block counters, and the block-mode phase
 accounting: attribution lands only in the two materialization phases,
-never exceeds measured wall time, and SPM's element-count hit/miss
-counters match the row-at-a-time path exactly.
+never exceeds measured wall time, and the segment-fetch counters match a
+definition-side count of fetches against the selected vertex set.
 """
 
 import math
@@ -23,6 +23,7 @@ from repro.engine.strategies import (
 )
 from repro.hin.bibliographic import BibliographicNetworkBuilder, Publication
 from repro.metapath.metapath import MetaPath
+from tests.properties.test_batched_materialization import definition_counts
 
 COAUTHOR = MetaPath(("author", "paper", "author"))
 TWO_SEGMENT = MetaPath(("author", "paper", "venue", "paper", "author"))
@@ -104,25 +105,24 @@ class TestBlockCounters:
         assert pm_stats.traversed_vectors == 0
 
     @pytest.mark.parametrize("path", [COAUTHOR, TWO_SEGMENT])
-    def test_spm_counters_match_per_row_path(self, network, path):
-        """Bulk element-count accounting reproduces the row-at-a-time
-        hit/miss counters exactly, segment expansions included."""
-        selected = list(network.vertices("author"))[::3]
+    def test_counters_match_definition(self, network, path):
+        """Element-count accounting reproduces the definition's segment
+        fetches exactly, later-segment expansions included, and the same
+        rule gives PM all-indexed and the baseline all-traversed counts."""
+        selected = set(list(network.vertices("author"))[::3])
         indices = list(range(network.num_vertices("author")))
-
-        bulk = SPMStrategy(network, selected=selected)
-        bulk_stats = ExecutionStats()
-        bulk.neighbor_matrix(path, indices, bulk_stats)
-
-        per_row = SPMStrategy(network, selected=selected)
-        row_stats = ExecutionStats()
-        for index in indices:
-            per_row.neighbor_row(path, index, row_stats)
-
-        assert bulk_stats.indexed_vectors == row_stats.indexed_vectors
-        assert bulk_stats.traversed_vectors == row_stats.traversed_vectors
-        assert bulk_stats.indexed_vectors > 0
-        assert bulk_stats.traversed_vectors > 0
+        for strategy, covered in (
+            (SPMStrategy(network, selected=selected), selected.__contains__),
+            (PMStrategy(network), lambda vertex: True),
+            (BaselineStrategy(network), lambda vertex: False),
+        ):
+            stats = ExecutionStats()
+            strategy.neighbor_matrix(path, indices, stats)
+            indexed, traversed = definition_counts(network, path, indices, covered)
+            assert stats.indexed_vectors == indexed, strategy.name
+            assert stats.traversed_vectors == traversed, strategy.name
+            if strategy.name == "spm":
+                assert indexed > 0 and traversed > 0
 
 
 class TestBlockPhaseAttribution:

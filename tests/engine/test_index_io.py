@@ -36,12 +36,15 @@ class TestRoundTrip:
     def test_spm_index_round_trip(self, figure1, tmp_path):
         zoe = figure1.find_vertex("author", "Zoe")
         ava = figure1.find_vertex("author", "Ava")
-        index = build_spm_index(figure1, [zoe, ava])
+        index, _ = build_spm_index(figure1, [zoe, ava])
         save_index(index, tmp_path / "spm")
         restored = load_index(tmp_path / "spm")
         assert restored.has_row(PV, zoe.index)
         assert restored.has_row(PV, ava.index)
-        assert (restored.lookup(PV, zoe.index) != index.lookup(PV, zoe.index)).nnz == 0
+        rows = [zoe.index, ava.index]
+        assert (
+            restored.gather_rows(PV, rows) != index.gather_rows(PV, rows)
+        ).nnz == 0
         assert restored.size_bytes() == index.size_bytes()
 
     def test_empty_index_round_trip(self, tmp_path):
@@ -66,7 +69,7 @@ class TestRoundTrip:
 
     def test_loaded_spm_serves_lookups(self, figure1, tmp_path):
         zoe = figure1.find_vertex("author", "Zoe")
-        save_index(build_spm_index(figure1, [zoe]), tmp_path / "s")
+        save_index(build_spm_index(figure1, [zoe])[0], tmp_path / "s")
         strategy = SPMStrategy(figure1, index=load_index(tmp_path / "s"))
         from repro.engine.stats import ExecutionStats
 
@@ -96,7 +99,7 @@ class TestErrors:
         import numpy as np
 
         zoe = figure1.find_vertex("author", "Zoe")
-        save_index(build_spm_index(figure1, [zoe]), tmp_path)
+        save_index(build_spm_index(figure1, [zoe])[0], tmp_path)
         rows_file = next(tmp_path.glob("*.rows.npy"))
         np.save(rows_file, np.array([0, 1, 2], dtype=np.int64))
         with pytest.raises(ExecutionError, match="corrupt"):
@@ -146,7 +149,7 @@ class TestCorruptionSafety:
 
     def test_corrupt_rows_npy(self, figure1, tmp_path):
         zoe = figure1.find_vertex("author", "Zoe")
-        save_index(build_spm_index(figure1, [zoe]), tmp_path)
+        save_index(build_spm_index(figure1, [zoe])[0], tmp_path)
         next(tmp_path.glob("*.rows.npy")).write_bytes(b"\x93NUMPY garbage")
         with pytest.raises(ExecutionError, match="corrupt or truncated"):
             load_index(tmp_path)
@@ -156,7 +159,7 @@ class TestAtomicity:
     def test_no_temp_files_left_after_save(self, figure1, tmp_path):
         zoe = figure1.find_vertex("author", "Zoe")
         save_index(build_pm_index(figure1), tmp_path / "pm")
-        save_index(build_spm_index(figure1, [zoe]), tmp_path / "spm")
+        save_index(build_spm_index(figure1, [zoe])[0], tmp_path / "spm")
         leftovers = list(tmp_path.rglob("*.tmp"))
         assert leftovers == []
 

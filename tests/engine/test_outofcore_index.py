@@ -1,8 +1,8 @@
-"""Out-of-core (blocked) PM/SPM index builds: parity, crash safety, limits.
+"""Blocked and store-backed PM/SPM index builds: parity, crash safety, limits.
 
-The blocked builders must be *invisible* semantically: byte-identical
-index contents and scores versus the in-core builders, whatever the block
-size, storage tier, or interruption point.  Crash safety leans on the
+Block size and storage tier must be *invisible* semantically: byte-identical
+index contents versus the whole-product PM build and the definition of the
+SPM rows, whatever the block size, storage tier, or interruption point.  Crash safety leans on the
 array store's write-data-then-manifest discipline — an interrupted build
 leaves a directory :func:`~repro.engine.index_io.load_index_mmap` refuses
 with a typed error, never a partial index.
@@ -21,12 +21,7 @@ from repro.datagen.synthetic import (
     streaming_bibliographic_network,
 )
 from repro.engine.deadline import Deadline, deadline_scope
-from repro.engine.index import (
-    build_pm_index,
-    build_pm_index_blocked,
-    build_spm_index_blocked,
-    build_spm_index_bounded,
-)
+from repro.engine.index import build_pm_index, build_spm_index
 from repro.engine.index_io import load_index_mmap
 from repro.exceptions import (
     DeadlineExceededError,
@@ -34,7 +29,10 @@ from repro.exceptions import (
     TransientFaultError,
 )
 from repro.hin.network import VertexId
-from repro.hin.storage import MmapArrayStore
+from repro.hin.storage import MmapArrayStore, csr_from_buffers
+from repro.metapath.materialize import materialize
+from repro.metapath.metapath import MetaPath
+from repro.utils.sparsetools import sparse_row_bytes
 
 CONFIG = StreamingCorpusConfig(
     num_papers=400,
@@ -62,30 +60,69 @@ def _bytes_of(matrix):
     )
 
 
+def _index_bytes(index):
+    """Everything ``index`` stores, keyed by path — and by vertex for partial
+    paths, so the comparison does not depend on the stacking order."""
+    manifest, arrays = index.export_arrays()
+    payload = {}
+    for entry in manifest["entries"]:
+        prefix = entry["prefix"]
+        matrix = csr_from_buffers(
+            arrays[f"{prefix}:data"],
+            arrays[f"{prefix}:indices"],
+            arrays[f"{prefix}:indptr"],
+            entry["shape"],
+        )
+        if entry["kind"] == "full":
+            payload[tuple(entry["types"])] = _bytes_of(matrix)
+        else:
+            payload[tuple(entry["types"])] = {
+                int(vertex): _bytes_of(matrix[[slot], :])
+                for slot, vertex in enumerate(arrays[f"{prefix}:vertices"])
+            }
+    return payload
+
+
 def _assert_same_index(left, right):
-    assert set(map(str, left.paths)) == set(map(str, right.paths))
-    for path in left.paths:
-        full_l, full_r = left.full_matrix(path), right.full_matrix(path)
-        if full_l is not None:
-            assert _bytes_of(full_l) == _bytes_of(full_r)
-            continue
-        rows_l, rows_r = left.partial_rows(path), right.partial_rows(path)
-        assert sorted(rows_l) == sorted(rows_r)
-        for vertex in rows_l:
-            assert _bytes_of(rows_l[vertex]) == _bytes_of(rows_r[vertex])
+    assert _index_bytes(left) == _index_bytes(right)
+
+
+def _definition_spm(network, ranked, max_bytes):
+    """SPM contents straight from the definition: rows of the full length-2
+    products, vertices admitted hottest-first, all-or-nothing, until the
+    first one that does not fit."""
+    products = {
+        types: materialize(network, MetaPath(types)).tocsr()
+        for types in network.schema.length2_metapaths()
+    }
+    admitted, payload, total = [], {}, 0
+    for vertex in ranked:
+        rows = {
+            types: product[[vertex.index], :]
+            for types, product in products.items()
+            if types[0] == vertex.type
+        }
+        cost = sum(sparse_row_bytes(row.nnz) for row in rows.values())
+        if max_bytes is not None and total + cost > max_bytes:
+            break
+        total += cost
+        admitted.append(vertex)
+        for types, row in rows.items():
+            payload.setdefault(types, {})[vertex.index] = _bytes_of(row)
+    return payload, admitted
 
 
 class TestBlockedPmParity:
     @pytest.mark.parametrize("block_rows", [1, 7, 64, 100_000])
     def test_blocked_matches_incore(self, network, block_rows):
         incore = build_pm_index(network)
-        blocked = build_pm_index_blocked(network, block_rows=block_rows)
+        blocked = build_pm_index(network, block_rows=block_rows)
         _assert_same_index(incore, blocked)
 
     def test_blocked_to_mmap_store_roundtrips(self, network, tmp_path):
         incore = build_pm_index(network)
         store_dir = str(tmp_path / "pm")
-        build_pm_index_blocked(
+        build_pm_index(
             network, block_rows=37, store=MmapArrayStore(store_dir)
         )
         reloaded = load_index_mmap(store_dir)
@@ -96,45 +133,52 @@ class TestBlockedPmParity:
 
     def test_invalid_block_rows_rejected(self, network):
         with pytest.raises(ExecutionError):
-            build_pm_index_blocked(network, block_rows=0)
+            build_pm_index(network, block_rows=0)
+        with pytest.raises(ExecutionError):
+            build_spm_index(network, [], block_rows=0)
 
     def test_memory_budget_shrinks_blocks(self, network, tmp_path):
         # A tiny budget must still complete — it clamps the block size down
         # to one row, never to zero — and stay byte-identical.
         incore = build_pm_index(network)
-        squeezed = build_pm_index_blocked(
+        squeezed = build_pm_index(
             network, block_rows=100_000, max_build_memory_mb=0.001
         )
         _assert_same_index(incore, squeezed)
 
 
 class TestBlockedSpmParity:
-    @pytest.mark.parametrize("budget", [None, 60_000])
-    def test_bounded_matches_blocked(self, network, budget, tmp_path):
+    @pytest.mark.parametrize("budget", [None, 8_000])
+    @pytest.mark.parametrize("block_rows", [1, 4, 100_000])
+    def test_any_block_size_matches_definition(
+        self, network, budget, block_rows, tmp_path
+    ):
         ranked = [VertexId("author", i) for i in range(25)] + [
             VertexId("venue", 0)
         ]
-        bounded, admitted = build_spm_index_bounded(
-            network, ranked, max_bytes=budget
+        expected, expected_admitted = _definition_spm(network, ranked, budget)
+        in_ram, admitted = build_spm_index(
+            network, ranked, max_bytes=budget, block_rows=block_rows
         )
-        blocked, admitted_blocked = build_spm_index_blocked(
+        in_store, admitted_store = build_spm_index(
             network,
             ranked,
             max_bytes=budget,
-            block_rows=4,
+            block_rows=block_rows,
             store=MmapArrayStore(str(tmp_path / "spm")),
         )
-        assert admitted == admitted_blocked
-        _assert_same_index(bounded, blocked)
+        assert admitted == admitted_store == expected_admitted
+        assert 0 < len(admitted) and (budget is None or len(admitted) < len(ranked))
+        assert _index_bytes(in_ram) == _index_bytes(in_store) == expected
 
     def test_spm_store_roundtrips(self, network, tmp_path):
         ranked = [VertexId("author", i) for i in range(10)]
         store_dir = str(tmp_path / "spm")
-        blocked, admitted = build_spm_index_blocked(
+        built, admitted = build_spm_index(
             network, ranked, store=MmapArrayStore(store_dir)
         )
         reloaded = load_index_mmap(store_dir)
-        _assert_same_index(blocked, reloaded)
+        _assert_same_index(built, reloaded)
         assert admitted == ranked
 
 
@@ -157,7 +201,7 @@ class TestCrashSafety:
             )
         ):
             with pytest.raises(TransientFaultError):
-                build_pm_index_blocked(
+                build_pm_index(
                     network, block_rows=50, store=MmapArrayStore(store_dir)
                 )
         self._assert_invisible(store_dir)
@@ -172,7 +216,7 @@ class TestCrashSafety:
         with faultinject.inject(
             faultinject.FaultRule(point="io", probability=0.0)
         ) as injector:
-            build_pm_index_blocked(
+            build_pm_index(
                 network, block_rows=50, store=MmapArrayStore(probe_dir)
             )
             io_calls = injector.calls["io"]
@@ -184,7 +228,7 @@ class TestCrashSafety:
             )
         ):
             with pytest.raises(TransientFaultError):
-                build_pm_index_blocked(
+                build_pm_index(
                     network, block_rows=50, store=MmapArrayStore(store_dir)
                 )
         self._assert_invisible(store_dir)
@@ -196,7 +240,7 @@ class TestCrashSafety:
             faultinject.FaultRule(point="index_build", times=1, after_calls=2)
         ):
             with pytest.raises(TransientFaultError):
-                build_spm_index_blocked(
+                build_spm_index(
                     network,
                     ranked,
                     block_rows=3,
@@ -210,11 +254,11 @@ class TestCrashSafety:
             faultinject.FaultRule(point="index_build", times=1, after_calls=3)
         ):
             with pytest.raises(TransientFaultError):
-                build_pm_index_blocked(
+                build_pm_index(
                     network, block_rows=50, store=MmapArrayStore(store_dir)
                 )
         # Retrying into the same directory publishes a complete index.
-        build_pm_index_blocked(
+        build_pm_index(
             network, block_rows=50, store=MmapArrayStore(store_dir)
         )
         _assert_same_index(build_pm_index(network), load_index_mmap(store_dir))
@@ -225,7 +269,7 @@ class TestDeadline:
         store_dir = str(tmp_path / "pm")
         with deadline_scope(Deadline(0.0)):
             with pytest.raises(DeadlineExceededError):
-                build_pm_index_blocked(
+                build_pm_index(
                     network, block_rows=10, store=MmapArrayStore(store_dir)
                 )
         assert not os.path.exists(os.path.join(store_dir, "manifest.json"))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine.index import build_spm_index
+from repro.engine.caching import CachingStrategy
+from repro.engine.index import build_pm_index, build_spm_index
+from repro.engine.resilience import FallbackStrategy
 from repro.engine.stats import ExecutionStats
 from repro.engine.strategies import (
     BaselineStrategy,
@@ -91,9 +93,41 @@ class TestValidation:
             with pytest.raises(MetaPathError):
                 strategy.neighbor_row(bad, 0)
 
-    def test_pm_out_of_range_vertex(self, figure1):
+    @pytest.mark.parametrize("bad", [-1, "n", 999])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            BaselineStrategy,
+            PMStrategy,
+            SPMStrategy,
+            lambda network: CachingStrategy(BaselineStrategy(network)),
+            FallbackStrategy,
+        ],
+        ids=["baseline", "pm", "spm", "cached", "ladder"],
+    )
+    def test_out_of_range_vertex(self, figure1, make, bad):
+        """Regression: only PM range-checked ``neighbor_row``; elsewhere
+        ``n`` or ``999`` escaped as a bare IndexError and ``-1`` silently
+        returned an all-zero vector."""
+        strategy = make(figure1)
+        index = figure1.num_vertices("author") if bad == "n" else bad
         with pytest.raises(MetaPathError, match="out of range"):
-            PMStrategy(figure1).neighbor_row(PV, 999)
+            strategy.neighbor_row(PV, index)
+        with pytest.raises(MetaPathError, match="out of range"):
+            strategy.neighbor_matrix(LONG, [0, index])
+
+    def test_pm_refuses_a_segment_it_has_no_matrix_for(self, figure1):
+        """What PM refuses and SPM tolerates: SPM computes an uncovered
+        segment, PM treats it as a broken index."""
+        index = build_pm_index(figure1, paths=[PV])
+        assert (
+            SPMStrategy(figure1, index=index).neighbor_matrix(PCA, [0])
+            != BaselineStrategy(figure1).neighbor_matrix(PCA, [0])
+        ).nnz == 0
+        with pytest.raises(ExecutionError, match="missing the matrix"):
+            PMStrategy(figure1, index=index).neighbor_matrix(PCA, [0])
+        with pytest.raises(ExecutionError, match="missing the matrix"):
+            PMStrategy(figure1, index=index).neighbor_matrix(LONG, [0])
 
     def test_make_strategy_names(self, figure1):
         assert make_strategy(figure1, "baseline").name == "baseline"
@@ -155,6 +189,6 @@ class TestPhaseAccounting:
 
     def test_prebuilt_index_reused(self, figure1):
         zoe = figure1.find_vertex("author", "Zoe")
-        index = build_spm_index(figure1, [zoe])
+        index, _ = build_spm_index(figure1, [zoe])
         strategy = SPMStrategy(figure1, index=index)
         assert strategy.index is index

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.caching import SubpathCache
-from repro.engine.index import build_spm_index_bounded
+from repro.engine.index import build_spm_index
 from repro.engine.strategies import BaselineStrategy, SPMStrategy
 from repro.hin.bibliographic import BibliographicNetworkBuilder, Publication
 from repro.metapath.metapath import MetaPath
@@ -124,7 +124,7 @@ class TestSwapTransparency:
         # Re-plan around "every author queried": a selection that overlaps
         # and extends whatever the handle started with.
         ranked = list(network.vertices("author"))
-        index, indexed = build_spm_index_bounded(network, ranked)
+        index, indexed = build_spm_index(network, ranked)
         assert indexed
         generation_before = handle.index_generation
         handle.swap_index(index)
@@ -147,7 +147,7 @@ class TestSwapTransparency:
             handle = EngineHandle(
                 network, strategy="spm", subpath_cache_mb=megabytes
             )
-            index, _ = build_spm_index_bounded(network, ranked)
+            index, _ = build_spm_index(network, ranked)
             handle.swap_index(index)
             batch = handle.execute_many([query])
             outcomes.append(

@@ -1,8 +1,15 @@
-"""Property-based tests: the batched ``neighbor_matrix`` path returns a
-matrix *structurally identical* (dtype, indptr, indices, data) to vstacking
-per-vertex ``neighbor_row`` calls — for every strategy, for SPM hit/miss
-mixes, and for warm/cold caches — and the row cache's block routine returns
-exactly what its inner strategy does under eviction, duplicates and faults."""
+"""Property-based tests: the one materialization routine against the
+definition.
+
+``neighbor_matrix`` must return, for every strategy and every index
+coverage, a matrix *structurally identical* (dtype, indptr, indices, data)
+to the rows the paper's definition gives —
+:func:`repro.metapath.counting.neighbor_counts`, the hop-by-hop path count —
+and must count exactly the segment fetches the definition makes against the
+covered vertex set.  Swapping the index is the only way to change a
+strategy's behaviour.  The row cache's block routine returns exactly what
+its inner strategy does under eviction, duplicates and faults.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,13 +18,13 @@ from scipy import sparse
 
 from repro import faultinject
 from repro.engine.caching import CachingStrategy
-from repro.engine.strategies import (
-    BaselineStrategy,
-    PMStrategy,
-    SPMStrategy,
-    _canonical,
-)
+from repro.engine.index import MetaPathIndex, build_pm_index
+from repro.engine.stats import ExecutionStats
+from repro.engine.strategies import BaselineStrategy, PMStrategy, SPMStrategy
 from repro.faultinject import FaultRule
+from repro.hin.network import VertexId
+from repro.metapath.counting import neighbor_counts
+from repro.metapath.materialize import decompose_length2
 from tests.properties.test_strategy_properties import PATHS, networks
 
 
@@ -29,13 +36,59 @@ def _requests(draw, network):
     )
 
 
-def _per_row_reference(strategy, path, indices):
-    return _canonical(
-        sparse.vstack(
-            [strategy.neighbor_row(path, index) for index in indices],
-            format="csr",
-        )
+def definition_rows(network, path, indices):
+    """``φ_path`` rows from the definition, as a canonical float64 CSR."""
+    columns, values, indptr = [], [], [0]
+    for index in indices:
+        counts = neighbor_counts(network, path, VertexId(path.source, index))
+        for column in sorted(counts):
+            columns.append(column)
+            values.append(counts[column])
+        indptr.append(len(columns))
+    return sparse.csr_matrix(
+        (
+            np.asarray(values, dtype=np.float64),
+            np.asarray(columns, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+        ),
+        shape=(len(indices), network.num_vertices(path.target)),
     )
+
+
+def definition_counts(network, path, indices, covered):
+    """``(indexed, traversed)`` segment fetches, from the definition.
+
+    Walking ``path`` segment by segment from each requested vertex, the row
+    of a segment is fetched once per vertex the walk stands on; the fetch
+    is indexed exactly when ``covered(vertex)``.  A path shorter than one
+    segment fetches no segment row: each request counts as traversed.
+    """
+    segments, _tail = decompose_length2(path)
+    if not segments:
+        return 0, len(indices)
+    indexed = traversed = 0
+    for index in indices:
+        frontier = {index}
+        for segment in segments:
+            reached = set()
+            for vertex in frontier:
+                start = VertexId(segment.source, vertex)
+                if covered(start):
+                    indexed += 1
+                else:
+                    traversed += 1
+                reached.update(neighbor_counts(network, segment, start))
+            frontier = reached
+    return indexed, traversed
+
+
+def every_other_vertex(network):
+    """Half of every vertex type, so later segments mix hits and misses."""
+    return [
+        vertex
+        for vertex_type in network.schema.vertex_types
+        for vertex in list(network.vertices(vertex_type))[::2]
+    ]
 
 
 def _assert_identical(actual, expected, label):
@@ -46,47 +99,91 @@ def _assert_identical(actual, expected, label):
     assert np.array_equal(actual.data, expected.data), label
 
 
-class TestBatchedEqualsPerRow:
-    @given(networks(), st.sampled_from(PATHS), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_all_strategies(self, network, path, data):
-        indices = _requests(data.draw, network)
-        # SPM indexes every other author: requests mix hits and misses.
-        selected = list(network.vertices("author"))[::2]
-        strategies = [
-            BaselineStrategy(network),
-            PMStrategy(network),
-            SPMStrategy(network, selected=selected),
-        ]
-        for strategy in strategies:
-            expected = _per_row_reference(strategy, path, indices)
-            actual = strategy.neighbor_matrix(path, indices)
-            _assert_identical(actual, expected, f"{strategy.name} on {path}")
+def _counters(strategy, path, indices):
+    stats = ExecutionStats()
+    block = strategy.neighbor_matrix(path, indices, stats)
+    return block, (
+        stats.indexed_vectors,
+        stats.traversed_vectors,
+        stats.materialized_blocks,
+    )
 
+
+class TestRoutineEqualsDefinition:
     @given(networks(), st.sampled_from(PATHS), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_spm_all_hits_and_all_misses(self, network, path, data):
-        """The pure-hit and pure-miss partitions agree with per-row too."""
-        authors = list(network.vertices("author"))
-        selected = authors[::2]
-        strategy = SPMStrategy(network, selected=selected)
-        hit_indices = [vertex.index for vertex in selected]
-        miss_indices = [
-            vertex.index for vertex in authors if vertex not in selected
+    @settings(max_examples=60, deadline=None)
+    def test_every_strategy_and_coverage(self, network, path, data):
+        """Coverage {empty, every-other, full} x path length 0-5 (odd tails
+        included) x unsorted/duplicate requests: the bytes are the
+        definition's rows and the counters the definition's fetches."""
+        indices = _requests(data.draw, network)
+        selected = set(every_other_vertex(network))
+        # SPM under the other two coverages is the next-but-one test.
+        legs = [
+            (BaselineStrategy(network), lambda vertex: False),
+            (SPMStrategy(network, selected=selected), selected.__contains__),
+            (PMStrategy(network), lambda vertex: True),
         ]
-        for indices in (hit_indices, miss_indices):
+        expected = definition_rows(network, path, indices)
+        for strategy, covered in legs:
+            label = f"{strategy.name} on {path}"
+            block, (indexed, traversed, blocks) = _counters(strategy, path, indices)
+            _assert_identical(block, expected, label)
+            assert (indexed, traversed) == definition_counts(
+                network, path, indices, covered
+            ), label
+            assert blocks == 1, label
+            # The row API is the one-row block: same bytes, nothing else.
+            _assert_identical(
+                strategy.neighbor_row(path, indices[0]), expected[[0], :], label
+            )
+
+    @given(networks(), st.sampled_from(PATHS))
+    @settings(max_examples=30, deadline=None)
+    def test_spm_all_hits_and_all_misses(self, network, path):
+        """Requests that are purely stored rows, or purely computed ones,
+        under a partial index."""
+        selected = set(every_other_vertex(network))
+        strategy = SPMStrategy(network, selected=selected)
+        authors = list(network.vertices("author"))
+        for indices in (
+            [vertex.index for vertex in authors if vertex in selected],
+            [vertex.index for vertex in authors if vertex not in selected],
+        ):
             if not indices:
                 continue
-            expected = _per_row_reference(strategy, path, indices)
-            actual = strategy.neighbor_matrix(path, indices)
-            _assert_identical(actual, expected, f"spm on {path}")
+            block, (indexed, traversed, _) = _counters(strategy, path, indices)
+            _assert_identical(
+                block, definition_rows(network, path, indices), f"spm on {path}"
+            )
+            assert (indexed, traversed) == definition_counts(
+                network, path, indices, selected.__contains__
+            )
 
+    @given(networks(), st.sampled_from(PATHS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coverage_is_the_only_difference(self, network, path, data):
+        """A strategy's identity is its index: SPM over an empty index is
+        the baseline and over the PM index is PM, in bytes and counters."""
+        indices = _requests(data.draw, network)
+        pm_index = build_pm_index(network)
+        for twin, named in (
+            (SPMStrategy(network, index=MetaPathIndex()), BaselineStrategy(network)),
+            (SPMStrategy(network, index=pm_index), PMStrategy(network, index=pm_index)),
+        ):
+            label = f"spm as {named.name} on {path}"
+            block, counters = _counters(twin, path, indices)
+            named_block, named_counters = _counters(named, path, indices)
+            _assert_identical(block, named_block, label)
+            assert counters == named_counters, label
+
+
+class TestRowCacheEqualsDefinition:
     @given(networks(), st.sampled_from(PATHS), st.data())
     @settings(max_examples=30, deadline=None)
     def test_caching_warm_and_cold(self, network, path, data):
         indices = _requests(data.draw, network)
-        plain = BaselineStrategy(network)
-        expected = _per_row_reference(plain, path, indices)
+        expected = definition_rows(network, path, indices)
 
         cached = CachingStrategy(BaselineStrategy(network), max_rows=1024)
         # Prime a prefix through the row path so the batch sees a

@@ -11,9 +11,10 @@ Randomized guarantees behind the million-vertex tier:
   product rows exactly — no summation-order drift exists to find.
 * **Score transparency** — :class:`OutlierResult` scores agree byte for
   byte across the full ``{ram,mmap} x {in-core,blocked}`` grid.
-* **SPM admission equivalence** — the blocked bounded SPM build admits
-  exactly the vertices the in-core bounded build admits (all-or-nothing,
-  hottest-first, first-overflow-stops), with identical stored rows.
+* **SPM admission equivalence** — at any block size and in either store the
+  SPM build admits exactly the vertices the definition admits
+  (all-or-nothing, hottest-first, first-overflow-stops), with the
+  definition's rows.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.detector import OutlierDetector
-from repro.engine.index import (
-    build_pm_index,
-    build_pm_index_blocked,
-    build_spm_index_blocked,
-    build_spm_index_bounded,
-)
+from repro.engine.index import build_pm_index, build_spm_index
 from repro.hin.bibliographic import BibliographicNetworkBuilder, Publication
 from repro.hin.network import VertexId
 from repro.hin.storage import MmapArrayStore
+from tests.engine.test_outofcore_index import (
+    _bytes_of,
+    _definition_spm,
+    _index_bytes,
+)
 
 author_pool = [f"A{i}" for i in range(8)]
 venue_pool = [f"V{i}" for i in range(4)]
@@ -68,32 +69,6 @@ QUERIES = [
 ]
 
 
-def _bytes_of(matrix):
-    csr = matrix.tocsr().copy()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return (
-        csr.data.tobytes(),
-        csr.indices.astype(np.int64).tobytes(),
-        csr.indptr.astype(np.int64).tobytes(),
-        csr.shape,
-    )
-
-
-def _index_bytes(index):
-    payload = {}
-    for path in index.paths:
-        full = index.full_matrix(path)
-        if full is not None:
-            payload[str(path)] = _bytes_of(full)
-        else:
-            payload[str(path)] = {
-                vertex: _bytes_of(row)
-                for vertex, row in index.partial_rows(path).items()
-            }
-    return payload
-
-
 def _scores_bytes(network, index, strategy="pm"):
     detector = OutlierDetector(network, strategy=strategy, index=index)
     out = []
@@ -120,9 +95,9 @@ class TestStorageTransparency:
         reference_bytes = _index_bytes(reference)
         store_dir = str(tmp_path_factory.mktemp("pm-store"))
         legs = {
-            "ram/blocked": build_pm_index_blocked(network, block_rows=block_rows),
+            "ram/blocked": build_pm_index(network, block_rows=block_rows),
             "mmap/incore": build_pm_index(mmap_net),
-            "mmap/blocked": build_pm_index_blocked(
+            "mmap/blocked": build_pm_index(
                 mmap_net,
                 block_rows=block_rows,
                 store=MmapArrayStore(store_dir),
@@ -145,25 +120,24 @@ class TestStorageTransparency:
         max_bytes=st.one_of(st.none(), st.integers(min_value=0, max_value=4000)),
     )
     @settings(max_examples=25, deadline=None)
-    def test_spm_bounded_blocked_equivalent(
+    def test_spm_any_block_size_matches_definition(
         self, network, block_rows, max_bytes, tmp_path_factory
     ):
         ranked = [
             VertexId("author", v.index) for v in network.vertices("author")
         ] + [VertexId("venue", v.index) for v in network.vertices("venue")]
-        bounded, admitted = build_spm_index_bounded(
-            network, ranked, max_bytes=max_bytes
-        )
-        blocked, admitted_blocked = build_spm_index_blocked(
+        expected, expected_admitted = _definition_spm(network, ranked, max_bytes)
+        whole, admitted = build_spm_index(network, ranked, max_bytes=max_bytes)
+        blocked, admitted_blocked = build_spm_index(
             network,
             ranked,
             max_bytes=max_bytes,
             block_rows=block_rows,
             store=MmapArrayStore(str(tmp_path_factory.mktemp("spm-store"))),
         )
-        assert admitted == admitted_blocked
-        assert _index_bytes(bounded) == _index_bytes(blocked)
+        assert admitted == admitted_blocked == expected_admitted
+        assert _index_bytes(whole) == _index_bytes(blocked) == expected
         if admitted:
-            assert _scores_bytes(network, bounded, strategy="spm") == _scores_bytes(
+            assert _scores_bytes(network, whole, strategy="spm") == _scores_bytes(
                 network, blocked, strategy="spm"
             )

@@ -278,11 +278,11 @@ class TestHotSwap:
             assert engine["index"]["subpath_cache"] is not None
 
     def test_swap_rejected_for_non_spm_handle(self, figure1):
-        from repro.engine.index import build_spm_index_bounded
+        from repro.engine.index import build_spm_index
         from repro.service import EngineHandle
 
         handle = EngineHandle(figure1, strategy="pm")
-        index, indexed = build_spm_index_bounded(
+        index, indexed = build_spm_index(
             figure1, list(figure1.vertices("author"))[:2]
         )
         assert indexed
