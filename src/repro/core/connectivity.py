@@ -72,10 +72,21 @@ def visibility(phi: np.ndarray | sparse.spmatrix) -> float:
 
 
 def visibilities(phi_matrix: sparse.spmatrix | np.ndarray) -> np.ndarray:
-    """Row-wise visibilities of a stacked neighbor-vector matrix."""
+    """Row-wise visibilities of a stacked neighbor-vector matrix.
+
+    A sparse matrix is reduced over its stored elements, ``data * data``
+    summed row by row — which is ``‖φ‖²`` only when no entry is stored
+    twice (``(a + b)² ≠ a² + b²``), so duplicates are summed first.
+    """
     if sparse.issparse(phi_matrix):
-        squared = phi_matrix.multiply(phi_matrix)
-        return np.asarray(squared.sum(axis=1)).ravel()
+        csr = phi_matrix.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        squared = sparse.csr_matrix(
+            (csr.data * csr.data, csr.indices, csr.indptr), shape=csr.shape
+        )
+        return squared @ np.ones(csr.shape[1])
     dense = np.asarray(phi_matrix, dtype=float)
     return np.einsum("ij,ij->i", dense, dense)
 

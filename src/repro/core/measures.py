@@ -69,6 +69,11 @@ class Measure(abc.ABC):
     #: Registry name; subclasses set this.
     name: str = ""
 
+    #: True when ``φ(v)·Σ_r φ(r)`` and ``‖φ(v)‖²`` per candidate suffice (paper
+    #: Equation 1): the measure then offers ``score_from_sums(numerators,
+    #: visibilities, reference_count)`` and is spared the matrices of :meth:`score`.
+    scores_from_sums = False
+
     @abc.abstractmethod
     def score(
         self,
@@ -143,6 +148,9 @@ class NetOutMeasure(Measure):
                 f"unknown aggregation {aggregation!r}; expected sum/mean/min/max"
             )
         self.aggregation = aggregation
+        # A subclass that overrides ``score`` keeps being scored by it.
+        inherited = type(self).score is NetOutMeasure.score
+        self.scores_from_sums = inherited and aggregation in ("sum", "mean")
 
     def score(self, phi_candidates, phi_reference) -> np.ndarray:
         candidates = _to_csr(phi_candidates)
@@ -150,15 +158,18 @@ class NetOutMeasure(Measure):
         _check_shapes(candidates, reference)
         if self.aggregation in ("min", "max"):
             return self.score_pairwise(candidates, reference)
-        # Paper Equation 1: Ω(v) = φ(v)·(Σ_r φ(r)) / ‖φ(v)‖².
         reference_sum = np.asarray(reference.sum(axis=0)).ravel()
-        numerators = candidates @ reference_sum
-        denominators = visibilities(candidates)
-        scores = np.zeros(candidates.shape[0], dtype=float)
-        nonzero = denominators > 0
-        scores[nonzero] = numerators[nonzero] / denominators[nonzero]
-        if self.aggregation == "mean" and reference.shape[0] > 0:
-            scores /= reference.shape[0]
+        return self.score_from_sums(
+            candidates @ reference_sum, visibilities(candidates), reference.shape[0]
+        )
+
+    def score_from_sums(self, numerators, visibilities, reference_count) -> np.ndarray:
+        # Paper Equation 1: Ω(v) = φ(v)·(Σ_r φ(r)) / ‖φ(v)‖².
+        scores = np.zeros(len(numerators), dtype=float)
+        nonzero = visibilities > 0
+        scores[nonzero] = numerators[nonzero] / visibilities[nonzero]
+        if self.aggregation == "mean" and reference_count > 0:
+            scores /= reference_count
         return scores
 
     def score_pairwise(self, phi_candidates, phi_reference) -> np.ndarray:

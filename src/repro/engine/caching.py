@@ -217,6 +217,10 @@ class CachingStrategy(MaterializationStrategy):
     2) bypass the cache entirely: they go straight to the inner strategy
     and touch neither the rows nor the counters.
 
+    :meth:`visibilities` keeps ``‖φ_path(v)‖²`` — a scalar no query changes
+    — in one array per path under the same lock and version check, so
+    scoring Equation 1 by sums stores 8 bytes per candidate, not a row.
+
     The cache delegates statistics to the inner strategy only on misses, so
     per-phase accounting stays truthful: a hit costs (and records) nothing.
 
@@ -238,6 +242,7 @@ class CachingStrategy(MaterializationStrategy):
         self.inner = inner
         self.max_rows = max_rows
         self.name = f"cached-{inner.name}"
+        self.can_propagate = inner.can_propagate
         self._rows: OrderedDict[
             tuple[MetaPath, int], tuple[np.ndarray, np.ndarray]
         ] = OrderedDict()
@@ -245,9 +250,14 @@ class CachingStrategy(MaterializationStrategy):
         #: evict, flush and clear so ``/stats`` never walks the cache).
         self._row_bytes = 0
         self._lock = threading.RLock()
+        #: ``‖φ_path(v)‖²``: one float64 array per path over its source type,
+        #: NaN where unknown — all Equation 1 needs of a candidate's row.
+        self._visibilities: dict[MetaPath, np.ndarray] = {}
         self._cached_version = inner.network.version
         self.hits = 0
         self.misses = 0
+        self.visibility_hits = 0
+        self.visibility_misses = 0
         #: Cache reads dropped due to (injected or real) transient faults.
         self.faulted_reads = 0
 
@@ -255,6 +265,15 @@ class CachingStrategy(MaterializationStrategy):
         row = self._rows.pop(key, None)
         if row is not None:
             self._row_bytes -= sparse_row_bytes(len(row[0]))
+
+    def _sync_version_locked(self) -> None:
+        # Mutations invalidate everything cached: serving pre-mutation
+        # values silently would desynchronize results from the live data.
+        if self.network.version != self._cached_version:
+            self._rows.clear()
+            self._row_bytes = 0
+            self._visibilities.clear()
+            self._cached_version = self.network.version
 
     # ------------------------------------------------------------------
     # MaterializationStrategy interface
@@ -275,12 +294,7 @@ class CachingStrategy(MaterializationStrategy):
         """
         keys = [(path, index) for index in vertex_indices.tolist()]
         with self._lock:
-            # Mutations invalidate every cached row: serving pre-mutation
-            # vectors silently would desynchronize results from the live data.
-            if self.network.version != self._cached_version:
-                self._rows.clear()
-                self._row_bytes = 0
-                self._cached_version = self.network.version
+            self._sync_version_locked()
             rows = [self._rows.get(key) for key in keys]
             hit_keys = [key for key, row in zip(keys, rows) if row is not None]
             if hit_keys:
@@ -333,10 +347,50 @@ class CachingStrategy(MaterializationStrategy):
             shape=(len(rows), self.network.num_vertices(path.target)),
         )
 
-    def index_size_bytes(self) -> int:
-        """Inner index bytes plus the cache's current row storage."""
+    def connectivity_sums(self, path, candidates, reference, stats=None) -> np.ndarray:
+        return self.inner.connectivity_sums(path, candidates, reference, stats)
+
+    def visibilities(self, path, vertex_indices, stats=None) -> np.ndarray:
+        """Cached ``‖φ_path(v)‖²``.  Unknown ones go to ``inner`` directly — its
+        every check, index and fault point as on any row request — and store
+        no row; a faulted read forgets the values it would have returned."""
+        indices = self._checked_indices(path, vertex_indices)
         with self._lock:
-            return self.inner.index_size_bytes() + self._row_bytes
+            self._sync_version_locked()
+            known = self._visibilities.get(path)
+            if known is None:
+                path.validate(self.network.schema)  # no store for an illegal path
+                known = np.full(self.network.num_vertices(path.source), np.nan)
+                self._visibilities[path] = known
+            values = known[indices]
+            hits = indices[~np.isnan(values)]
+            if hits.size:
+                try:
+                    faultinject.check("cache_read")
+                except TransientFaultError:
+                    known[hits] = values[:] = np.nan
+                    self.faulted_reads += len(hits)
+                else:
+                    self.visibility_hits += len(hits)
+        missing = np.isnan(values)
+        if missing.any():
+            wanted = np.unique(indices[missing])
+            computed = self.inner.visibilities(path, wanted, stats)
+            values[missing] = computed[np.searchsorted(wanted, indices[missing])]
+            with self._lock:
+                self.visibility_misses += int(missing.sum())
+                # After a version change ``known`` is an orphan nobody reads.
+                known[wanted] = computed
+        return values
+
+    def index_size_bytes(self) -> int:
+        """Inner index bytes plus the cache's row and visibility storage."""
+        with self._lock:
+            return (
+                self.inner.index_size_bytes()
+                + self._row_bytes
+                + sum(known.nbytes for known in self._visibilities.values())
+            )
 
     # ------------------------------------------------------------------
     # Cache introspection
@@ -370,13 +424,23 @@ class CachingStrategy(MaterializationStrategy):
                 "misses": self.misses,
                 "faulted_reads": self.faulted_reads,
                 "hit_rate": self.hits / total if total else 0.0,
+                "visibility_paths": len(self._visibilities),
+                "visibility_known": sum(
+                    int((~np.isnan(known)).sum())
+                    for known in self._visibilities.values()
+                ),
+                "visibility_hits": self.visibility_hits,
+                "visibility_misses": self.visibility_misses,
             }
 
     def clear(self) -> None:
-        """Drop all cached rows and reset hit/miss counters."""
+        """Drop all cached rows and visibilities and reset the counters."""
         with self._lock:
             self._rows.clear()
             self._row_bytes = 0
+            self._visibilities.clear()
             self.hits = 0
             self.misses = 0
+            self.visibility_hits = 0
+            self.visibility_misses = 0
             self.faulted_reads = 0

@@ -176,17 +176,12 @@ class QueryExecutor:
 
         names = self.network.vertex_names(member_type)
         vertex_ids = [VertexId(member_type, index) for index in candidates]
-        score_map = {
-            vertex: float(score) for vertex, score in zip(vertex_ids, scores)
-        }
-        name_map = {vertex: names[vertex.index] for vertex in score_map}
+        score_map = dict(zip(vertex_ids, scores.tolist()))
+        name_map = dict(zip(vertex_ids, [names[index] for index in candidates]))
         feature_scores = None
         if per_feature is not None:
             feature_scores = {
-                path_text: {
-                    vertex: float(value)
-                    for vertex, value in zip(vertex_ids, values)
-                }
+                path_text: dict(zip(vertex_ids, values.tolist()))
                 for path_text, values in per_feature.items()
             }
         if stats is not None:
@@ -325,11 +320,20 @@ class QueryExecutor:
         reference: list[int],
         stats: ExecutionStats | None,
     ) -> np.ndarray:
-        phi_candidates = self.strategy.neighbor_matrix(feature.path, candidates, stats)
+        path = feature.path
+        if self.measure.scores_from_sums and self.strategy.can_propagate:
+            # Equation 1 needs a sum and a norm per candidate, not Φ: vector
+            # propagation along the path, and ‖φ(v)‖² (DESIGN.md "Eq. 1 by sums").
+            return self.measure.score_from_sums(
+                self.strategy.connectivity_sums(path, candidates, reference, stats),
+                self.strategy.visibilities(path, candidates, stats),
+                len(reference),
+            )
+        phi_candidates = self.strategy.neighbor_matrix(path, candidates, stats)
         if reference == candidates:
             phi_reference: sparse.csr_matrix = phi_candidates
         else:
-            phi_reference = self.strategy.neighbor_matrix(feature.path, reference, stats)
+            phi_reference = self.strategy.neighbor_matrix(path, reference, stats)
         check_deadline("outlierness scoring")
         if stats is None:
             return self.measure.score(phi_candidates, phi_reference)
@@ -359,14 +363,9 @@ class QueryExecutor:
         The return value unpacks as the historical ``(results, stats)``
         pair; ``errors`` rides along as an attribute.
 
-        Parameters
-        ----------
-        skip_failures:
-            Retained for backward compatibility; failures are now always
-            collected rather than raised, so this flag only documents
-            intent at call sites that predate :class:`BatchExecution`.
+        ``skip_failures`` is accepted and ignored: failures are always
+        collected (call sites that predate :class:`BatchExecution` pass it).
         """
-        del skip_failures  # historical flag; failures are always collected
         results: list[OutlierResult] = []
         errors: dict[int, ReproError] = {}
         aggregate = ExecutionStats(queries=0)

@@ -386,11 +386,11 @@ class FallbackStrategy(MaterializationStrategy):
     fail to build, so a query always gets an answer unless its deadline
     expires first.
 
-    Requests delegate wholesale to the active rung's ``neighbor_matrix``
-    (``neighbor_row`` is the inherited one-row request), so the wrapper
-    inherits each rung's block-granular deadline and fault-point checks; a
-    rung failure mid-block demotes and re-runs the whole request on the
-    next rung.
+    Requests delegate wholesale to the active rung's ``neighbor_matrix`` or
+    ``connectivity_sums`` (``neighbor_row`` and ``visibilities`` are inherited and
+    built on the former), so the wrapper inherits each rung's deadline,
+    freshness and fault-point checks; a rung failure mid-request demotes
+    and re-runs the whole request on the next rung.
 
     Parameters
     ----------
@@ -505,11 +505,14 @@ class FallbackStrategy(MaterializationStrategy):
         )
 
     # -- MaterializationStrategy interface -------------------------------
-    def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
+    can_propagate = True  # every rung is an index-coverage strategy
+
+    def _on_active_rung(self, operation: str, *args):
+        """Run ``operation`` on the active rung, demoting while rungs fail."""
         while True:
             strategy = self._active_strategy()
             try:
-                return strategy.neighbor_matrix(path, vertex_indices, stats)
+                return getattr(strategy, operation)(*args)
             except DeadlineExceededError:
                 raise
             except ExecutionError as error:
@@ -519,8 +522,16 @@ class FallbackStrategy(MaterializationStrategy):
                 ):
                     raise
                 self._demote(
-                    self.ladder[self._position], f"neighbor_matrix failed ({error})"
+                    self.ladder[self._position], f"{operation} failed ({error})"
                 )
+
+    def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
+        return self._on_active_rung("neighbor_matrix", path, vertex_indices, stats)
+
+    def connectivity_sums(self, path, candidates, reference, stats=None):
+        return self._on_active_rung(
+            "connectivity_sums", path, candidates, reference, stats
+        )
 
     def index_size_bytes(self) -> int:
         strategy = self._built.get(self.active_rung)

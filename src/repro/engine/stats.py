@@ -51,6 +51,10 @@ class ExecutionStats:
         counts as one traversed vector.  The first segment's gather and
         product are timed into their own phases; the rest of a block's
         time is split between the two phases in proportion to its counts.
+    propagated_vectors:
+        Adjacency rows fetched while Equation 1 is scored by vector
+        propagation: by the later-segment rule, one per stored element of the
+        frontier entering a hop.  Kept apart because their time is scoring time.
     materialized_blocks:
         Number of materialization blocks (≤ ``BLOCK_ROWS`` rows each)
         processed by ``neighbor_matrix`` calls; a ``neighbor_row`` call is
@@ -63,6 +67,7 @@ class ExecutionStats:
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     traversed_vectors: int = 0
     indexed_vectors: int = 0
+    propagated_vectors: int = 0
     materialized_blocks: int = 0
     queries: int = 1
     #: End-to-end wall time of the query (parse to ranked result).  The
@@ -104,6 +109,7 @@ class ExecutionStats:
         self.timer.merge(other.timer)
         self.traversed_vectors += other.traversed_vectors
         self.indexed_vectors += other.indexed_vectors
+        self.propagated_vectors += other.propagated_vectors
         self.materialized_blocks += other.materialized_blocks
         self.queries += other.queries
         self.wall_seconds += other.wall_seconds

@@ -62,12 +62,22 @@ import numpy as np
 from scipy import sparse
 
 from repro import faultinject
+from repro.core.connectivity import visibilities as row_visibilities
 from repro.engine.deadline import check_deadline
 from repro.engine.index import MetaPathIndex, build_pm_index, build_spm_index
-from repro.engine.stats import PHASE_INDEXED, PHASE_NOT_INDEXED, ExecutionStats
+from repro.engine.stats import (
+    PHASE_INDEXED,
+    PHASE_NOT_INDEXED,
+    PHASE_SCORING,
+    ExecutionStats,
+)
 from repro.exceptions import ExecutionError, MetaPathError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
-from repro.metapath.materialize import decompose_length2, materialize_segment
+from repro.metapath.materialize import (
+    connectivity_sums,
+    decompose_length2,
+    materialize_segment,
+)
 from repro.metapath.metapath import MetaPath
 
 __all__ = [
@@ -151,6 +161,11 @@ class MaterializationStrategy(abc.ABC):
     #: untouched.
     subpath_cache = None
 
+    #: Whether the strategy offers ``connectivity_sums(path, candidates,
+    #: reference, stats)``, Equation 1's numerators by vector propagation.
+    #: One that only implements :meth:`_materialize_block` is scored from rows.
+    can_propagate = False
+
     def __init__(self, network: HeterogeneousInformationNetwork) -> None:
         self.network = network
 
@@ -196,16 +211,9 @@ class MaterializationStrategy(abc.ABC):
             If any index is outside ``path.source``'s vertex range.
         """
         width = self.network.num_vertices(path.target)
-        indices = np.asarray(list(vertex_indices), dtype=np.int64)
+        indices = self._checked_indices(path, vertex_indices)
         if indices.size == 0:
             return sparse.csr_matrix((0, width), dtype=np.float64)
-        source_width = self.network.num_vertices(path.source)
-        low, high = int(indices.min()), int(indices.max())
-        if low < 0 or high >= source_width:
-            bad = low if low < 0 else high
-            raise MetaPathError(
-                f"vertex index {bad} out of range for type {path.source!r}"
-            )
         blocks = []
         for start in range(0, len(indices), BLOCK_ROWS):
             # Cooperative deadline enforcement: one check per block bounds
@@ -222,6 +230,36 @@ class MaterializationStrategy(abc.ABC):
             blocks, format="csr"
         )
         return _canonical(stacked)
+
+    def _checked_indices(self, path, vertex_indices) -> np.ndarray:
+        """``vertex_indices`` as int64, all within ``path.source``'s range."""
+        indices = np.asarray(list(vertex_indices), dtype=np.int64)
+        if indices.size:
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= self.network.num_vertices(path.source):
+                bad = low if low < 0 else high
+                raise MetaPathError(
+                    f"vertex index {bad} out of range for type {path.source!r}"
+                )
+        return indices
+
+    def visibilities(
+        self,
+        path: MetaPath,
+        vertex_indices: Sequence[int],
+        stats: ExecutionStats | None = None,
+    ) -> np.ndarray:
+        """``‖φ_path(v)‖²`` per requested vertex — a property of the path and
+        the vertex, never of the query — from :meth:`neighbor_matrix` rows,
+        at most :data:`BLOCK_ROWS` of them held at once."""
+        indices = self._checked_indices(path, vertex_indices)
+        result = np.empty(len(indices), dtype=np.float64)
+        for start in range(0, len(indices), BLOCK_ROWS):
+            block = indices[start:start + BLOCK_ROWS]
+            result[start:start + BLOCK_ROWS] = row_visibilities(
+                self.neighbor_matrix(path, block, stats)
+            )
+        return result
 
     def index_size_bytes(self) -> int:
         """Bytes of index storage this strategy holds (0 when unindexed)."""
@@ -250,6 +288,7 @@ class _CoverageStrategy(MaterializationStrategy):
     #: Whether a length-2 segment the index holds no full matrix for is an
     #: error (PM) instead of a product over the adjacency matrices.
     _requires_full_index = False
+    can_propagate = True
 
     def __init__(
         self,
@@ -276,6 +315,27 @@ class _CoverageStrategy(MaterializationStrategy):
             f"(version {self._built_version} -> {self.network.version}); "
             "rebuild the index or pass allow_stale=True"
         )
+
+    def connectivity_sums(self, path, candidates, reference, stats=None) -> np.ndarray:
+        """:func:`~repro.metapath.materialize.connectivity_sums`: adjacency hops
+        only, whatever the index covers; refused like a row request when the
+        index is stale; one deadline check per hop.  The rows a hop fetches
+        are ``propagated_vectors``, the time scoring time."""
+        self._check_fresh()
+        started = time.perf_counter()
+        fetched: list[int] = []
+
+        def on_hop(rows: int) -> None:
+            check_deadline("meta-path propagation")
+            fetched.append(int(rows))
+
+        candidates = self._checked_indices(path, candidates)
+        reference = self._checked_indices(path, reference)
+        sums = connectivity_sums(self.network, path, candidates, reference, on_hop)
+        if stats is not None:
+            stats.propagated_vectors += sum(fetched)
+            stats.timer.add(PHASE_SCORING, time.perf_counter() - started)
+        return sums
 
     def _segment_product(self, segment: MetaPath) -> sparse.csr_matrix:
         """The full count matrix of a length-2 ``segment``, cache-assisted.

@@ -14,6 +14,7 @@ storing length-2 products.
 
 from __future__ import annotations
 
+import numpy as np
 from scipy import sparse
 
 from repro.exceptions import MetaPathError
@@ -24,8 +25,14 @@ __all__ = [
     "materialize",
     "materialize_row",
     "materialize_segment",
+    "connectivity_sums",
     "decompose_length2",
 ]
+
+#: Share of a hop's edges up to which :func:`connectivity_sums` visits the
+#: frontier's edges one by one; beyond it one sweep over the whole hop is
+#: cheaper (a gathered edge costs about four times a swept one).
+PUSH_SHARE = 0.25
 
 
 def materialize(
@@ -51,6 +58,87 @@ def materialize(
         step = network.adjacency(left, right)
         product = step if product is None else product @ step
     return product.tocsr()
+
+
+def _row_edges(matrix: sparse.csr_matrix, rows: np.ndarray, counts: np.ndarray):
+    """Positions in ``matrix.indices`` / ``.data`` of the elements of ``rows``."""
+    ends = np.cumsum(counts)
+    first = matrix.indptr[rows] - (ends - counts)
+    return np.repeat(first, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _push(hops, size, starts, on_hop):
+    """``1ᵀ_starts · A₁⋯A_L`` and, per hop, the frontier it was pushed from
+    (``None`` from the first hop on that was swept whole)."""
+    vector = np.bincount(starts, minlength=size).astype(np.float64)
+    frontiers = []
+    swept = False
+    for matrix, transposed in hops:
+        if not swept:
+            frontier = np.flatnonzero(vector != 0)
+            counts = matrix.indptr[frontier + 1] - matrix.indptr[frontier]
+            swept = counts.sum() > PUSH_SHARE * matrix.nnz
+        on_hop(np.count_nonzero(vector))
+        frontiers.append(None if swept else frontier)
+        if swept:
+            vector = transposed @ vector
+            continue
+        edges = _row_edges(matrix, frontier, counts)
+        vector = np.bincount(
+            matrix.indices[edges],
+            weights=matrix.data[edges] * np.repeat(vector[frontier], counts),
+            minlength=matrix.shape[1],
+        )
+    return vector, frontiers
+
+
+def connectivity_sums(
+    network: HeterogeneousInformationNetwork,
+    path: MetaPath,
+    candidates: np.ndarray,
+    reference: np.ndarray,
+    on_hop=lambda frontier_size: None,
+) -> np.ndarray:
+    """``Σ_r χ(v, r) = φ_P(v) · Σ_r φ_P(r)`` per candidate, without ``M_P``.
+
+    Paper Equation 1's numerators as two vector passes over the adjacency
+    hops, so no matrix product is ever formed.  **Push**: the reference
+    indicator (multiplicities kept) goes forward into ``s = 1ᵀ_Sr · M_P``.
+    **Pull**: ``M_P · s`` comes back, computed only at the rows the
+    candidates reach at each level — for ``Sc = Sr`` the frontiers the push
+    already found.  A hop is frontier-adaptive: while the edges leaving the
+    frontier are at most :data:`PUSH_SHARE` of the hop's, only they are
+    visited; from then on a hop is one matrix-vector product.  Counts are
+    integers below 2⁵³, so every order of summation gives the same float64.
+
+    ``on_hop`` is called before each hop with the number of adjacency rows
+    it is about to fetch.  Indices must be in range for ``path.source``; an
+    illegal ``path`` raises :class:`~repro.exceptions.MetaPathError`.
+    """
+    path.validate(network.schema)
+    hops = []
+    for left, right in zip(path.types, path.types[1:]):
+        matrix = network.adjacency(left, right)
+        # A symmetric relation stores its transpose as the reverse adjacency.
+        symmetric = network.schema.is_symmetric(left, right)
+        hops.append((matrix, network.adjacency(right, left) if symmetric else matrix.T))
+    size = network.num_vertices(path.source)
+    vector, frontiers = _push(hops, size, reference, on_hop)
+    if not np.array_equal(candidates, reference):
+        _, frontiers = _push(hops, size, candidates, on_hop)
+    for (matrix, _), rows in zip(reversed(hops), reversed(frontiers)):
+        on_hop(matrix.shape[0] if rows is None else len(rows))
+        if rows is None:
+            vector = matrix @ vector
+            continue
+        counts = matrix.indptr[rows + 1] - matrix.indptr[rows]
+        edges = _row_edges(matrix, rows, counts)
+        vector = np.bincount(
+            np.repeat(rows, counts),
+            weights=matrix.data[edges] * vector[matrix.indices[edges]],
+            minlength=matrix.shape[0],
+        )
+    return vector[candidates]
 
 
 def materialize_segment(

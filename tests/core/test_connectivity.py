@@ -95,6 +95,20 @@ class TestVisibility:
         matrix = sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         np.testing.assert_allclose(visibilities(matrix), [5.0, 9.0])
 
+    def test_visibilities_sums_duplicate_entries_before_squaring(self):
+        """A hand-built CSR may store an entry twice: (1 + 2)² = 9, not 1 + 4."""
+        matrix = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]), np.array([0, 2, 2, 3])),
+            shape=(3, 2),
+        )
+        assert not matrix.has_canonical_format
+        np.testing.assert_array_equal(visibilities(matrix), [9.0, 0.0, 9.0])
+        assert matrix.nnz == 3  # the caller's matrix is left as it was
+
+    def test_visibilities_of_empty_rows_and_matrices(self):
+        assert visibilities(sparse.csr_matrix((3, 4))).tolist() == [0.0, 0.0, 0.0]
+        assert visibilities(sparse.csr_matrix((0, 4))).tolist() == []
+
 
 class TestNormalizedConnectivity:
     def test_zero_visibility_returns_zero(self):
