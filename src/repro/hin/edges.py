@@ -14,27 +14,32 @@ matrix bit for bit.  The rules, per relation:
   (``add_edge(u, u, c)`` stores ``2c`` because the mirror lands in the same
   cell).
 
-:func:`canonical_edges` is the single implementation used by JSON/TSV
-persistence, subnetwork induction, and networkx export.
+:func:`canonical_edge_arrays` is the single implementation, one batch of
+arrays per relation, used by JSON/TSV persistence and subnetwork induction;
+:func:`canonical_edges` iterates it edge by edge for callers that want
+:class:`VertexId` triples (networkx export).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 
-__all__ = ["canonical_edges"]
+__all__ = ["canonical_edge_arrays", "canonical_edges"]
 
 
-def canonical_edges(
+def canonical_edge_arrays(
     network: HeterogeneousInformationNetwork,
-) -> Iterator[tuple[VertexId, VertexId, float]]:
-    """Yield ``(u, v, count)`` triples whose replay reproduces the network.
+) -> Iterator[tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(source_type, target_type, rows, cols, counts)`` per relation.
 
-    Replaying means calling ``add_edge(u, v, count)`` for every triple on an
-    empty network with the same schema; afterwards every adjacency matrix
-    equals the original exactly.
+    Replaying means calling ``add_edges(source_type, target_type, rows,
+    cols, counts)`` for every batch (or ``add_edge`` for every position of
+    it) on an empty network with the same schema and vertices; afterwards
+    every adjacency matrix equals the original exactly.
     """
     schema = network.schema
     seen_pairs: set[tuple[str, str]] = set()
@@ -44,16 +49,20 @@ def canonical_edges(
             continue
         seen_pairs.add((edge_type.source, edge_type.target))
         matrix = network.adjacency(edge_type.source, edge_type.target).tocoo()
-        same_type = edge_type.source == edge_type.target
-        for i, j, count in zip(matrix.row, matrix.col, matrix.data):
-            i, j, count = int(i), int(j), float(count)
-            if symmetric and same_type:
-                if i > j:
-                    continue  # the lower triangle is the mirror
-                if i == j:
-                    count /= 2.0  # add_edge doubles self-loops on replay
-            yield (
-                VertexId(edge_type.source, i),
-                VertexId(edge_type.target, j),
-                count,
-            )
+        rows, cols, counts = matrix.row, matrix.col, matrix.data
+        if symmetric and edge_type.source == edge_type.target:
+            upper = rows <= cols  # the lower triangle is the mirror
+            rows, cols, counts = rows[upper], cols[upper], counts[upper]
+            # add_edge doubles self-loops on replay
+            counts = np.where(rows == cols, counts / 2.0, counts)
+        yield edge_type.source, edge_type.target, rows, cols, counts
+
+
+def canonical_edges(
+    network: HeterogeneousInformationNetwork,
+) -> Iterator[tuple[VertexId, VertexId, float]]:
+    """Yield ``(u, v, count)`` triples whose replay reproduces the network:
+    :func:`canonical_edge_arrays`, one edge at a time."""
+    for source_type, target_type, rows, cols, counts in canonical_edge_arrays(network):
+        for i, j, count in zip(rows.tolist(), cols.tolist(), counts.tolist()):
+            yield VertexId(source_type, i), VertexId(target_type, j), count

@@ -12,12 +12,14 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
 from repro.exceptions import NetworkError
-from repro.hin.edges import canonical_edges
-from repro.hin.network import HeterogeneousInformationNetwork, VertexId
+from repro.hin.edges import canonical_edge_arrays
+from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.schema import NetworkSchema
 
 __all__ = [
@@ -35,26 +37,27 @@ _FORMAT_VERSION = 2
 def network_to_dict(network: HeterogeneousInformationNetwork) -> dict:
     """Serialize a network to a JSON-compatible dictionary."""
     schema = network.schema
-    vertices = {}
-    for vertex_type in sorted(schema.vertex_types):
-        records = []
-        for vertex_id in network.vertices(vertex_type):
-            vertex = network.vertex(vertex_id)
-            record: dict = {"name": vertex.name}
-            if vertex.attributes:
-                record["attributes"] = vertex.attributes
-            records.append(record)
-        vertices[vertex_type] = records
+    vertices = {
+        vertex_type: [
+            {"name": name, "attributes": attributes} if attributes else {"name": name}
+            for name, attributes in zip(
+                network.vertex_names(vertex_type),
+                network.vertex_attributes(vertex_type),
+            )
+        ]
+        for vertex_type in sorted(schema.vertex_types)
+    }
 
     edges = [
         {
-            "source_type": u.type,
-            "source": u.index,
-            "target_type": v.type,
-            "target": v.index,
+            "source_type": source_type,
+            "source": source,
+            "target_type": target_type,
+            "target": target,
             "count": count,
         }
-        for u, v, count in canonical_edges(network)
+        for source_type, target_type, rows, cols, counts in canonical_edge_arrays(network)
+        for source, target, count in zip(rows.tolist(), cols.tolist(), counts.tolist())
     ]
 
     return {
@@ -103,13 +106,29 @@ def network_from_dict(
     network = HeterogeneousInformationNetwork(
         schema, storage=storage, storage_dir=storage_dir
     )
+    # Edge records address vertices by position, so each type's registry is
+    # installed whole (a repeated name is refused, not merged) ...
     for vertex_type, records in data["vertices"].items():
-        for record in records:
-            network.add_vertex(vertex_type, record["name"], record.get("attributes"))
-    for edge in data["edges"]:
-        u = VertexId(edge["source_type"], edge["source"])
-        v = VertexId(edge["target_type"], edge["target"])
-        network.add_edge(u, v, edge.get("count", 1.0))
+        network.add_vertices(
+            vertex_type,
+            [record["name"] for record in records],
+            [record.get("attributes") for record in records],
+        )
+    # ... and the records of each relation go in as one batch of arrays.
+    # Consecutive runs are gathered first: a canonical document is one run
+    # per relation, so the per-record work is three list comprehensions.
+    relation = itemgetter("source_type", "target_type")
+    batches: dict[tuple[str, str], list[dict]] = {}
+    for key, run in groupby(data["edges"], key=relation):
+        batches.setdefault(key, []).extend(run)
+    for (source_type, target_type), records in batches.items():
+        network.add_edges(
+            source_type,
+            target_type,
+            [record["source"] for record in records],
+            [record["target"] for record in records],
+            [record.get("count", 1.0) for record in records],
+        )
     return network
 
 
@@ -140,20 +159,28 @@ def write_edge_list(network: HeterogeneousInformationNetwork, handle: TextIO) ->
     once, in the canonical (lexicographically smaller source type) direction.
     """
     lines = 0
-    for u, v, count in canonical_edges(network):
-        handle.write(
-            f"{u.type}\t{network.vertex_name(u)}\t"
-            f"{v.type}\t{network.vertex_name(v)}\t{count:g}\n"
-        )
-        lines += 1
+    for source_type, target_type, rows, cols, counts in canonical_edge_arrays(network):
+        source_names = network.vertex_names(source_type)
+        target_names = network.vertex_names(target_type)
+        for i, j, count in zip(rows.tolist(), cols.tolist(), counts.tolist()):
+            handle.write(
+                f"{source_type}\t{source_names[i]}\t"
+                f"{target_type}\t{target_names[j]}\t{count:g}\n"
+            )
+        lines += len(counts)
     return lines
 
 
 def read_edge_list(
     handle: TextIO, schema: NetworkSchema
 ) -> HeterogeneousInformationNetwork:
-    """Read a tab-separated edge list into a new network over ``schema``."""
-    network = HeterogeneousInformationNetwork(schema)
+    """Read a tab-separated edge list into a new network over ``schema``.
+
+    Vertices are numbered per type in order of first appearance (source
+    before target on a line).
+    """
+    indices: dict[str, dict[str, int]] = {}
+    batches: dict[tuple[str, str], tuple[list[int], list[int], list[float]]] = {}
     for line_number, line in enumerate(handle, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -165,8 +192,17 @@ def read_edge_list(
                 f"fields, got {len(fields)}"
             )
         source_type, source_name, target_type, target_name = fields[:4]
-        count = float(fields[4]) if len(fields) == 5 else 1.0
-        u = network.add_vertex(source_type, source_name)
-        v = network.add_vertex(target_type, target_name)
-        network.add_edge(u, v, count)
+        source_index = indices.setdefault(source_type, {})
+        target_index = indices.setdefault(target_type, {})
+        sources, targets, counts = batches.setdefault(
+            (source_type, target_type), ([], [], [])
+        )
+        sources.append(source_index.setdefault(source_name, len(source_index)))
+        targets.append(target_index.setdefault(target_name, len(target_index)))
+        counts.append(float(fields[4]) if len(fields) == 5 else 1.0)
+    network = HeterogeneousInformationNetwork(schema)
+    for vertex_type, index in indices.items():
+        network.add_vertices(vertex_type, index)
+    for (source_type, target_type), batch in batches.items():
+        network.add_edges(source_type, target_type, *batch)
     return network

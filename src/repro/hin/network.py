@@ -12,13 +12,18 @@ This layout makes meta-path materialization a chain of sparse matrix
 products (paper Section 6) while keeping per-vertex traversal cheap through
 CSR row slicing.
 
-Mutation model: edges are buffered in per-edge-type COO lists; adjacency
-matrices are (re)built lazily on first access after a mutation.  This keeps
-bulk loading linear while leaving reads cheap.
+Mutation model: edges are buffered per edge type as COO triples held in
+numpy chunks — :meth:`~HeterogeneousInformationNetwork.add_edges` appends a
+whole array chunk, scalar ``add_edge`` appends to a pending tail — and
+adjacency matrices are (re)built lazily on first access after a mutation,
+which folds chunks and tail into one array with a single concatenate.  This
+keeps bulk loading linear (and free of per-edge Python when the caller has
+arrays) while leaving reads cheap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -56,23 +61,73 @@ class Vertex:
         return self.id.type
 
 
-class _EdgeBuffer:
-    """COO-style buffer of edge endpoints for one edge type."""
+_FROZEN_MESSAGE = (
+    "this network wraps shared read-only adjacency buffers "
+    "(from_prebuilt) and cannot be mutated"
+)
 
-    __slots__ = ("rows", "cols", "counts")
+
+class _EdgeBuffer:
+    """COO buffer of one edge type: numpy chunks plus a pending scalar tail.
+
+    Entries keep insertion order across :meth:`add` and :meth:`extend`, so
+    the float sums of repeated ``(row, col)`` cells do not depend on which
+    of the two filled the buffer.
+    """
+
+    __slots__ = ("_chunks", "_rows", "_cols", "_counts")
 
     def __init__(self) -> None:
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.counts: list[float] = []
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._rows: list[int] = []
+        self._cols: list[int] = []
+        self._counts: list[float] = []
 
     def add(self, row: int, col: int, count: float) -> None:
-        self.rows.append(row)
-        self.cols.append(col)
-        self.counts.append(count)
+        self._rows.append(row)
+        self._cols.append(col)
+        self._counts.append(count)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def extend(self, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> None:
+        """Append one chunk; the arrays are kept, not copied."""
+        if self._rows:
+            self._seal_tail()
+        self._chunks.append((rows, cols, counts))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Everything buffered so far as ``(rows, cols, counts)`` arrays,
+        folded into a single chunk by one concatenate per column."""
+        if self._rows or len(self._chunks) != 1:
+            self._seal_tail()
+            self._chunks = [
+                tuple(np.concatenate(parts) for parts in zip(*self._chunks))
+            ]
+        return self._chunks[0]
+
+    def _seal_tail(self) -> None:
+        self._chunks.append(
+            (
+                np.asarray(self._rows, dtype=np.int64),
+                np.asarray(self._cols, dtype=np.int64),
+                np.asarray(self._counts, dtype=np.float64),
+            )
+        )
+        self._rows, self._cols, self._counts = [], [], []
+
+
+def _index_array(values: Iterable[int]) -> np.ndarray:
+    """``values`` as a private int64 array; non-integer input is refused."""
+    array = np.array(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise NetworkError(
+            f"vertex indices must be integers, got dtype {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+def _span(array: np.ndarray, empty: tuple) -> tuple:
+    """``(min, max)`` of ``array``, or ``empty`` when it has no elements."""
+    return (array.min(), array.max()) if array.size else empty
 
 
 class HeterogeneousInformationNetwork:
@@ -261,24 +316,61 @@ class HeterogeneousInformationNetwork:
         if existing is not None:
             return VertexId(vertex_type, existing)
         if self._frozen:
-            raise NetworkError(
-                "this network wraps shared read-only adjacency buffers "
-                "(from_prebuilt) and cannot be mutated"
-            )
+            raise NetworkError(_FROZEN_MESSAGE)
         index = len(self._names[vertex_type])
         self._version += 1
         self._names[vertex_type].append(name)
         index_map[name] = index
         self._attributes[vertex_type].append(dict(attributes or {}))
-        # Grown vertex counts invalidate matrix shapes for this type.
-        for edge_type in list(self._adjacency):
-            if vertex_type in (edge_type.source, edge_type.target):
-                self._dirty.add(edge_type)
+        self._mark_resized(vertex_type)
         return VertexId(vertex_type, index)
 
-    def add_vertices(self, vertex_type: str, names: Iterable[str]) -> list[VertexId]:
-        """Bulk-add vertices; returns their ids in input order."""
-        return [self.add_vertex(vertex_type, name) for name in names]
+    def add_vertices(
+        self,
+        vertex_type: str,
+        names: Iterable[str],
+        attributes: Iterable[Mapping[str, Any] | None] | None = None,
+    ) -> list[VertexId]:
+        """Append new vertices of one type in a single step.
+
+        Returns their ids in input order.  Unlike
+        :meth:`add_vertex` this is strict: a name that repeats within
+        ``names`` or already exists for the type raises
+        :class:`NetworkError` and changes nothing — bulk callers address
+        the new vertices by position, which a silently merged duplicate
+        would shift.  ``attributes``, when given, pairs one mapping (or
+        ``None``) with each name.
+        """
+        if not self._schema.has_vertex_type(vertex_type):
+            raise NetworkError(f"vertex type {vertex_type!r} is not in the schema")
+        names = list(names)
+        records = (
+            [{} for _ in names]
+            if attributes is None
+            else [dict(record or {}) for record in attributes]
+        )
+        if len(records) != len(names):
+            raise NetworkError(
+                f"got {len(records)} attribute records for {len(names)} "
+                f"{vertex_type} vertices"
+            )
+        if self._frozen:
+            raise NetworkError(_FROZEN_MESSAGE)
+        index_map = self._name_index[vertex_type]
+        start = len(self._names[vertex_type])
+        fresh = dict(zip(names, range(start, start + len(names))))
+        if len(fresh) != len(names) or not index_map.keys().isdisjoint(fresh):
+            seen = set(index_map)
+            for name in names:
+                if name in seen:
+                    raise NetworkError(f"duplicate {vertex_type} vertex name {name!r}")
+                seen.add(name)
+        index_map.update(fresh)
+        self._names[vertex_type].extend(names)
+        self._attributes[vertex_type].extend(records)
+        self._version += len(names)
+        self._mark_resized(vertex_type)
+        return [VertexId(vertex_type, index) for index in fresh.values()]
 
     def vertex(self, vertex_id: VertexId) -> Vertex:
         """Full vertex record for ``vertex_id``."""
@@ -353,30 +445,78 @@ class HeterogeneousInformationNetwork:
         default), the reverse direction is recorded as well so that both
         adjacency matrices stay transposes of one another.
         """
-        self._check_id(u)
-        self._check_id(v)
-        if self._frozen:
-            raise NetworkError(
-                "this network wraps shared read-only adjacency buffers "
-                "(from_prebuilt) and cannot be mutated"
-            )
-        if count <= 0:
-            raise NetworkError(f"edge count must be positive, got {count}")
-        if not self._schema.has_edge_type(u.type, v.type):
-            raise NetworkError(
-                f"edge type {u.type}-{v.type} is not registered in the schema"
-            )
+        self._check_edges(
+            u.type, v.type, (u.index, u.index), (v.index, v.index), (count, count)
+        )
         self._buffer_for(EdgeType(u.type, v.type)).add(u.index, v.index, count)
-        self._dirty.add(EdgeType(u.type, v.type))
         # Mirror into the reverse adjacency only for symmetric relations —
         # a directed relation (symmetric=False) stays one-way even when its
         # endpoints share a type or the opposite direction is registered
         # separately.
         if self._schema.is_symmetric(u.type, v.type):
             self._buffer_for(EdgeType(v.type, u.type)).add(v.index, u.index, count)
-            self._dirty.add(EdgeType(v.type, u.type))
         self._num_edges += 1
         self._version += 1
+
+    def add_edges(
+        self,
+        source_type: str,
+        target_type: str,
+        sources: Iterable[int],
+        targets: Iterable[int],
+        counts: Iterable[float] | None = None,
+    ) -> None:
+        """Add one edge per position of ``sources`` / ``targets`` / ``counts``.
+
+        The array form of :meth:`add_edge`: ``sources`` and ``targets`` are
+        equal-length 1-D integer sequences of vertex indices within
+        ``source_type`` / ``target_type``, ``counts`` (default all ones) the
+        parallel-edge counts.  The whole batch passes the checks
+        :meth:`add_edge` makes or none of it is applied; symmetric relations
+        are mirrored, and :meth:`num_edges` and :attr:`version` advance by
+        ``len(sources)`` — afterwards the network is indistinguishable from
+        one that received the same edges one ``add_edge`` at a time.
+        """
+        sources = _index_array(sources)
+        targets = _index_array(targets)
+        if counts is None:
+            counts = np.ones(sources.shape, dtype=np.float64)
+        else:
+            try:
+                counts = np.array(counts, dtype=np.float64)
+            except (TypeError, ValueError) as error:
+                raise NetworkError(f"edge counts must be numbers: {error}") from None
+        if sources.ndim != 1 or not sources.shape == targets.shape == counts.shape:
+            raise NetworkError(
+                "sources, targets and counts must be 1-D and of equal length, "
+                f"got shapes {sources.shape}, {targets.shape}, {counts.shape}"
+            )
+        added = len(sources)
+        self._check_edges(
+            source_type,
+            target_type,
+            _span(sources, (0, -1)),
+            _span(targets, (0, -1)),
+            _span(counts, (1.0, 1.0)),
+        )
+        if self._schema.is_symmetric(source_type, target_type):
+            if source_type == target_type:
+                # One buffer takes edge and mirror alternately, as repeated
+                # add_edge calls would have filled it.
+                sources, targets = (
+                    np.column_stack((sources, targets)).ravel(),
+                    np.column_stack((targets, sources)).ravel(),
+                )
+                counts = np.repeat(counts, 2)
+            else:
+                self._buffer_for(EdgeType(target_type, source_type)).extend(
+                    targets, sources, counts
+                )
+        self._buffer_for(EdgeType(source_type, target_type)).extend(
+            sources, targets, counts
+        )
+        self._num_edges += added
+        self._version += added
 
     @property
     def version(self) -> int:
@@ -444,28 +584,56 @@ class HeterogeneousInformationNetwork:
     # Internals
     # ------------------------------------------------------------------
     def _buffer_for(self, edge_type: EdgeType) -> _EdgeBuffer:
+        """The buffer an insertion is about to write to (marks it dirty)."""
+        self._dirty.add(edge_type)
         buffer = self._buffers.get(edge_type)
         if buffer is None:
             buffer = _EdgeBuffer()
             self._buffers[edge_type] = buffer
         return buffer
 
+    def _mark_resized(self, vertex_type: str) -> None:
+        # Grown vertex counts invalidate matrix shapes for this type.
+        for edge_type in self._adjacency:
+            if vertex_type in (edge_type.source, edge_type.target):
+                self._dirty.add(edge_type)
+
+    def _check_edges(
+        self,
+        source_type: str,
+        target_type: str,
+        sources: tuple[int, int],
+        targets: tuple[int, int],
+        counts: tuple[float, float],
+    ) -> None:
+        """Every check an edge insertion must pass, scalar or array.
+
+        ``sources`` / ``targets`` / ``counts`` are the ``(lowest, highest)``
+        values of the batch (a scalar is its own extremes), which is all the
+        range checks need; NaN fails both comparisons on counts.
+        """
+        self._check_index_span(source_type, *sources)
+        self._check_index_span(target_type, *targets)
+        if self._frozen:
+            raise NetworkError(_FROZEN_MESSAGE)
+        low, high = counts
+        if not (0 < low and high < math.inf):
+            raise NetworkError(
+                "edge count must be positive and finite, "
+                f"got {high if 0 < low else low}"
+            )
+        if not self._schema.has_edge_type(source_type, target_type):
+            raise NetworkError(
+                f"edge type {source_type}-{target_type} is not registered in the schema"
+            )
+
     def _rebuild(self, edge_type: EdgeType) -> None:
-        buffer = self._buffers.get(edge_type, _EdgeBuffer())
+        rows, cols, counts = self._buffers.get(edge_type, _EdgeBuffer()).arrays()
         shape = (
             len(self._names[edge_type.source]),
             len(self._names[edge_type.target]),
         )
-        matrix = sparse.coo_matrix(
-            (
-                np.asarray(buffer.counts, dtype=np.float64),
-                (
-                    np.asarray(buffer.rows, dtype=np.int64),
-                    np.asarray(buffer.cols, dtype=np.int64),
-                ),
-            ),
-            shape=shape,
-        ).tocsr()
+        matrix = sparse.coo_matrix((counts, (rows, cols)), shape=shape).tocsr()
         # Duplicate COO entries are summed by tocsr(), which is exactly the
         # parallel-edge-count semantics we want.
         matrix.sum_duplicates()
@@ -481,11 +649,14 @@ class HeterogeneousInformationNetwork:
         self._dirty.discard(edge_type)
 
     def _check_id(self, vertex_id: VertexId) -> None:
-        if not self._schema.has_vertex_type(vertex_id.type):
-            raise VertexNotFoundError(f"vertex type {vertex_id.type!r} is not in the schema")
-        if not 0 <= vertex_id.index < len(self._names[vertex_id.type]):
+        self._check_index_span(vertex_id.type, vertex_id.index, vertex_id.index)
+
+    def _check_index_span(self, vertex_type: str, low: int, high: int) -> None:
+        if not self._schema.has_vertex_type(vertex_type):
+            raise VertexNotFoundError(f"vertex type {vertex_type!r} is not in the schema")
+        if not (0 <= low and high < len(self._names[vertex_type])):
             raise VertexNotFoundError(
-                f"no {vertex_id.type} vertex with index {vertex_id.index}"
+                f"no {vertex_type} vertex with index {low if low < 0 else high}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

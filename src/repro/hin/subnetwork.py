@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from repro.exceptions import NetworkError
-from repro.hin.edges import canonical_edges
+from repro.hin.edges import canonical_edge_arrays
 from repro.hin.network import HeterogeneousInformationNetwork, Vertex, VertexId
 
 __all__ = ["induced_subnetwork", "slice_by_attribute"]
@@ -51,10 +53,7 @@ def induced_subnetwork(
     kept: dict[str, list[VertexId]] = {t: [] for t in schema.vertex_types}
     if vertices is not None:
         for vertex_id in vertices:
-            if not schema.has_vertex_type(vertex_id.type):
-                raise NetworkError(
-                    f"vertex type {vertex_id.type!r} is not in the schema"
-                )
+            network.vertex_name(vertex_id)  # raises for an id the network lacks
             kept[vertex_id.type].append(vertex_id)
         for vertex_type in kept:
             kept[vertex_type] = sorted(set(kept[vertex_type]))
@@ -66,19 +65,29 @@ def induced_subnetwork(
                     kept[vertex_type].append(vertex_id)
 
     result = HeterogeneousInformationNetwork(schema)
-    index_map: dict[VertexId, VertexId] = {}
+    # Per type: old index -> new index, -1 where the vertex was dropped.
+    renumber: dict[str, np.ndarray] = {}
     for vertex_type in sorted(schema.vertex_types):
-        for vertex_id in kept[vertex_type]:
-            vertex = network.vertex(vertex_id)
-            index_map[vertex_id] = result.add_vertex(
-                vertex_type, vertex.name, vertex.attributes
-            )
+        names = network.vertex_names(vertex_type)
+        attributes = network.vertex_attributes(vertex_type)
+        old = [vertex_id.index for vertex_id in kept[vertex_type]]
+        result.add_vertices(
+            vertex_type, [names[i] for i in old], [attributes[i] for i in old]
+        )
+        renumber[vertex_type] = np.full(len(names), -1, dtype=np.int64)
+        renumber[vertex_type][old] = np.arange(len(old))
 
-    for original_u, original_v, count in canonical_edges(network):
-        u = index_map.get(original_u)
-        v = index_map.get(original_v)
-        if u is not None and v is not None:
-            result.add_edge(u, v, count)
+    for source_type, target_type, rows, cols, counts in canonical_edge_arrays(network):
+        sources = renumber[source_type][rows]
+        targets = renumber[target_type][cols]
+        survives = (sources >= 0) & (targets >= 0)
+        result.add_edges(
+            source_type,
+            target_type,
+            sources[survives],
+            targets[survives],
+            counts[survives],
+        )
     return result
 
 

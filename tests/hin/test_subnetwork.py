@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import NetworkError
+from repro.exceptions import NetworkError, VertexNotFoundError
 from repro.hin.bibliographic import BibliographicNetworkBuilder, Publication
 from repro.hin.network import VertexId
 from repro.hin.subnetwork import induced_subnetwork, slice_by_attribute
@@ -74,6 +74,11 @@ class TestInducedSubnetwork:
     def test_unknown_type_in_vertex_set(self, dated_network):
         with pytest.raises(NetworkError):
             induced_subnetwork(dated_network, vertices=[VertexId("galaxy", 0)])
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_unknown_index_in_vertex_set(self, dated_network, index):
+        with pytest.raises(VertexNotFoundError):
+            induced_subnetwork(dated_network, vertices=[VertexId("author", index)])
 
     def test_parallel_edge_counts_preserved(self, figure2):
         sliced = induced_subnetwork(figure2, {"author": lambda v: True})
