@@ -85,7 +85,7 @@ def test_cache_timing(benchmark, bench_network, query_sets, base, cached):
     benchmark.group = f"row-cache-{base}"
 
     def run():
-        results, __ = executor.execute_many(list(workload), skip_failures=True)
+        results, __ = executor.execute_many(list(workload))
         return len(results)
 
     executed = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -111,7 +111,7 @@ def test_length4_rows_vs_sums(benchmark, bench_network, query_sets, template, ro
     benchmark.group = f"eq1-route-{template.name}"
 
     def run():
-        results, __ = executor.execute_many(list(workload), skip_failures=True)
+        results, __ = executor.execute_many(list(workload))
         return len(results)
 
     assert run() > 0  # fill the cache: the timed pass is the steady state
@@ -143,7 +143,7 @@ def test_cache_report(benchmark, bench_network, query_sets, report):
                 strategy = cache
             executor = QueryExecutor(strategy, collect_stats=False)
             start = time.perf_counter()
-            executor.execute_many(list(workload), skip_failures=True)
+            executor.execute_many(list(workload))
             elapsed = time.perf_counter() - start
             row_hit = vis_hit = 0.0
             if cache is not None:

@@ -62,7 +62,7 @@ def test_strategy_scaling(benchmark, corpora, scale, strategy):
     benchmark.group = f"scaling-{scale}"
 
     def run():
-        results, __ = detector.detect_many(workload, skip_failures=True)
+        results, __ = detector.detect_many(workload)
         return len(results)
 
     executed = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -79,7 +79,7 @@ def test_scaling_report(benchmark, corpora, report):
             timings = {}
             for strategy in ("baseline", "pm"):
                 detector = OutlierDetector(network, strategy=strategy)
-                __, stats = detector.detect_many(workload, skip_failures=True)
+                __, stats = detector.detect_many(workload)
                 timings[strategy] = stats.wall_seconds * 1e3
             rows.append(
                 (

@@ -40,7 +40,7 @@ def test_figure3_query_set(
     benchmark.group = f"figure3-{template_name}"
 
     def run():
-        results, stats = detector.detect_many(workload, skip_failures=True)
+        results, stats = detector.detect_many(workload)
         return len(results)
 
     executed = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
@@ -61,7 +61,7 @@ def test_figure3_report(benchmark, bench_network, query_sets, report):
         for template_name, workload in query_sets.items():
             for strategy_name in STRATEGIES:
                 detector = _build_detector(bench_network, strategy_name, workload)
-                __, stats = detector.detect_many(workload, skip_failures=True)
+                __, stats = detector.detect_many(workload)
                 table[(template_name, strategy_name)] = (
                     stats.wall_seconds * 1e3,
                     stats.queries,

@@ -28,7 +28,7 @@ def test_figure4_phase_breakdown(
     benchmark.group = "figure4"
 
     def run():
-        __, stats = detector.detect_many(workload, skip_failures=True)
+        __, stats = detector.detect_many(workload)
         return stats
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -47,7 +47,7 @@ def test_figure4_report(benchmark, bench_network, query_sets, report):
                 spm_workload=workload,
                 spm_threshold=SPM_THRESHOLD,
             )
-            __, stats = detector.detect_many(workload, skip_failures=True)
+            __, stats = detector.detect_many(workload)
             table[template_name] = stats
         return table
 

@@ -46,7 +46,7 @@ def test_figure5_report(benchmark, bench_network, query_sets, analyzer, report):
             selected = analyzer.frequent_vertices(threshold)
             index, _ = build_spm_index(bench_network, selected)
             executor = QueryExecutor(SPMStrategy(bench_network, index=index))
-            __, stats = executor.execute_many(list(workload), skip_failures=True)
+            __, stats = executor.execute_many(list(workload))
             average_ms = stats.wall_seconds * 1e3 / max(stats.queries, 1)
             rows.append(
                 (threshold, len(selected), index.size_bytes(), average_ms)

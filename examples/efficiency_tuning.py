@@ -26,7 +26,7 @@ from repro.query.templates import TEMPLATE_Q1
 
 def run_workload(detector, workload):
     start = time.perf_counter()
-    results, stats = detector.detect_many(workload, skip_failures=True)
+    results, stats = detector.detect_many(workload)
     elapsed = time.perf_counter() - start
     return len(results), elapsed, stats
 
@@ -68,7 +68,7 @@ def main():
         index = analyzer.build_index(threshold)
         executor = QueryExecutor(SPMStrategy(network, index=index))
         start = time.perf_counter()
-        executor.execute_many(list(workload), skip_failures=True)
+        executor.execute_many(list(workload))
         elapsed = time.perf_counter() - start
         print(
             f"{threshold:>10g} {len(analyzer.frequent_vertices(threshold)):>9d} "

@@ -95,7 +95,7 @@ def reproduce_figures(corpus):
                 kwargs = {"spm_workload": workload, "spm_threshold": 0.01}
             detector = OutlierDetector(network, strategy=strategy_name, **kwargs)
             start = time.perf_counter()
-            detector.detect_many(workload, skip_failures=True)
+            detector.detect_many(workload)
             timings[strategy_name] = (time.perf_counter() - start) * 1e3
         print(
             f"  {name:>4} {timings['baseline']:>12.1f} {timings['pm']:>8.1f} "
@@ -111,7 +111,7 @@ def reproduce_figures(corpus):
     detector = OutlierDetector(
         network, strategy="spm", spm_workload=workload, spm_threshold=0.05,
     )
-    __, stats = detector.detect_many(workload, skip_failures=True)
+    __, stats = detector.detect_many(workload)
     for phase, seconds in stats.breakdown().items():
         print(f"  {phase:<26s} {seconds * 1e3:8.1f} ms")
     print("  paper: materializing non-indexed vectors dominates")
@@ -126,7 +126,7 @@ def reproduce_figures(corpus):
         index = analyzer.build_index(threshold)
         executor = QueryExecutor(SPMStrategy(network, index=index))
         start = time.perf_counter()
-        results, __ = executor.execute_many(list(all_queries), skip_failures=True)
+        results, __ = executor.execute_many(list(all_queries))
         average = (time.perf_counter() - start) * 1e3 / max(len(results), 1)
         print(
             f"  {threshold:>10g} {index.size_bytes() / 1e6:>9.2f} {average:>8.3f}"

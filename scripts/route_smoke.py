@@ -13,6 +13,8 @@ fault-tolerance contract end to end:
 * the killed replica's key range *moves* to a surviving replica, and after
   the supervisor respawns the replica and a probe re-admits it, the range
   *returns* to the original owner;
+* serve settings given to ``repro route`` reach the replicas (``--timeout
+  30 --row-cache-rows 0`` show in every replica's own ``/stats``);
 * the router shuts down cleanly on SIGTERM (exit code 0).
 
 Run from the repository root::
@@ -95,6 +97,10 @@ def main() -> int:
              "--port", "0",
              "--workers", "2",
              "--queue-depth", "64",
+             # Serve settings route had no flag for before they were
+             # generated from ServiceConfig; each replica must receive them.
+             "--timeout", "30",
+             "--row-cache-rows", "0",
              # Tight chaos windows: a dead replica leaves rotation within
              # 0.2s, its respawn re-enters within 0.2s of its banner.
              "--probe-interval", "0.2",
@@ -136,6 +142,22 @@ def main() -> int:
                 with lock:
                     statuses.append(status)
                 return headers.get("X-Repro-Replica")
+
+            # -- Phase 0: the fleet runs with the settings route was given ---
+            for replica_id, row in sorted(replica_rows(host, port).items()):
+                replica_host, replica_port = row["address"].split(":")
+                _, _, stats = request(
+                    replica_host, int(replica_port), "GET", "/stats"
+                )
+                if stats["service"]["timeout_seconds"] != 30:
+                    failures.append(
+                        f"{replica_id} did not receive --timeout 30: "
+                        f"{stats['service']['timeout_seconds']!r}"
+                    )
+                if "row_cache" in stats["engine"]:
+                    failures.append(
+                        f"{replica_id} did not receive --row-cache-rows 0"
+                    )
 
             probe_query = DISTINCT_QUERIES[0]
             with ThreadPoolExecutor(max_workers=BURST_WORKERS) as pool:

@@ -34,6 +34,7 @@ exploratory usage mode the paper's introduction motivates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -44,6 +45,13 @@ from repro.engine.detector import OutlierDetector
 from repro.exceptions import ReproError
 from repro.hin.io import load_json, save_json
 from repro.hin.network import HeterogeneousInformationNetwork
+from repro.service.config import (
+    RouterConfig,
+    ServiceConfig,
+    SupervisorConfig,
+    add_settings,
+    settings_from_args,
+)
 from repro.viz import score_distribution
 
 __all__ = ["main", "build_parser"]
@@ -69,16 +77,18 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True, help="output JSON path")
 
-    def add_network_and_query(sub, with_query=True):
+    def add_network_and_query(sub, with_query=True) -> list:
         sub.add_argument("--network", required=True, help="network JSON path")
         if with_query:
             sub.add_argument("query", help="outlier query text")
-        sub.add_argument(
-            "--strategy", choices=("baseline", "pm", "spm"), default="pm"
-        )
-        sub.add_argument(
-            "--measure", default="netout", help="outlierness measure name"
-        )
+        return [
+            sub.add_argument(
+                "--strategy", choices=("baseline", "pm", "spm"), default="pm"
+            ),
+            sub.add_argument(
+                "--measure", default="netout", help="outlierness measure name"
+            ),
+        ]
 
     def add_resilience_flags(sub):
         sub.add_argument(
@@ -166,158 +176,54 @@ def build_parser() -> argparse.ArgumentParser:
     shell = commands.add_parser("shell", help="interactive query shell")
     add_network_and_query(shell, with_query=False)
 
+    def add_replica_flags(sub, *, forwarded_only=False, **defaults) -> list:
+        """Everything that configures one serving process.
+
+        ``serve`` takes these for itself; ``route`` takes them (minus the
+        per-process paths) for its replicas and replays the returned
+        actions into each replica's argv, so the two cannot drift.
+        """
+        return [
+            *add_network_and_query(sub, with_query=False),
+            sub.add_argument(
+                "--row-cache-rows",
+                type=int,
+                default=4096,
+                metavar="N",
+                help="shared LRU row cache capacity in (meta-path, vertex) "
+                "rows; 0 disables it",
+            ),
+            *add_settings(
+                sub, ServiceConfig, forwarded_only=forwarded_only, **defaults
+            ),
+        ]
+
+    def add_listener_flags(sub):
+        sub.add_argument("--host", default="127.0.0.1")
+        sub.add_argument(
+            "--port",
+            type=int,
+            default=8080,
+            help="listen port (0 binds an ephemeral port and prints it)",
+        )
+        sub.add_argument(
+            "--max-requests",
+            type=int,
+            default=None,
+            metavar="N",
+            help="exit after answering N HTTP requests (smoke tests)",
+        )
+
     serve = commands.add_parser(
         "serve", help="run the concurrent query service (JSON over HTTP)"
     )
-    serve.add_argument("--network", required=True, help="network JSON path")
-    serve.add_argument(
-        "--strategy", choices=("baseline", "pm", "spm"), default="pm"
-    )
-    serve.add_argument(
-        "--measure", default="netout", help="outlierness measure name"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="listen port (0 binds an ephemeral port and prints it)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="workers executing queries over the shared index; 0 auto-sizes "
-        "to the physical-core estimate (os.cpu_count()/2, floor 1)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution backend: 'thread' shares the engine in-process; "
-        "'process' spawns workers over zero-copy shared-memory CSR views "
-        "(results are identical; see docs/service.md)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help="requests allowed to wait beyond the busy workers; requests "
-        "past workers+queue-depth are shed with HTTP 429",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request execution deadline (HTTP 504 on overrun)",
-    )
-    serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="result cache entry lifetime; 0 disables the result cache",
-    )
-    serve.add_argument(
-        "--row-cache-rows",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="shared LRU row cache capacity in (meta-path, vertex) rows; "
-        "0 disables it",
-    )
-    serve.add_argument(
-        "--subpath-cache-mb",
-        type=float,
-        default=32.0,
-        metavar="MB",
-        help="shared cache of length-2 sub-path products reused across "
-        "concurrent queries whose meta-paths overlap; 0 disables it",
-    )
-    serve.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="enable workload-adaptive re-indexing (spm strategy only): "
-        "a background thread mines admitted queries and atomically "
-        "hot-swaps an SPM index built around the observed hot vertices",
-    )
-    serve.add_argument(
-        "--reindex-interval",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="period of the adaptive re-index cycle (with --adaptive)",
-    )
-    serve.add_argument(
-        "--reindex-min-queries",
-        type=int,
-        default=32,
-        metavar="N",
-        help="new admissions required before a re-index cycle re-plans",
-    )
-    serve.add_argument(
-        "--admission-log",
-        default=None,
-        metavar="PATH",
-        help="JSONL file the admission log spills to for offline workload "
-        "inspection (with --adaptive)",
-    )
-    serve.add_argument(
-        "--max-index-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="byte budget of adaptively rebuilt SPM indexes (hottest "
-        "vertices first; default unbounded)",
-    )
-    serve.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after serving N HTTP requests (smoke tests)",
-    )
-    serve.add_argument(
-        "--storage",
-        choices=("ram", "mmap"),
-        default="ram",
-        help="array tier: 'ram' holds adjacency and index in memory; "
-        "'mmap' spills them to file-backed buffers and (with --strategy "
-        "pm) builds the index out-of-core in bounded row blocks, so "
-        "networks larger than RAM still serve (see docs/scale.md)",
-    )
-    serve.add_argument(
-        "--storage-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for mmap-tier array files and file-backed worker "
-        "segments (a private temp dir when omitted)",
-    )
-    serve.add_argument(
-        "--index-build-block-rows",
-        type=int,
-        default=8192,
-        metavar="N",
-        help="rows per block of the out-of-core index build (with "
-        "--storage mmap); smaller blocks bound peak RAM tighter",
-    )
-    serve.add_argument(
-        "--max-build-memory-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="approximate per-block memory budget for the out-of-core "
-        "index build; shrinks the effective block size when needed",
-    )
+    add_replica_flags(serve)
+    add_listener_flags(serve)
 
     route = commands.add_parser(
         "route",
         help="run supervised serve replicas behind a consistent-hash router",
     )
-    route.add_argument("--network", required=True, help="network JSON path")
     route.add_argument(
         "--replicas",
         type=int,
@@ -325,146 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="number of supervised `repro serve` replica processes",
     )
-    route.add_argument("--host", default="127.0.0.1")
-    route.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="router listen port (0 binds an ephemeral port and prints it)",
+    replicas = route.add_argument_group(
+        "per-replica settings (every non-path `repro serve` flag)"
     )
-    # Per-replica serve knobs, forwarded verbatim to every replica argv.
-    route.add_argument(
-        "--strategy", choices=("baseline", "pm", "spm"), default="pm"
+    # Two workers per replica by default: a fleet multiplies them.
+    route.set_defaults(
+        replica_flags=add_replica_flags(replicas, forwarded_only=True, workers=2)
     )
-    route.add_argument(
-        "--measure", default="netout", help="outlierness measure name"
-    )
-    route.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution backend of each replica",
-    )
-    route.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="query workers per replica (0 auto-sizes)",
-    )
-    route.add_argument(
-        "--queue-depth",
-        type=int,
-        default=64,
-        metavar="N",
-        help="admission queue depth per replica (429 beyond it)",
-    )
-    route.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="replica result-cache TTL; 0 disables the result cache",
-    )
-    route.add_argument(
-        "--storage",
-        choices=("ram", "mmap"),
-        default="ram",
-        help="array tier of each replica (forwarded to `repro serve`)",
-    )
-    route.add_argument(
-        "--index-build-block-rows",
-        type=int,
-        default=8192,
-        metavar="N",
-        help="out-of-core build block size per replica (with mmap)",
-    )
-    route.add_argument(
-        "--max-build-memory-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="per-block build memory budget per replica (with mmap)",
-    )
-    # Router knobs.
-    route.add_argument(
-        "--virtual-nodes",
-        type=int,
-        default=64,
-        metavar="N",
-        help="virtual nodes per replica on the consistent-hash ring",
-    )
-    route.add_argument(
-        "--probe-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="health probe sweep interval (bounds dead-replica routing)",
-    )
-    route.add_argument(
-        "--attempt-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-attempt connect/read timeout toward a replica",
-    )
-    route.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="distinct replicas tried per request before 503",
-    )
-    route.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive failures opening a replica's circuit breaker",
-    )
-    route.add_argument(
-        "--breaker-reset",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="open-breaker cool-down before a half-open trial",
-    )
-    # Supervisor knobs.
-    route.add_argument(
-        "--restart-base-delay",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="first restart backoff (doubles per consecutive restart)",
-    )
-    route.add_argument(
-        "--max-restarts-in-window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="restarts tolerated per window before quarantine",
-    )
-    route.add_argument(
-        "--restart-window",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="sliding window for the restart budget",
-    )
-    route.add_argument(
-        "--stagger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="delay between initial replica launches",
-    )
-    route.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after routing N HTTP requests (smoke tests)",
-    )
+    add_settings(route.add_argument_group("router"), RouterConfig)
+    add_settings(route.add_argument_group("supervisor"), SupervisorConfig)
+    add_listener_flags(route)
 
     zoo = commands.add_parser(
         "zoo",
@@ -645,7 +421,7 @@ def _command_workload(args, out) -> int:
             resilience=policy,
             **kwargs,
         )
-        batch = detector.detect_many(queries, skip_failures=True)
+        batch = detector.detect_many(queries)
         results, stats = batch
         report = LatencyReport.from_results(results)
         print(f"{strategy_name:>9}  {report.describe()}", file=out)
@@ -715,59 +491,48 @@ def _command_schema(args, out) -> int:
     return 0
 
 
+def _service_config(args):
+    """The :class:`ServiceConfig` a parsed ``serve`` / ``route`` line describes."""
+    config = settings_from_args(ServiceConfig, args)
+    if config.cache_ttl_seconds == 0:
+        # `--cache-ttl 0` switches the result cache off outright instead of
+        # keeping one whose every entry is stale on arrival.
+        config = dataclasses.replace(
+            config, cache_ttl_seconds=None, cache_max_entries=0
+        )
+    return config
+
+
+def _replica_argv(args) -> list[str]:
+    """The per-replica flags ``route`` parsed, spelled back out for ``serve``."""
+    argv: list[str] = []
+    for action in args.replica_flags:
+        flag, value = action.option_strings[0], getattr(args, action.dest)
+        if action.nargs == 0:  # a switch such as --adaptive
+            if value:
+                argv.append(flag)
+        elif value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
 def _command_serve(args, out) -> int:
     import signal
     import threading
 
-    from repro.service import QueryService, ServiceConfig, make_server
+    from repro.service import QueryService, make_server
 
-    storage = getattr(args, "storage", "ram")
-    storage_dir = getattr(args, "storage_dir", None)
+    config = _service_config(args)
     if not Path(args.network).exists():
         raise ReproError(f"network file not found: {args.network}")
-    network = load_json(args.network, storage=storage, storage_dir=storage_dir)
-    config = ServiceConfig(
-        workers=args.workers,
-        backend=args.backend,
-        queue_depth=args.queue_depth,
-        timeout_seconds=args.timeout,
-        cache_ttl_seconds=args.cache_ttl if args.cache_ttl > 0 else None,
-        cache_max_entries=0 if args.cache_ttl == 0 else 1024,
-        subpath_cache_mb=args.subpath_cache_mb,
-        adaptive=args.adaptive,
-        reindex_interval_seconds=args.reindex_interval,
-        reindex_min_queries=args.reindex_min_queries,
-        admission_log_path=args.admission_log,
-        max_index_mb=args.max_index_mb,
-        storage=storage,
-        storage_dir=storage_dir,
-        index_build_block_rows=args.index_build_block_rows,
-        max_build_memory_mb=args.max_build_memory_mb,
+    network = load_json(
+        args.network, storage=config.storage, storage_dir=config.storage_dir
     )
-    index = None
-    if storage == "mmap" and args.strategy == "pm":
-        # Build the full PM index out-of-core, in bounded row blocks, and
-        # serve it through read-only file-backed views — the path that
-        # keeps million-vertex networks off the RAM budget entirely.
-        from repro.engine.index import build_pm_index
-        from repro.hin.storage import MmapArrayStore
-
-        store_dir = None
-        if storage_dir is not None:
-            store_dir = str(Path(storage_dir) / "pm-index")
-            Path(store_dir).mkdir(parents=True, exist_ok=True)
-        index = build_pm_index(
-            network,
-            block_rows=args.index_build_block_rows,
-            max_build_memory_mb=args.max_build_memory_mb,
-            store=MmapArrayStore(store_dir),
-        )
     service = QueryService.from_network(
         network,
         config,
         strategy=args.strategy,
         measure=args.measure,
-        index=index,
         row_cache_rows=args.row_cache_rows,
         resilience=_resilience_policy(args),
     )
@@ -806,9 +571,9 @@ def _command_serve(args, out) -> int:
         f"({service.handle.fingerprint}, {config.backend} backend, "
         f"{config.workers} workers"
         f"{' [auto]' if args.workers == 0 else ''}, "
-        f"queue depth {args.queue_depth}, "
+        f"queue depth {config.queue_depth}, "
         f"index {service.handle.index_size_bytes() / 1e6:.2f} MB"
-        f"{', adaptive reindex every ' + format(args.reindex_interval, 'g') + 's' if args.adaptive else ''})",
+        f"{', adaptive reindex every ' + format(config.reindex_interval_seconds, 'g') + 's' if config.adaptive else ''})",
         file=out,
         flush=True,
     )
@@ -840,11 +605,13 @@ def _command_route(args, out) -> int:
         HealthProber,
         ReplicaSupervisor,
         Router,
-        RouterConfig,
-        SupervisorConfig,
         make_router_server,
     )
 
+    # Replica settings are checked here, once, not by N dying children.
+    _service_config(args)
+    router_config = settings_from_args(RouterConfig, args)
+    supervisor_config = settings_from_args(SupervisorConfig, args)
     if not Path(args.network).exists():
         raise ReproError(f"network file not found: {args.network}")
 
@@ -858,42 +625,8 @@ def _command_route(args, out) -> int:
         else package_root
     )
 
-    serve_args = [
-        "--strategy",
-        args.strategy,
-        "--measure",
-        args.measure,
-        "--backend",
-        args.backend,
-        "--workers",
-        str(args.workers),
-        "--queue-depth",
-        str(args.queue_depth),
-        "--cache-ttl",
-        str(args.cache_ttl),
-        "--storage",
-        args.storage,
-        "--index-build-block-rows",
-        str(args.index_build_block_rows),
-    ]
-    if args.max_build_memory_mb is not None:
-        serve_args += ["--max-build-memory-mb", str(args.max_build_memory_mb)]
     commands = ReplicaSupervisor.serve_commands(
-        sys.executable, args.network, args.replicas, serve_args=serve_args
-    )
-    router_config = RouterConfig(
-        virtual_nodes=args.virtual_nodes,
-        probe_interval_seconds=args.probe_interval,
-        attempt_timeout_seconds=args.attempt_timeout,
-        max_attempts=args.max_attempts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_seconds=args.breaker_reset,
-    )
-    supervisor_config = SupervisorConfig(
-        restart_base_delay_seconds=args.restart_base_delay,
-        max_restarts_in_window=args.max_restarts_in_window,
-        restart_window_seconds=args.restart_window,
-        stagger_seconds=args.stagger,
+        sys.executable, args.network, args.replicas, serve_args=_replica_argv(args)
     )
     router = Router(list(commands), router_config)
     supervisor = ReplicaSupervisor(
@@ -924,8 +657,8 @@ def _command_route(args, out) -> int:
     print(
         f"routing {args.network} on http://{host}:{port} "
         f"({args.replicas} replicas, {args.backend} backend, "
-        f"{args.max_attempts} attempts, "
-        f"probe every {args.probe_interval:g}s)",
+        f"{router_config.max_attempts} attempts, "
+        f"probe every {router_config.probe_interval_seconds:g}s)",
         file=out,
         flush=True,
     )

@@ -261,16 +261,14 @@ class OutlierDetector:
             measure=self._executor.measure.name,
         )
 
-    def detect_many(
-        self, queries: Sequence[str | Query], *, skip_failures: bool = False
-    ) -> "BatchExecution":
+    def detect_many(self, queries: Sequence[str | Query]) -> "BatchExecution":
         """Execute a query set; see :meth:`QueryExecutor.execute_many`.
 
         Returns a :class:`~repro.engine.executor.BatchExecution` — unpacks
         as ``(results, stats)`` and carries per-query ``errors`` keyed by
         query index.
         """
-        return self._executor.execute_many(list(queries), skip_failures=skip_failures)
+        return self._executor.execute_many(list(queries))
 
     def explain(self, query: str | Query) -> QueryPlan:
         """The execution plan for ``query`` under this detector's strategy."""

@@ -343,12 +343,7 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Batch helper for the efficiency study
     # ------------------------------------------------------------------
-    def execute_many(
-        self,
-        queries: list[str | Query],
-        *,
-        skip_failures: bool = False,
-    ) -> BatchExecution:
+    def execute_many(self, queries: list[str | Query]) -> BatchExecution:
         """Execute a query set and return results, aggregated stats, errors.
 
         One failing query never aborts the batch: execution-time failures —
@@ -362,9 +357,6 @@ class QueryExecutor:
 
         The return value unpacks as the historical ``(results, stats)``
         pair; ``errors`` rides along as an attribute.
-
-        ``skip_failures`` is accepted and ignored: failures are always
-        collected (call sites that predate :class:`BatchExecution` pass it).
         """
         results: list[OutlierResult] = []
         errors: dict[int, ReproError] = {}

@@ -2,8 +2,12 @@
 
 Replaying :meth:`HeterogeneousInformationNetwork.add_edge` mirrors
 symmetric relations automatically, so a serializer must emit each logical
-edge exactly once — in a form whose replay reproduces every adjacency
-matrix bit for bit.  The rules, per relation:
+edge exactly once — in a form whose replay reproduces every entry it emits
+bit for bit.  (An entry left to its mirror comes back as the *mirror's*
+float: the original summed its parallel edges itself, in whatever order
+scipy's unstable duplicate sort left a row of 16 or more of them, so for
+counts whose sums round — not integers, not dyadic — it can sit a few ulps
+away.)  The rules, per relation:
 
 * **directed** (``symmetric=False``): every stored entry is its own logical
   edge; emit all of them (both same-type and cross-type directed relations);
@@ -39,7 +43,8 @@ def canonical_edge_arrays(
     Replaying means calling ``add_edges(source_type, target_type, rows,
     cols, counts)`` for every batch (or ``add_edge`` for every position of
     it) on an empty network with the same schema and vertices; afterwards
-    every adjacency matrix equals the original exactly.
+    every emitted entry equals the original exactly, and every mirrored one
+    equals its emitted twin (see the module docstring).
     """
     schema = network.schema
     seen_pairs: set[tuple[str, str]] = set()

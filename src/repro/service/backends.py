@@ -60,7 +60,12 @@ def _resolve(
     result: OutlierResult | None = None,
     error: BaseException | None = None,
 ) -> None:
-    """Resolve a future exactly once; later attempts are no-ops."""
+    """Resolve a future exactly once; later attempts are no-ops.
+
+    A request can race between a worker finishing it, a non-drain close
+    abandoning it, and a caller cancelling it — whichever resolves first
+    wins; the others must not crash on ``InvalidStateError``.
+    """
     try:
         if error is not None:
             future.set_exception(error)

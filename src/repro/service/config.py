@@ -1,18 +1,22 @@
-"""Tuning knobs for the concurrent query service.
+"""Tuning knobs for the concurrent query service, each declared once.
 
-One :class:`ServiceConfig` instance describes a deployment: which execution
-backend runs queries (threads in-process, or worker processes over
-shared-memory indexes), how many workers, how deep the admission queue may
-grow before the service sheds load, the per-request time budget, and the
-result cache's size and freshness window.  The CLI's ``repro serve`` flags
-map onto these fields one-to-one (see ``docs/service.md`` for tuning
-guidance).
+One :class:`ServiceConfig` describes a ``repro serve`` deployment (execution
+backend, worker count, admission queue, time budget, caches, storage tier);
+:class:`RouterConfig` and :class:`SupervisorConfig` do the same for the
+fleet ``repro route`` runs.
+
+Every field is a :func:`setting`: its default, its bound, its ``--flag``
+spelling (when the CLI exposes it) and its one description live in the
+field's metadata.  Validation (:func:`_check`), the CLI flags
+(:func:`add_settings`), the way back from parsed flags to a config
+(:func:`settings_from_args`) and the tables in ``docs/service.md`` all read
+those declarations, so a setting is never written down twice.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import ServiceError
 
@@ -20,11 +24,112 @@ __all__ = [
     "ServiceConfig",
     "RouterConfig",
     "SupervisorConfig",
+    "add_settings",
     "auto_worker_count",
+    "settings_from_args",
 ]
 
-#: Execution backends understood by the service layer.
-BACKENDS = ("thread", "process")
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
+@dataclass(frozen=True)
+class _Declared:
+    """What a config field says about itself beyond its type and default.
+
+    ``at_least`` / ``at_most`` (inclusive), ``positive`` and ``choices``
+    state the bound (``None`` is admitted where the annotation says so).
+    ``flag`` exposes the field on the CLI under that spelling (``metavar``
+    names its value in ``--help``); ``forward=False`` marks a per-process
+    path that ``repro route`` must not hand to its replicas.
+    """
+
+    help: str
+    flag: str | None = None
+    metavar: str | None = None
+    at_least: float | None = None
+    at_most: float | None = None
+    positive: bool = False
+    choices: tuple | None = None
+    forward: bool = True
+
+
+def setting(default, help, **declared):  # noqa: A002 - argparse's word for it
+    """A config field carrying its whole declaration (see :class:`_Declared`)."""
+    return field(default=default, metadata={"declared": _Declared(help, **declared)})
+
+
+def _check(config) -> None:
+    """Hold every field of ``config`` to its declared bound."""
+    for spec in fields(config):
+        declared, value = spec.metadata["declared"], getattr(config, spec.name)
+        if value is None:
+            if spec.type.endswith("None"):
+                continue
+            raise ServiceError(f"{spec.name} must not be None")
+        low, high = declared.at_least, declared.at_most
+        if declared.choices is not None:
+            holds, bound = value in declared.choices, f"one of {declared.choices}"
+        elif declared.positive:
+            holds, bound = value > 0, "positive"
+        elif high is not None:
+            holds, bound = low <= value <= high, f"in [{low}, {high}]"
+        elif low is not None:
+            holds, bound = value >= low, f">= {low}"
+        else:
+            continue
+        if not holds:
+            raise ServiceError(f"{spec.name} must be {bound}, got {value!r}")
+
+
+def _flagged(config_class, forwarded_only: bool = False):
+    """``(field, its declaration, argparse dest)`` per setting the CLI exposes."""
+    for spec in fields(config_class):
+        declared = spec.metadata["declared"]
+        if declared.flag and (declared.forward or not forwarded_only):
+            yield spec, declared, declared.flag.lstrip("-").replace("-", "_")
+
+
+def add_settings(
+    parser, config_class, *, forwarded_only: bool = False, **defaults
+) -> list:
+    """Add one ``--flag`` per exposed setting of ``config_class``.
+
+    ``defaults`` overrides field defaults for this parser only and
+    ``forwarded_only`` leaves out the per-process paths; returns the actions.
+    """
+    actions = []
+    for spec, declared, dest in _flagged(config_class, forwarded_only):
+        if spec.type == "bool":
+            kind = {"action": "store_true"}
+        else:
+            kind = {
+                "type": _FLAG_TYPES[spec.type.split(" | ")[0]],
+                "choices": declared.choices,
+                "metavar": declared.metavar,
+            }
+        actions.append(
+            parser.add_argument(
+                declared.flag,
+                dest=dest,
+                default=defaults.get(spec.name, spec.default),
+                help=declared.help,
+                **kind,
+            )
+        )
+    return actions
+
+
+def settings_from_args(config_class, args):
+    """The validated ``config_class`` a parsed flag namespace describes.
+
+    A flag the parser did not declare leaves its field at the default.
+    """
+    return config_class(
+        **{
+            spec.name: getattr(args, dest, spec.default)
+            for spec, _, dest in _flagged(config_class)
+        }
+    )
 
 
 def auto_worker_count() -> int:
@@ -41,166 +146,149 @@ def auto_worker_count() -> int:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Immutable service deployment settings.
+    """Immutable service deployment settings (one ``repro serve`` process)."""
 
-    Attributes
-    ----------
-    workers:
-        Workers executing queries against the shared engine.  ``0``
-        auto-sizes to the physical-core estimate of
-        :func:`auto_worker_count` (the resolved count is stored, so
-        ``config.workers`` is always the real pool size).
-    backend:
-        ``"thread"`` (default) runs queries on a thread pool sharing the
-        parent's engine; ``"process"`` spawns worker processes that attach
-        zero-copy shared-memory views of the warmed CSR index — the choice
-        never changes results, only how the compute parallelizes (see
-        ``docs/service.md``).
-    queue_depth:
-        Requests allowed to *wait* beyond the ones the workers are busy
-        with.  A request arriving when ``workers + queue_depth`` requests
-        are in flight is shed with
-        :class:`~repro.exceptions.ServiceOverloadedError` — bounded queues
-        are the backpressure mechanism, not a failure mode.
-    timeout_seconds:
-        Per-request cooperative deadline (``None`` = unlimited).  Enforced
-        from the moment a worker picks the request up, via the engine's
-        existing :class:`~repro.engine.deadline.Deadline` machinery, so a
-        shed-or-degrade decision composes with the resilience ladder.
-    cache_ttl_seconds:
-        Result cache entry lifetime (``None`` = entries never expire; they
-        still invalidate when the network/index version moves).
-    cache_max_entries:
-        Result cache capacity in entries; ``0`` disables result caching.
-    collect_stats:
-        Attach per-phase :class:`~repro.engine.stats.ExecutionStats` to
-        results (the service's own counters are always collected).
-    subpath_cache_mb:
-        Size budget (MiB) of the shared length-2 sub-path product cache
-        consulted by every blocked materialization; ``0`` disables it.
-    adaptive:
-        Enable the workload-adaptive re-indexing loop (SPM strategy only):
-        admitted queries feed a bounded admission log, and a background
-        re-indexer periodically rebuilds the SPM index around the observed
-        hot vertices and hot-swaps it atomically (``docs/service.md``,
-        "Adaptive indexing").
-    reindex_interval_seconds:
-        Period of the background re-index cycle.
-    reindex_min_queries:
-        New admissions required since the last cycle before a re-plan is
-        attempted — re-planning an unchanged workload wastes a rebuild.
-    admission_log_entries:
-        In-memory admission log window the re-indexer mines.
-    admission_log_path:
-        Optional JSONL file every admitted query key is appended to for
-        offline workload inspection (``None`` = no spill).
-    max_index_mb:
-        Byte budget (MiB) for adaptively rebuilt SPM indexes; vertices are
-        admitted hottest-first until the budget is exhausted (``None`` =
-        unbounded, like the paper's static build).
-    storage:
-        Array storage tier: ``"ram"`` (default) keeps adjacency and index
-        buffers on the heap; ``"mmap"`` spills them to read-only
-        ``np.memmap`` files (see :mod:`repro.hin.storage`) and the process
-        backend exports **file-backed** segments instead of ``/dev/shm``
-        ones, so one copy of a many-GB index lives on disk rather than in
-        RAM-backed tmpfs.
-    storage_dir:
-        Directory for mmap-tier array files and file-backed segments
-        (``None`` = a private temp dir).
-    index_build_block_rows:
-        Row-block width of the out-of-core PM/SPM index builders used when
-        ``storage="mmap"``.
-    max_build_memory_mb:
-        Optional per-block memory budget for the out-of-core build; blocks
-        shrink below ``index_build_block_rows`` when a product's expected
-        density would exceed it (``None`` = no shrink).
-    """
-
-    workers: int = 4
-    backend: str = "thread"
-    queue_depth: int = 64
-    timeout_seconds: float | None = None
-    cache_ttl_seconds: float | None = 60.0
-    cache_max_entries: int = 1024
-    collect_stats: bool = True
-    subpath_cache_mb: float = 32.0
-    adaptive: bool = False
-    reindex_interval_seconds: float = 30.0
-    reindex_min_queries: int = 32
-    admission_log_entries: int = 4096
-    admission_log_path: str | None = None
-    max_index_mb: float | None = None
-    storage: str = "ram"
-    storage_dir: str | None = None
-    index_build_block_rows: int = 8192
-    max_build_memory_mb: float | None = None
+    workers: int = setting(
+        4,
+        "workers executing queries over the shared index; 0 auto-sizes to "
+        "the physical-core estimate (os.cpu_count()/2, floor 1)",
+        flag="--workers",
+        metavar="N",
+        at_least=0,
+    )
+    backend: str = setting(
+        "thread",
+        "execution backend: 'thread' shares the engine in-process; "
+        "'process' spawns workers over zero-copy shared-memory CSR views "
+        "(results are identical; see docs/service.md)",
+        flag="--backend",
+        choices=("thread", "process"),
+    )
+    queue_depth: int = setting(
+        64,
+        "requests allowed to wait beyond the busy workers; requests past "
+        "workers+queue-depth are shed with HTTP 429",
+        flag="--queue-depth",
+        metavar="N",
+        at_least=0,
+    )
+    timeout_seconds: float | None = setting(
+        None,
+        "per-request execution deadline, counted from the moment a worker "
+        "picks the request up (HTTP 504 on overrun; default unlimited)",
+        flag="--timeout",
+        metavar="SECONDS",
+        positive=True,
+    )
+    cache_ttl_seconds: float | None = setting(
+        60.0,
+        "result cache entry lifetime; on the command line 0 disables the "
+        "result cache, in code None means entries never expire",
+        flag="--cache-ttl",
+        metavar="SECONDS",
+        at_least=0,
+    )
+    cache_max_entries: int = setting(
+        1024,
+        "result cache capacity in entries; 0 disables result caching",
+        at_least=0,
+    )
+    collect_stats: bool = setting(
+        True,
+        "attach per-phase ExecutionStats to results (the service's own "
+        "counters are always collected)",
+    )
+    subpath_cache_mb: float = setting(
+        32.0,
+        "shared cache of length-2 sub-path products reused across "
+        "concurrent queries whose meta-paths overlap; 0 disables it",
+        flag="--subpath-cache-mb",
+        metavar="MB",
+        at_least=0,
+    )
+    adaptive: bool = setting(
+        False,
+        "enable workload-adaptive re-indexing (spm strategy only): a "
+        "background thread mines admitted queries and atomically hot-swaps "
+        "an SPM index built around the observed hot vertices",
+        flag="--adaptive",
+    )
+    reindex_interval_seconds: float = setting(
+        30.0,
+        "period of the adaptive re-index cycle (with --adaptive)",
+        flag="--reindex-interval",
+        metavar="SECONDS",
+        positive=True,
+    )
+    reindex_min_queries: int = setting(
+        32,
+        "new admissions required before a re-index cycle re-plans",
+        flag="--reindex-min-queries",
+        metavar="N",
+        at_least=1,
+    )
+    admission_log_entries: int = setting(
+        4096,
+        "in-memory admission log window the re-indexer mines",
+        at_least=1,
+    )
+    admission_log_path: str | None = setting(
+        None,
+        "JSONL file the admission log spills to for offline workload "
+        "inspection (with --adaptive)",
+        flag="--admission-log",
+        metavar="PATH",
+        forward=False,
+    )
+    max_index_mb: float | None = setting(
+        None,
+        "byte budget of adaptively rebuilt SPM indexes (hottest vertices "
+        "first; default unbounded, like the paper's static build)",
+        flag="--max-index-mb",
+        metavar="MB",
+        positive=True,
+    )
+    storage: str = setting(
+        "ram",
+        "array tier: 'ram' holds adjacency and index in memory; 'mmap' "
+        "spills them to file-backed buffers and builds the pm index "
+        "out-of-core in bounded row blocks, so networks larger than RAM "
+        "still serve (see docs/scale.md)",
+        flag="--storage",
+        choices=("ram", "mmap"),
+    )
+    storage_dir: str | None = setting(
+        None,
+        "directory for mmap-tier array files and file-backed worker "
+        "segments (a private temp dir when omitted)",
+        flag="--storage-dir",
+        metavar="DIR",
+        forward=False,
+    )
+    index_build_block_rows: int = setting(
+        8192,
+        "rows per block of the out-of-core index build (with --storage "
+        "mmap); smaller blocks bound peak RAM tighter",
+        flag="--index-build-block-rows",
+        metavar="N",
+        at_least=1,
+    )
+    max_build_memory_mb: float | None = setting(
+        None,
+        "approximate per-block memory budget of the out-of-core index "
+        "build; shrinks the effective block size when needed",
+        flag="--max-build-memory-mb",
+        metavar="MB",
+        positive=True,
+    )
 
     def __post_init__(self) -> None:
+        _check(self)
         if self.workers == 0:
             # Frozen dataclass: resolve the auto-size in place so every
             # consumer (admission capacity, stats, backends) sees the real
             # worker count rather than the sentinel.
             object.__setattr__(self, "workers", auto_worker_count())
-        if self.workers < 1:
-            raise ServiceError(f"workers must be >= 0, got {self.workers}")
-        if self.backend not in BACKENDS:
-            raise ServiceError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.queue_depth < 0:
-            raise ServiceError(
-                f"queue_depth must be >= 0, got {self.queue_depth}"
-            )
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ServiceError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
-        if self.cache_ttl_seconds is not None and self.cache_ttl_seconds < 0:
-            raise ServiceError(
-                f"cache_ttl_seconds must be >= 0, got {self.cache_ttl_seconds}"
-            )
-        if self.cache_max_entries < 0:
-            raise ServiceError(
-                f"cache_max_entries must be >= 0, got {self.cache_max_entries}"
-            )
-        if self.subpath_cache_mb < 0:
-            raise ServiceError(
-                f"subpath_cache_mb must be >= 0, got {self.subpath_cache_mb}"
-            )
-        if self.reindex_interval_seconds <= 0:
-            raise ServiceError(
-                "reindex_interval_seconds must be positive, got "
-                f"{self.reindex_interval_seconds}"
-            )
-        if self.reindex_min_queries < 1:
-            raise ServiceError(
-                "reindex_min_queries must be >= 1, got "
-                f"{self.reindex_min_queries}"
-            )
-        if self.admission_log_entries < 1:
-            raise ServiceError(
-                "admission_log_entries must be >= 1, got "
-                f"{self.admission_log_entries}"
-            )
-        if self.max_index_mb is not None and self.max_index_mb <= 0:
-            raise ServiceError(
-                f"max_index_mb must be positive or None, got {self.max_index_mb}"
-            )
-        if self.storage not in ("ram", "mmap"):
-            raise ServiceError(
-                f"storage must be 'ram' or 'mmap', got {self.storage!r}"
-            )
-        if self.index_build_block_rows < 1:
-            raise ServiceError(
-                "index_build_block_rows must be >= 1, got "
-                f"{self.index_build_block_rows}"
-            )
-        if self.max_build_memory_mb is not None and self.max_build_memory_mb <= 0:
-            raise ServiceError(
-                "max_build_memory_mb must be positive or None, got "
-                f"{self.max_build_memory_mb}"
-            )
 
     @property
     def segment_backing(self) -> str:
@@ -220,159 +308,133 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Tuning knobs for the consistent-hash replica router.
+    """Tuning knobs for the consistent-hash replica router."""
 
-    Attributes
-    ----------
-    virtual_nodes:
-        Ring positions per replica.  More virtual nodes smooth the key
-        distribution (the classic consistent-hashing trade: memory and
-        lookup cost vs balance); 64 keeps per-replica load within a few
-        percent of even for small fleets.
-    probe_interval_seconds:
-        Period of the active health probe against each replica's
-        ``/healthz``.  This bounds how long a dead or draining replica can
-        keep receiving fresh keys: one interval.
-    probe_timeout_seconds:
-        Socket timeout of one probe request.
-    attempt_timeout_seconds:
-        Per-replica socket timeout for one forwarded request; an overrun
-        counts as that replica failing and triggers failover.
-    max_attempts:
-        Distinct replicas tried (in ring order) before the router gives up
-        with :class:`~repro.exceptions.NoReplicasAvailableError`.
-    failover_backoff_seconds:
-        Pause between failover attempts of one request — long enough to
-        avoid hammering a fleet that is restarting, short enough that a
-        client barely notices a single failover.
-    breaker_threshold, breaker_reset_seconds:
-        Per-replica circuit-breaker settings (consecutive failures to open;
-        open window before the half-open trial).  Reuses
-        :class:`~repro.engine.resilience.CircuitBreaker`.
-    """
-
-    virtual_nodes: int = 64
-    probe_interval_seconds: float = 1.0
-    probe_timeout_seconds: float = 2.0
-    attempt_timeout_seconds: float = 30.0
-    max_attempts: int = 3
-    failover_backoff_seconds: float = 0.02
-    breaker_threshold: int = 3
-    breaker_reset_seconds: float = 5.0
+    virtual_nodes: int = setting(
+        64,
+        "virtual nodes per replica on the consistent-hash ring; more smooth "
+        "the key distribution at the cost of memory and lookup time",
+        flag="--virtual-nodes",
+        metavar="N",
+        at_least=1,
+    )
+    probe_interval_seconds: float = setting(
+        1.0,
+        "period of the active /healthz probe sweep; bounds how long a dead "
+        "or draining replica keeps receiving fresh keys",
+        flag="--probe-interval",
+        metavar="SECONDS",
+        positive=True,
+    )
+    probe_timeout_seconds: float = setting(
+        2.0,
+        "socket timeout of one probe request",
+        positive=True,
+    )
+    attempt_timeout_seconds: float = setting(
+        30.0,
+        "per-attempt connect/read timeout toward a replica; an overrun "
+        "counts as that replica failing and triggers failover",
+        flag="--attempt-timeout",
+        metavar="SECONDS",
+        positive=True,
+    )
+    max_attempts: int = setting(
+        3,
+        "distinct replicas tried (in ring order) per request before 503",
+        flag="--max-attempts",
+        metavar="N",
+        at_least=1,
+    )
+    failover_backoff_seconds: float = setting(
+        0.02,
+        "pause between failover attempts of one request",
+        at_least=0,
+    )
+    breaker_threshold: int = setting(
+        3,
+        "consecutive failures opening a replica's circuit breaker",
+        flag="--breaker-threshold",
+        metavar="N",
+        at_least=1,
+    )
+    breaker_reset_seconds: float = setting(
+        5.0,
+        "open-breaker cool-down before a half-open trial",
+        flag="--breaker-reset",
+        metavar="SECONDS",
+        positive=True,
+    )
 
     def __post_init__(self) -> None:
-        if self.virtual_nodes < 1:
-            raise ServiceError(
-                f"virtual_nodes must be >= 1, got {self.virtual_nodes}"
-            )
-        if self.probe_interval_seconds <= 0:
-            raise ServiceError(
-                "probe_interval_seconds must be positive, got "
-                f"{self.probe_interval_seconds}"
-            )
-        if self.probe_timeout_seconds <= 0:
-            raise ServiceError(
-                "probe_timeout_seconds must be positive, got "
-                f"{self.probe_timeout_seconds}"
-            )
-        if self.attempt_timeout_seconds <= 0:
-            raise ServiceError(
-                "attempt_timeout_seconds must be positive, got "
-                f"{self.attempt_timeout_seconds}"
-            )
-        if self.max_attempts < 1:
-            raise ServiceError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.failover_backoff_seconds < 0:
-            raise ServiceError(
-                "failover_backoff_seconds must be >= 0, got "
-                f"{self.failover_backoff_seconds}"
-            )
-        if self.breaker_threshold < 1:
-            raise ServiceError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_reset_seconds <= 0:
-            raise ServiceError(
-                "breaker_reset_seconds must be positive, got "
-                f"{self.breaker_reset_seconds}"
-            )
+        _check(self)
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Restart policy for supervised ``repro serve`` replica processes.
 
-    Attributes
-    ----------
-    restart_base_delay_seconds, restart_multiplier, restart_max_delay_seconds:
-        Exponential backoff between successive restarts of one replica:
-        ``base * multiplier**(restart - 1)``, capped at the max.
-    restart_jitter_fraction:
-        Uniform jitter applied to each delay (``delay * (1 ± fraction)``)
-        so a fleet-wide crash does not restart in lockstep and hammer the
-        shared network file / CPU simultaneously.
-    max_restarts_in_window, restart_window_seconds:
-        The crash-loop quarantine budget: a replica restarted more than
-        ``max_restarts_in_window`` times within a sliding
-        ``restart_window_seconds`` window is *quarantined* — taken out of
-        rotation permanently (until an operator restarts the router) rather
-        than forking forever.
-    start_timeout_seconds:
-        How long one replica may take to print its serving banner before
-        start-up counts as a failure.
-    stagger_seconds:
-        Pause between initial replica launches, so N index builds do not
-        all land on the same cores at the same instant.
+    The delay before restart ``n`` of one replica is ``base *
+    multiplier**(n - 1)``, capped at the max and jittered.
     """
 
-    restart_base_delay_seconds: float = 0.5
-    restart_multiplier: float = 2.0
-    restart_max_delay_seconds: float = 15.0
-    restart_jitter_fraction: float = 0.2
-    max_restarts_in_window: int = 5
-    restart_window_seconds: float = 60.0
-    start_timeout_seconds: float = 120.0
-    stagger_seconds: float = 0.0
+    restart_base_delay_seconds: float = setting(
+        0.5,
+        "first restart backoff (multiplied per consecutive restart)",
+        flag="--restart-base-delay",
+        metavar="SECONDS",
+        at_least=0,
+    )
+    restart_multiplier: float = setting(
+        2.0,
+        "growth factor of the restart backoff",
+        at_least=1,
+    )
+    restart_max_delay_seconds: float = setting(
+        15.0,
+        "cap of the restart backoff (not below the base delay)",
+    )
+    restart_jitter_fraction: float = setting(
+        0.2,
+        "uniform jitter on each delay (delay * (1 ± fraction)), so a "
+        "fleet-wide crash does not restart in lockstep",
+        at_least=0,
+        at_most=1,
+    )
+    max_restarts_in_window: int = setting(
+        5,
+        "restarts tolerated per window before the replica is quarantined "
+        "(out of rotation until the router restarts)",
+        flag="--max-restarts-in-window",
+        metavar="N",
+        at_least=0,
+    )
+    restart_window_seconds: float = setting(
+        60.0,
+        "sliding window for the restart budget",
+        flag="--restart-window",
+        metavar="SECONDS",
+        positive=True,
+    )
+    start_timeout_seconds: float = setting(
+        120.0,
+        "how long one replica may take to print its serving banner before "
+        "start-up counts as a failure",
+        positive=True,
+    )
+    stagger_seconds: float = setting(
+        0.0,
+        "delay between initial replica launches, so N index builds do not "
+        "land on the same cores at once",
+        flag="--stagger",
+        metavar="SECONDS",
+        at_least=0,
+    )
 
     def __post_init__(self) -> None:
-        if self.restart_base_delay_seconds < 0:
-            raise ServiceError(
-                "restart_base_delay_seconds must be >= 0, got "
-                f"{self.restart_base_delay_seconds}"
-            )
-        if self.restart_multiplier < 1.0:
-            raise ServiceError(
-                "restart_multiplier must be >= 1, got "
-                f"{self.restart_multiplier}"
-            )
+        _check(self)
         if self.restart_max_delay_seconds < self.restart_base_delay_seconds:
             raise ServiceError(
                 "restart_max_delay_seconds must be >= the base delay, got "
                 f"{self.restart_max_delay_seconds}"
-            )
-        if not 0.0 <= self.restart_jitter_fraction <= 1.0:
-            raise ServiceError(
-                "restart_jitter_fraction must be in [0, 1], got "
-                f"{self.restart_jitter_fraction}"
-            )
-        if self.max_restarts_in_window < 0:
-            raise ServiceError(
-                "max_restarts_in_window must be >= 0, got "
-                f"{self.max_restarts_in_window}"
-            )
-        if self.restart_window_seconds <= 0:
-            raise ServiceError(
-                "restart_window_seconds must be positive, got "
-                f"{self.restart_window_seconds}"
-            )
-        if self.start_timeout_seconds <= 0:
-            raise ServiceError(
-                "start_timeout_seconds must be positive, got "
-                f"{self.start_timeout_seconds}"
-            )
-        if self.stagger_seconds < 0:
-            raise ServiceError(
-                f"stagger_seconds must be >= 0, got {self.stagger_seconds}"
             )

@@ -91,9 +91,10 @@ class EngineHandle:
         subpath_cache_mb: float = 0.0,
     ) -> None:
         self.network = network
-        # Construction record: the process backend ships these (minus the
-        # network/index, which travel as shared-memory buffers) to worker
-        # processes so they can rebuild an equivalent handle.
+        # Construction record: everything but the network and the index
+        # (which travel as shared-memory buffers).  The process backend
+        # ships it whole to its workers, and a hot-swap rebuilds the engine
+        # from it, so a setting added here reaches both.
         self._init_spec = {
             "strategy": strategy,
             "measure": measure,
@@ -106,31 +107,12 @@ class EngineHandle:
         base = OutlierDetector(
             network,
             strategy=strategy,
-            measure=measure,
             index=index,
             spm_workload=spm_workload,
             spm_threshold=spm_threshold,
-            combine=combine,
-            collect_stats=collect_stats,
-            resilience=resilience,
+            **self._detector_settings(),
         )
-        self.row_cache: CachingStrategy | None = None
-        if row_cache_rows > 0:
-            # Re-wrap the already-built strategy: the index is not rebuilt,
-            # only the (locked) LRU row cache is layered in front of it.
-            self.row_cache = CachingStrategy(
-                base.strategy, max_rows=row_cache_rows
-            )
-            base = OutlierDetector(
-                network,
-                strategy=self.row_cache,
-                measure=measure,
-                combine=combine,
-                collect_stats=collect_stats,
-                resilience=resilience,
-            )
-        self.detector = base
-        self._combine = combine
+        self.detector, self.row_cache = self._with_row_cache(base)
         self._version = network.version
         #: Counts completed hot-swaps; 0 for the index the handle was born
         #: with.  The process backend reuses the same counter to tag shm
@@ -141,6 +123,30 @@ class EngineHandle:
         self.warm()
         if subpath_cache_mb > 0:
             self.attach_subpath_cache(subpath_cache_mb)
+
+    def _detector_settings(self) -> dict:
+        """The construction record's :class:`OutlierDetector` keywords."""
+        spec = self._init_spec
+        return {
+            name: spec[name]
+            for name in ("measure", "combine", "collect_stats", "resilience")
+        }
+
+    def _with_row_cache(
+        self, detector: OutlierDetector
+    ) -> "tuple[OutlierDetector, CachingStrategy | None]":
+        """Layer the (locked) LRU row cache in front of ``detector``.
+
+        Re-wraps the already-built strategy: the index is not rebuilt.
+        """
+        rows = self._init_spec["row_cache_rows"]
+        if rows <= 0:
+            return detector, None
+        row_cache = CachingStrategy(detector.strategy, max_rows=rows)
+        cached = OutlierDetector(
+            self.network, strategy=row_cache, **self._detector_settings()
+        )
+        return cached, row_cache
 
     # ------------------------------------------------------------------
     # Warm-up
@@ -185,7 +191,8 @@ class EngineHandle:
         """Execution-semantics identity: two handles with equal fingerprints
         and versions return identical results for the same query."""
         strategy_name = getattr(self.detector.strategy, "name", "custom")
-        return f"{strategy_name}/{self.detector.measure_name}/{self._combine}"
+        combine = self._init_spec["combine"]
+        return f"{strategy_name}/{self.detector.measure_name}/{combine}"
 
     @property
     def measure_name(self) -> str:
@@ -256,20 +263,10 @@ class EngineHandle:
         version = self.network.bump_version()
         replacement = SPMStrategy(self.network, index=index)
         replacement.subpath_cache = self.subpath_cache
-        chain: MaterializationStrategy = replacement
-        row_cache: CachingStrategy | None = None
-        if self._init_spec["row_cache_rows"] > 0:
-            row_cache = CachingStrategy(
-                replacement, max_rows=self._init_spec["row_cache_rows"]
+        detector, row_cache = self._with_row_cache(
+            OutlierDetector(
+                self.network, strategy=replacement, **self._detector_settings()
             )
-            chain = row_cache
-        detector = OutlierDetector(
-            self.network,
-            strategy=chain,
-            measure=self._init_spec["measure"],
-            combine=self._init_spec["combine"],
-            collect_stats=self._init_spec["collect_stats"],
-            resilience=self._init_spec["resilience"],
         )
         # Atomic publish: one attribute write swaps the whole engine.
         self.detector = detector
@@ -403,13 +400,11 @@ class EngineHandle:
             },
             "adjacency": adjacency_entries,
             "index_manifest": index_manifest,
-            "strategy": getattr(concrete, "name", "baseline"),
-            "measure": self._init_spec["measure"],
-            "combine": self._init_spec["combine"],
-            "resilience": self._init_spec["resilience"],
-            "row_cache_rows": self._init_spec["row_cache_rows"],
-            "collect_stats": self._init_spec["collect_stats"],
-            "subpath_cache_mb": self._init_spec["subpath_cache_mb"],
+            # Workers serve the rung the parent settled on, by name.
+            "init": {
+                **self._init_spec,
+                "strategy": getattr(concrete, "name", "baseline"),
+            },
             "num_edges": self.network.num_edges(),
             "version": self.network.version,
             "fingerprint": self.fingerprint,
@@ -418,8 +413,6 @@ class EngineHandle:
         # spawn boundary (an unpicklable custom measure or policy would
         # otherwise kill every worker at start-up with a cryptic error).
         import pickle
-
-        from repro.exceptions import ServiceError
 
         try:
             pickle.dumps(spec)
@@ -459,14 +452,4 @@ class EngineHandle:
         index = None
         if spec["index_manifest"] is not None:
             index = MetaPathIndex.from_arrays(spec["index_manifest"], views)
-        return cls(
-            network,
-            strategy=spec["strategy"],
-            measure=spec["measure"],
-            combine=spec["combine"],
-            index=index,
-            resilience=spec["resilience"],
-            row_cache_rows=spec["row_cache_rows"],
-            collect_stats=spec["collect_stats"],
-            subpath_cache_mb=spec.get("subpath_cache_mb", 0.0),
-        )
+        return cls(network, index=index, **spec["init"])

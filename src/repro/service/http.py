@@ -42,25 +42,31 @@ from repro.exceptions import (
 from repro.service.keys import extract_query_text
 from repro.service.service import QueryService
 
-__all__ = ["ServiceHTTPServer", "make_server"]
+__all__ = [
+    "CountingHTTPServer",
+    "JSONRequestHandler",
+    "ServiceHTTPServer",
+    "make_server",
+]
 
 #: Cap on accepted request bodies; an outlier query is a few hundred bytes,
 #: so anything beyond this is a client error, not a query.
 MAX_BODY_BYTES = 1 << 20
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`QueryService`.
+class CountingHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that counts the requests it has answered.
 
-    ``serve_count`` tracks completed HTTP requests; when ``max_requests``
+    ``served_count`` tracks completed HTTP requests; when ``max_requests``
     is set (smoke tests), the server shuts itself down after that many.
+    The replica frontend below and the router's
+    (:class:`repro.service.router.RouterHTTPServer`) are both this.
     """
 
     daemon_threads = True
 
-    def __init__(self, address, service: QueryService, *, max_requests=None):
-        super().__init__(address, _Handler)
-        self.service = service
+    def __init__(self, address, handler, *, max_requests: int | None = None):
+        super().__init__(address, handler)
         self.max_requests = max_requests
         self.served_count = 0
         self._count_lock = threading.Lock()
@@ -79,21 +85,18 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             threading.Thread(target=self.shutdown, daemon=True).start()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the four endpoints; all bodies are JSON documents."""
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """Plumbing both frontends share: replies, error envelope, body cap."""
 
-    server: ServiceHTTPServer
+    server: CountingHTTPServer
     protocol_version = "HTTP/1.1"
 
-    # -- plumbing --------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Silence per-request stderr logging; /stats is the observability
         surface."""
 
-    def _send_json(self, status: int, payload: dict, *, headers=None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send_raw(self, status: int, body: bytes, *, headers=None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -101,12 +104,51 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self.server.note_request_served()
 
+    def _send_json(self, status: int, payload: dict, *, headers=None) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self._send_raw(
+            status,
+            body,
+            headers={"Content-Type": "application/json", **(headers or {})},
+        )
+
     def _error(self, status: int, error: BaseException, *, headers=None) -> None:
         self._send_json(
             status,
             {"error": {"type": type(error).__name__, "message": str(error)}},
             headers=headers,
         )
+
+    def _not_found(self) -> None:
+        self._send_json(
+            404, {"error": {"type": "NotFound", "message": self.path}}
+        )
+
+    def _read_body(self) -> bytes | None:
+        """The request body — or ``None``, having answered 400, when its
+        declared length is malformed or over :data:`MAX_BODY_BYTES`."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            self._error(400, ValueError("invalid or oversized request body"))
+            return None
+        return self.rfile.read(length)
+
+
+class ServiceHTTPServer(CountingHTTPServer):
+    """A :class:`CountingHTTPServer` bound to one :class:`QueryService`."""
+
+    def __init__(self, address, service: QueryService, *, max_requests=None):
+        super().__init__(address, _Handler, max_requests=max_requests)
+        self.service = service
+
+
+class _Handler(JSONRequestHandler):
+    """Routes the four endpoints; all bodies are JSON documents."""
+
+    server: ServiceHTTPServer
 
     # -- GET -------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -159,26 +201,18 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
         else:
-            self._send_json(
-                404, {"error": {"type": "NotFound", "message": self.path}}
-            )
+            self._not_found()
 
     # -- POST ------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         if self.path != "/query":
-            self._send_json(
-                404, {"error": {"type": "NotFound", "message": self.path}}
-            )
+            self._not_found()
+            return
+        body = self._read_body()
+        if body is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._error(400, ValueError("invalid or oversized request body"))
-            return
-        try:
-            query_text = extract_query_text(self.rfile.read(length))
+            query_text = extract_query_text(body)
         except (json.JSONDecodeError, KeyError, TypeError) as error:
             self._error(400, error)
             return

@@ -45,7 +45,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
 
 from repro import faultinject
@@ -59,6 +58,7 @@ from repro.exceptions import (
     TransientFaultError,
 )
 from repro.service.config import RouterConfig
+from repro.service.http import CountingHTTPServer, JSONRequestHandler
 from repro.service.keys import canonical_query_key, extract_query_text
 
 __all__ = [
@@ -628,20 +628,13 @@ class Router:
 # ----------------------------------------------------------------------
 # HTTP frontend
 # ----------------------------------------------------------------------
-#: Same request-body cap as the replica frontend.
-MAX_BODY_BYTES = 1 << 20
-
-
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(CountingHTTPServer):
     """The router's own HTTP face — same endpoints the replicas speak.
 
     ``POST /query`` routes; ``GET /schema`` proxies (hashed on the path,
     with the same failover); ``/healthz``, ``/stats``, and ``/replicas``
-    answer locally about the fleet.  ``max_requests`` mirrors the replica
-    server's smoke-test self-shutdown.
+    answer locally about the fleet.
     """
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -651,49 +644,15 @@ class RouterHTTPServer(ThreadingHTTPServer):
         supervisor=None,
         max_requests: int | None = None,
     ):
-        super().__init__(address, _RouterHandler)
+        super().__init__(address, _RouterHandler, max_requests=max_requests)
         self.router = router
         self.supervisor = supervisor
-        self.max_requests = max_requests
-        self.served_count = 0
-        self._count_lock = threading.Lock()
-
-    def note_request_served(self) -> None:
-        with self._count_lock:
-            self.served_count += 1
-            limit_hit = (
-                self.max_requests is not None
-                and self.served_count >= self.max_requests
-            )
-        if limit_hit:
-            threading.Thread(target=self.shutdown, daemon=True).start()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONRequestHandler):
     """Thin adapter from HTTP to :class:`Router` calls."""
 
     server: RouterHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Silence per-request stderr logging; /stats is the surface."""
-
-    def _send_json(self, status: int, payload: dict, *, headers=None) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_raw(
-            status,
-            body,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
-
-    def _send_raw(self, status: int, body: bytes, *, headers=None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.note_request_served()
 
     def _send_routed(self, routed: RoutedResponse) -> None:
         headers = dict(routed.headers)
@@ -703,22 +662,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
             headers["X-Repro-Replica"] = routed.replica_id
         self._send_raw(routed.status, routed.body, headers=headers)
 
-    def _forward(self, key: str, method: str, path: str, body=None) -> None:
-        router = self.server.router
+    def _answer(self, route: Callable[[], RoutedResponse]) -> None:
+        """Relay what ``route`` obtains, or a typed 503 when no replica can."""
         try:
-            routed = router.forward(key, method, path, body=body)
+            routed = route()
         except NoReplicasAvailableError as error:
             retry_after = error.retry_after_seconds or 0.1
-            self._send_json(
-                503,
-                {
-                    "error": {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                    }
-                },
-                headers={"Retry-After": f"{retry_after:.3f}"},
-            )
+            self._error(503, error, headers={"Retry-After": f"{retry_after:.3f}"})
             return
         self._send_routed(routed)
 
@@ -753,52 +703,20 @@ class _RouterHandler(BaseHTTPRequestHandler):
         elif self.path == "/schema":
             # Network metadata is replica-independent; hash on the path so
             # repeated calls reuse one replica's connection-warm path.
-            self._forward(self.path, "GET", self.path)
-        else:
-            self._send_json(
-                404, {"error": {"type": "NotFound", "message": self.path}}
+            self._answer(
+                lambda: router.forward(self.path, "GET", self.path)
             )
+        else:
+            self._not_found()
 
     # -- POST ------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         if self.path != "/query":
-            self._send_json(
-                404, {"error": {"type": "NotFound", "message": self.path}}
-            )
+            self._not_found()
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send_json(
-                400,
-                {
-                    "error": {
-                        "type": "ValueError",
-                        "message": "invalid or oversized request body",
-                    }
-                },
-            )
-            return
-        body = self.rfile.read(length)
-        router = self.server.router
-        try:
-            routed = router.route_query(body)
-        except NoReplicasAvailableError as error:
-            retry_after = error.retry_after_seconds or 0.1
-            self._send_json(
-                503,
-                {
-                    "error": {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                    }
-                },
-                headers={"Retry-After": f"{retry_after:.3f}"},
-            )
-            return
-        self._send_routed(routed)
+        body = self._read_body()
+        if body is not None:
+            self._answer(lambda: self.server.router.route_query(body))
 
 
 def make_router_server(

@@ -37,10 +37,13 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.results import OutlierResult
+from repro.engine.index import MetaPathIndex, build_pm_index
 from repro.hin.network import HeterogeneousInformationNetwork
+from repro.hin.storage import MmapArrayStore
 from repro.exceptions import (
     ServiceClosedError,
     ServiceError,
@@ -49,37 +52,15 @@ from repro.exceptions import (
 from repro.query.ast import Query
 from repro.service.admission import AdmissionController
 from repro.service.adaptive import Reindexer, WorkloadRecorder
-from repro.service.backends import ExecutionBackend, make_backend
+from repro.service.backends import ExecutionBackend, _resolve, make_backend
 from repro.service.cache import ResultCache, canonical_query_key
 from repro.service.config import ServiceConfig
 from repro.service.handle import EngineHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.index import MetaPathIndex
     from repro.engine.resilience import ResiliencePolicy
 
 __all__ = ["QueryService"]
-
-
-def _resolve(
-    future: "Future[OutlierResult]",
-    *,
-    result: OutlierResult | None = None,
-    error: BaseException | None = None,
-) -> None:
-    """Resolve a future exactly once; later attempts are no-ops.
-
-    A request can race between a worker finishing it, a non-drain close
-    abandoning it, and a caller cancelling it — whichever resolves first
-    wins; the others must not crash on ``InvalidStateError``.
-    """
-    try:
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
-    except Exception:  # InvalidStateError: the race was lost, result stands
-        pass
 
 
 class QueryService:
@@ -182,9 +163,24 @@ class QueryService:
         ``index`` forwards a prebuilt :class:`~repro.engine.index.MetaPathIndex`
         (e.g. one attached from an out-of-core build via
         :func:`repro.engine.index_io.load_index_mmap`) so the handle serves
-        it instead of rebuilding in RAM.
+        it instead of rebuilding in RAM.  Without one, ``storage="mmap"``
+        with the ``pm`` strategy builds the full index out-of-core, in
+        ``config.index_build_block_rows`` row blocks, and serves it through
+        read-only file-backed views (under ``<storage_dir>/pm-index``, or a
+        private temp dir) — the path that keeps million-vertex networks off
+        the RAM budget entirely.
         """
         config = config if config is not None else ServiceConfig()
+        if index is None and config.storage == "mmap" and strategy == "pm":
+            directory = config.storage_dir
+            index = build_pm_index(
+                network,
+                block_rows=config.index_build_block_rows,
+                max_build_memory_mb=config.max_build_memory_mb,
+                store=MmapArrayStore(
+                    Path(directory) / "pm-index" if directory else None
+                ),
+            )
         handle = EngineHandle(
             network,
             strategy=strategy,

@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG plumbing, timers, sparse helpers."""
 
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.timers import PhaseTimer, Stopwatch
+from repro.utils.timers import PhaseTimer
 from repro.utils.sparsetools import (
     csr_row_nnz,
     csr_storage_bytes,
@@ -19,7 +19,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rng",
     "PhaseTimer",
-    "Stopwatch",
     "csr_row_nnz",
     "csr_storage_bytes",
     "row_vector",

@@ -14,36 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["Stopwatch", "PhaseTimer"]
-
-
-class Stopwatch:
-    """A simple start/stop wall-clock stopwatch based on ``perf_counter``."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-
-    def start(self) -> None:
-        if self._start is not None:
-            raise RuntimeError("Stopwatch already running")
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop and return the elapsed seconds accumulated so far."""
-        if self._start is None:
-            raise RuntimeError("Stopwatch is not running")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @property
-    def running(self) -> bool:
-        return self._start is not None
+__all__ = ["PhaseTimer"]
 
 
 @dataclass

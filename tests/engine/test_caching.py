@@ -181,9 +181,9 @@ class TestCachingStrategy:
         workload = generate_query_set(network, TEMPLATE_Q1, 10, seed=4)
         cached = CachingStrategy(BaselineStrategy(network))
         executor = QueryExecutor(cached)
-        executor.execute_many(list(workload), skip_failures=True)
+        executor.execute_many(list(workload))
         cold_misses = cached.misses
-        executor.execute_many(list(workload), skip_failures=True)
+        executor.execute_many(list(workload))
         assert cached.misses == cold_misses  # second pass is all hits
 
 

@@ -189,7 +189,7 @@ class TestExecuteMany:
             'FIND OUTLIERS FROM author AS A WHERE COUNT(A.paper) > 99 '
             "JUDGED BY author.paper.venue TOP 3;",
         ]
-        results, aggregate = executor.execute_many(queries, skip_failures=True)
+        results, aggregate = executor.execute_many(queries)
         assert len(results) == 1
 
     def test_skip_failures_covers_dead_anchors(self, figure1):
@@ -201,7 +201,7 @@ class TestExecuteMany:
             'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
             "JUDGED BY author.paper.venue TOP 3;",
         ]
-        results, __ = executor.execute_many(queries, skip_failures=True)
+        results, __ = executor.execute_many(queries)
         assert len(results) == 1
 
     def test_skip_failures_does_not_hide_syntax_errors(self, figure1):
@@ -209,7 +209,7 @@ class TestExecuteMany:
 
         executor = QueryExecutor(BaselineStrategy(figure1))
         with pytest.raises(QuerySyntaxError):
-            executor.execute_many(["FIND gibberish"], skip_failures=True)
+            executor.execute_many(["FIND gibberish"])
 
     def test_failures_are_collected_per_query(self, figure1):
         """One failing query no longer aborts the batch: errors come back

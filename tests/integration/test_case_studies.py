@@ -150,6 +150,6 @@ class TestCrossStrategyConsistency:
             if strategy == "spm":
                 kwargs = {"spm_workload": workload, "spm_threshold": 0.05}
             detector = OutlierDetector(network, strategy=strategy, **kwargs)
-            results, __ = detector.detect_many(workload, skip_failures=True)
+            results, __ = detector.detect_many(workload)
             rankings[strategy] = [tuple(r.names()) for r in results]
         assert rankings["baseline"] == rankings["pm"] == rankings["spm"]

@@ -29,8 +29,8 @@ class TestFigure3Shape:
         network = ego_corpus.network
         baseline = OutlierDetector(network, strategy="baseline")
         pm = OutlierDetector(network, strategy="pm")
-        __, baseline_stats = baseline.detect_many(workload, skip_failures=True)
-        __, pm_stats = pm.detect_many(workload, skip_failures=True)
+        __, baseline_stats = baseline.detect_many(workload)
+        __, pm_stats = pm.detect_many(workload)
         assert (
             pm_stats.materialization_seconds
             < baseline_stats.materialization_seconds
@@ -42,8 +42,8 @@ class TestFigure3Shape:
         spm = OutlierDetector(
             network, strategy="spm", spm_workload=workload, spm_threshold=0.01
         )
-        __, baseline_stats = baseline.detect_many(workload, skip_failures=True)
-        __, spm_stats = spm.detect_many(workload, skip_failures=True)
+        __, baseline_stats = baseline.detect_many(workload)
+        __, spm_stats = spm.detect_many(workload)
         assert (
             spm_stats.materialization_seconds
             < baseline_stats.materialization_seconds
@@ -86,7 +86,7 @@ class TestFigure4PhaseShape:
         detector = OutlierDetector(
             network, strategy="spm", spm_workload=workload[:10], spm_threshold=0.2
         )
-        __, stats = detector.detect_many(workload, skip_failures=True)
+        __, stats = detector.detect_many(workload)
         assert stats.indexed_vectors > 0
         assert stats.traversed_vectors > 0
         assert stats.not_indexed_seconds > 0
@@ -102,7 +102,7 @@ class TestFigure4PhaseShape:
         detector = OutlierDetector(
             network, strategy="spm", spm_workload=workload[:10], spm_threshold=0.2
         )
-        __, stats = detector.detect_many(workload, skip_failures=True)
+        __, stats = detector.detect_many(workload)
         assert stats.traversed_vectors > stats.indexed_vectors
         assert stats.not_indexed_seconds > stats.indexed_seconds
 
@@ -113,7 +113,7 @@ class TestAllTemplatesRun:
         network = ego_corpus.network
         queries = generate_query_set(network, template, 10, seed=23)
         detector = OutlierDetector(network, strategy="pm")
-        results, stats = detector.detect_many(queries, skip_failures=True)
+        results, stats = detector.detect_many(queries)
         assert results, f"no query of template {template.name} produced results"
         for result in results:
             assert len(result) <= 10

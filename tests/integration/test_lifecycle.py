@@ -80,12 +80,12 @@ class TestLifecycle:
         detector = OutlierDetector(
             reloaded_net, strategy=SPMStrategy(reloaded_net, index=reloaded_index)
         )
-        results, stats = detector.detect_many(workload, skip_failures=True)
+        results, stats = detector.detect_many(workload)
         assert results
         assert stats.indexed_vectors > 0
 
         baseline = OutlierDetector(network)
-        baseline_results, __ = baseline.detect_many(workload, skip_failures=True)
+        baseline_results, __ = baseline.detect_many(workload)
         assert [r.names() for r in results] == [r.names() for r in baseline_results]
 
     def test_result_export_round_trip(self, original_corpus):

@@ -250,3 +250,39 @@ class TestStats:
         with QueryService(handle, ServiceConfig(workers=1)) as service:
             service.execute(QUERY, timeout=10.0)
             json.dumps(service.stats())
+
+
+class TestMmapTier:
+    def test_from_network_builds_the_pm_index_out_of_core(self, ego_corpus, tmp_path):
+        """``storage="mmap"`` is a tier of the library, not of the CLI: the
+        served PM index lives in file-backed views (built in
+        ``index_build_block_rows`` blocks under ``storage_dir``) and scores
+        exactly as the in-RAM build does."""
+        from repro.hin.storage import is_store_backed
+
+        query = (
+            'FIND OUTLIERS FROM author{"Prof. Hub"}.paper.author '
+            "JUDGED BY author.paper.venue, author.paper.term TOP 10;"
+        )
+        network = ego_corpus.network
+        with QueryService.from_network(network, ServiceConfig(workers=1)) as ram:
+            expected = ram.execute(query).to_dict()
+            ram_index = ram.handle._concrete_strategy().index
+            assert not any(
+                is_store_backed(ram_index.full_matrix(path)) for path in ram_index.paths
+            )
+        config = ServiceConfig(
+            workers=1,
+            storage="mmap",
+            storage_dir=str(tmp_path),
+            index_build_block_rows=7,
+        )
+        mmap_network = network.copy_with_storage("mmap")
+        with QueryService.from_network(mmap_network, config) as service:
+            index = service.handle._concrete_strategy().index
+            assert index.paths
+            assert all(
+                is_store_backed(index.full_matrix(path)) for path in index.paths
+            )
+            assert (tmp_path / "pm-index").is_dir()
+            assert service.execute(query).to_dict() == expected

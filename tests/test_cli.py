@@ -234,6 +234,27 @@ class TestServe:
         assert "served 3 requests; shut down cleanly" in out.getvalue()
 
 
+    def test_negative_cache_ttl_is_refused_and_zero_turns_the_cache_off(
+        self, corpus_path
+    ):
+        """`--cache-ttl -5` used to mean "a cache that never expires"."""
+        from repro.cli import _service_config, build_parser
+
+        for command in ("serve", "route"):
+            code, output = run([command, "--network", corpus_path, "--cache-ttl", "-5"])
+            assert code == 1
+            assert "error: cache_ttl_seconds must be >= 0, got -5.0" in output
+
+        def config(*flags):
+            argv = ["serve", "--network", corpus_path, *flags]
+            return _service_config(build_parser().parse_args(argv))
+
+        off = config("--cache-ttl", "0")
+        assert (off.cache_ttl_seconds, off.cache_max_entries) == (None, 0)
+        on = config("--cache-ttl", "5")
+        assert (on.cache_ttl_seconds, on.cache_max_entries) == (5.0, 1024)
+
+
 class TestZoo:
     def test_quick_grid_with_report(self, tmp_path):
         import json

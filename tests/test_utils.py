@@ -14,7 +14,7 @@ from repro.utils.sparsetools import (
     row_vector,
     sparse_row_bytes,
 )
-from repro.utils.timers import PhaseTimer, Stopwatch
+from repro.utils.timers import PhaseTimer
 from repro.utils.validation import (
     require,
     require_positive,
@@ -46,33 +46,6 @@ class TestRng:
     def test_spawn_rng_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rng(ensure_rng(0), -1)
-
-
-class TestStopwatch:
-    def test_start_stop_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.005
-        assert not watch.running
-
-    def test_double_start_rejected(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
 
 
 class TestPhaseTimer:
