@@ -167,7 +167,7 @@ class QueryAdvisor:
                 result = self._executor.execute(variant)
             except ExecutionError:
                 continue
-            scores = np.fromiter(result.scores.values(), dtype=float)
+            scores = result.omega
             if not scores.any():
                 continue
             suggestions.append(

@@ -202,7 +202,7 @@ class OutlierDetector:
         candidate_ast = parse_set_expression(candidates)
         member_type_of(self.network.schema, candidate_ast)  # validate
         member_type, candidate_indices = evaluator.evaluate(candidate_ast)
-        if not candidate_indices:
+        if not candidate_indices.size:
             raise ExecutionError("the candidate set is empty")
         if reference is not None:
             reference_ast = parse_set_expression(reference)
@@ -212,14 +212,14 @@ class OutlierDetector:
                     "candidate and reference sets must share a member type: "
                     f"{member_type!r} vs {reference_type!r}"
                 )
-            if not reference_indices:
+            if not reference_indices.size:
                 raise ExecutionError("the reference set is empty")
         else:
-            reference_indices = list(candidate_indices)
+            reference_indices = candidate_indices
 
         def rows_for(indices):
             if callable(features):
-                matrix = features(self.network, member_type, indices)
+                matrix = features(self.network, member_type, indices.tolist())
             else:
                 full = features
                 matrix = (
@@ -241,21 +241,17 @@ class OutlierDetector:
             return matrix
 
         phi_candidates = rows_for(candidate_indices)
-        if reference_indices == candidate_indices:
+        if reference_indices is candidate_indices:
             phi_reference = phi_candidates
         else:
             phi_reference = rows_for(reference_indices)
         scores = self._executor.measure.score(phi_candidates, phi_reference)
 
-        names = self.network.vertex_names(member_type)
-        score_map = {
-            VertexId(member_type, index): float(score)
-            for index, score in zip(candidate_indices, scores)
-        }
-        name_map = {vertex: names[vertex.index] for vertex in score_map}
-        return OutlierResult.from_scores(
-            score_map,
-            name_map,
+        return OutlierResult.from_columns(
+            member_type,
+            candidate_indices,
+            scores,
+            self.network.vertex_names(member_type),
             top_k=top_k,
             reference_count=len(reference_indices),
             measure=self._executor.measure.name,

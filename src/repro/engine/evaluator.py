@@ -1,7 +1,7 @@
 """Evaluation of set expressions into concrete vertex sets.
 
 The evaluator turns the FROM / COMPARED TO expressions of a validated query
-into sorted vertex-index lists.  Anchored chains and WHERE walks are
+into sorted vertex-index arrays.  Anchored chains and WHERE walks are
 materialized through the active
 :class:`~repro.engine.strategies.MaterializationStrategy`, so set retrieval
 benefits from PM/SPM indexing exactly as Section 6.2 describes ("multiple
@@ -37,13 +37,21 @@ from repro.query.ast import (
 
 __all__ = ["SetEvaluator"]
 
-_COMPARATORS: dict[str, Callable[[float, float], bool]] = {
+#: Each applies elementwise to a value vector (and to one attribute value).
+_COMPARATORS: dict[str, Callable] = {
     ">": operator.gt,
     ">=": operator.ge,
     "<": operator.lt,
     "<=": operator.le,
     "=": operator.eq,
     "!=": operator.ne,
+}
+
+#: On sorted unique arrays each returns a sorted unique array.
+_SET_OPERATORS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "UNION": np.union1d,
+    "INTERSECT": np.intersect1d,
+    "EXCEPT": np.setdiff1d,
 }
 
 
@@ -70,8 +78,9 @@ class SetEvaluator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def evaluate(self, expression: SetExpression) -> tuple[str, list[int]]:
-        """Evaluate ``expression`` to ``(member_type, sorted vertex indices)``.
+    def evaluate(self, expression: SetExpression) -> tuple[str, np.ndarray]:
+        """Evaluate ``expression`` to ``(member_type, vertex indices)``: a
+        strictly increasing ``int64`` array.
 
         Raises
         ------
@@ -92,30 +101,32 @@ class SetEvaluator:
         if isinstance(expression, FilteredSet):
             member_type, members = self.evaluate(expression.base)
             if expression.where is not None:
-                members = self._filter(members, member_type, expression.where)
+                members = members[
+                    self._condition_mask(members, member_type, expression.where)
+                ]
             return member_type, members
         raise ExecutionError(f"unknown set expression node {expression!r}")
 
     # ------------------------------------------------------------------
     # Chains
     # ------------------------------------------------------------------
-    def _evaluate_chain(self, chain: Chain) -> tuple[str, list[int]]:
+    def _evaluate_chain(self, chain: Chain) -> tuple[str, np.ndarray]:
         member_type = chain.member_type
         if chain.anchor is not None:
             anchor = self.network.find_vertex(chain.types[0], chain.anchor)
             if len(chain.types) == 1:
-                members = [anchor.index]
+                members = np.array([anchor.index], dtype=np.int64)
             else:
                 path = MetaPath(chain.types)
                 row = self.strategy.neighbor_row(path, anchor.index, self.stats)
-                members = sorted(int(j) for j in row.indices)
+                members = np.sort(row.indices.astype(np.int64))
         else:
             members = self._evaluate_unanchored(chain.types)
         if chain.where is not None:
-            members = self._filter(members, member_type, chain.where)
+            members = members[self._condition_mask(members, member_type, chain.where)]
         return member_type, members
 
-    def _evaluate_unanchored(self, types: tuple[str, ...]) -> list[int]:
+    def _evaluate_unanchored(self, types: tuple[str, ...]) -> np.ndarray:
         """Members reachable along ``types`` from *any* start vertex.
 
         A bare type selects every vertex of that type; a longer chain keeps
@@ -125,16 +136,16 @@ class SetEvaluator:
         """
         first_count = self.network.num_vertices(types[0])
         if len(types) == 1:
-            return list(range(first_count))
+            return np.arange(first_count, dtype=np.int64)
         frontier = sparse.csr_matrix(np.ones((1, first_count)))
         for left, right in zip(types, types[1:]):
             frontier = frontier @ self.network.adjacency(left, right)
-        return sorted(int(j) for j in frontier.tocsr().indices)
+        return np.sort(frontier.tocsr().indices.astype(np.int64))
 
     # ------------------------------------------------------------------
     # Set operations
     # ------------------------------------------------------------------
-    def _evaluate_operation(self, operation: SetOperation) -> tuple[str, list[int]]:
+    def _evaluate_operation(self, operation: SetOperation) -> tuple[str, np.ndarray]:
         left_type, left_members = self.evaluate(operation.left)
         right_type, right_members = self.evaluate(operation.right)
         if left_type != right_type:
@@ -142,32 +153,17 @@ class SetEvaluator:
                 f"{operation.operator} operands have different member types: "
                 f"{left_type!r} vs {right_type!r}"
             )
-        left_set, right_set = set(left_members), set(right_members)
-        if operation.operator == "UNION":
-            combined = left_set | right_set
-        elif operation.operator == "INTERSECT":
-            combined = left_set & right_set
-        elif operation.operator == "EXCEPT":
-            combined = left_set - right_set
-        else:  # pragma: no cover - parser restricts operators
+        combine = _SET_OPERATORS.get(operation.operator)
+        if combine is None:  # pragma: no cover - parser restricts operators
             raise ExecutionError(f"unknown set operator {operation.operator!r}")
-        return left_type, sorted(combined)
+        return left_type, combine(left_members, right_members)
 
     # ------------------------------------------------------------------
     # WHERE filters
     # ------------------------------------------------------------------
-    def _filter(
-        self,
-        members: list[int],
-        member_type: str,
-        condition: Condition,
-    ) -> list[int]:
-        mask = self._condition_mask(members, member_type, condition)
-        return [member for member, keep in zip(members, mask) if keep]
-
     def _condition_mask(
         self,
-        members: list[int],
+        members: np.ndarray,
         member_type: str,
         condition: Condition,
     ) -> np.ndarray:
@@ -185,7 +181,7 @@ class SetEvaluator:
 
     def _comparison_mask(
         self,
-        members: list[int],
+        members: np.ndarray,
         member_type: str,
         comparison: Comparison,
     ) -> np.ndarray:
@@ -200,15 +196,11 @@ class SetEvaluator:
             values = np.diff(block.indptr).astype(float)
         else:  # PATHS: total instance count, ‖φ‖₁.
             values = np.asarray(block.sum(axis=1)).ravel().astype(float)
-        return np.fromiter(
-            (compare(value, comparison.value) for value in values),
-            dtype=bool,
-            count=len(members),
-        )
+        return compare(values, comparison.value)
 
     def _attribute_mask(
         self,
-        members: list[int],
+        members: np.ndarray,
         member_type: str,
         comparison: AttributeComparison,
     ) -> np.ndarray:
@@ -222,7 +214,8 @@ class SetEvaluator:
             raise ExecutionError(f"unknown comparison operator {comparison.operator!r}")
         expect_string = isinstance(comparison.value, str)
         mask = np.zeros(len(members), dtype=bool)
-        for position, member in enumerate(members):
+        # The one per-member loop left: attributes are per-vertex Python dicts.
+        for position, member in enumerate(members.tolist()):
             vertex = self.network.vertex(VertexId(member_type, member))
             value = vertex.attributes.get(comparison.attribute)
             if value is None:

@@ -29,7 +29,6 @@ from repro.exceptions import (
     QueryError,
     ReproError,
 )
-from repro.hin.network import VertexId
 from repro.metapath.metapath import WeightedMetaPath
 from repro.query.ast import Query
 from repro.query.parser import parse_query
@@ -164,26 +163,16 @@ class QueryExecutor:
             if ast.reference is not None:
                 _, reference = evaluator.evaluate(ast.reference)
             else:
-                reference = list(candidates)
-            if not candidates:
+                reference = candidates
+            if not candidates.size:
                 raise ExecutionError("the candidate set is empty")
-            if not reference:
+            if not reference.size:
                 raise ExecutionError("the reference set is empty")
 
             scores, per_feature, partial_reason = self._score(
                 validated, candidates, reference, stats
             )
 
-        names = self.network.vertex_names(member_type)
-        vertex_ids = [VertexId(member_type, index) for index in candidates]
-        score_map = dict(zip(vertex_ids, scores.tolist()))
-        name_map = dict(zip(vertex_ids, [names[index] for index in candidates]))
-        feature_scores = None
-        if per_feature is not None:
-            feature_scores = {
-                path_text: dict(zip(vertex_ids, values.tolist()))
-                for path_text, values in per_feature.items()
-            }
         if stats is not None:
             stats.wall_seconds = time.perf_counter() - started
         degradation_reason = self._degradation_reason(partial_reason)
@@ -192,14 +181,16 @@ class QueryExecutor:
                 DegradedResultWarning(f"degraded result: {degradation_reason}"),
                 stacklevel=2,
             )
-        return OutlierResult.from_scores(
-            score_map,
-            name_map,
+        return OutlierResult.from_columns(
+            member_type,
+            candidates,
+            scores,
+            self.network.vertex_names(member_type),
             top_k=ast.top_k,
             reference_count=len(reference),
             measure=self.measure.name,
             stats=stats,
-            feature_scores=feature_scores,
+            feature_omega=per_feature,
             degraded=degradation_reason is not None,
             degradation_reason=degradation_reason,
         )
@@ -220,8 +211,8 @@ class QueryExecutor:
     def _score(
         self,
         validated: ValidatedQuery,
-        candidates: list[int],
-        reference: list[int],
+        candidates: np.ndarray,
+        reference: np.ndarray,
         stats: ExecutionStats | None,
     ) -> tuple[np.ndarray, dict[str, np.ndarray] | None, str | None]:
         """Combine Ω across the query's feature meta-paths (see ``combine``).
@@ -281,8 +272,8 @@ class QueryExecutor:
     def _score_combined_connectivity(
         self,
         validated: ValidatedQuery,
-        candidates: list[int],
-        reference: list[int],
+        candidates: np.ndarray,
+        reference: np.ndarray,
         stats: ExecutionStats | None,
     ) -> np.ndarray:
         """Score once over √weight-scaled, concatenated neighbor vectors.
@@ -299,7 +290,7 @@ class QueryExecutor:
                 feature.path, candidates, stats
             )
             candidate_blocks.append(phi_candidates * scale)
-            if reference == candidates:
+            if reference is candidates:  # no COMPARED TO
                 reference_blocks.append(candidate_blocks[-1])
             else:
                 phi_reference = self.strategy.neighbor_matrix(
@@ -316,8 +307,8 @@ class QueryExecutor:
     def _score_single_path(
         self,
         feature: WeightedMetaPath,
-        candidates: list[int],
-        reference: list[int],
+        candidates: np.ndarray,
+        reference: np.ndarray,
         stats: ExecutionStats | None,
     ) -> np.ndarray:
         path = feature.path
@@ -330,7 +321,7 @@ class QueryExecutor:
                 len(reference),
             )
         phi_candidates = self.strategy.neighbor_matrix(path, candidates, stats)
-        if reference == candidates:
+        if reference is candidates:  # no COMPARED TO
             phi_reference: sparse.csr_matrix = phi_candidates
         else:
             phi_reference = self.strategy.neighbor_matrix(path, reference, stats)

@@ -64,7 +64,7 @@ class WorkloadAnalyzer:
             member_type, members = self._evaluator.evaluate(ast.candidates)
         except VertexNotFoundError:
             return
-        for member in members:
+        for member in members.tolist():
             self._occurrences[VertexId(member_type, member)] += 1
 
     def analyze_many(self, queries: Iterable[str | Query]) -> None:

@@ -154,17 +154,17 @@ class ProgressiveQueryExecutor:
         if ast.reference is not None:
             __, reference = evaluator.evaluate(ast.reference)
         else:
-            reference = list(candidates)
-        if not candidates:
+            reference = candidates
+        if not candidates.size:
             raise ExecutionError("the candidate set is empty")
-        if not reference:
+        if not reference.size:
             raise ExecutionError("the reference set is empty")
 
         phi_candidates = self.strategy.neighbor_matrix(feature.path, candidates)
-        order = list(np.array(reference)[self._rng.permutation(len(reference))])
+        order = reference[self._rng.permutation(len(reference))]
         total = len(order)
         count = len(candidates)
-        vertex_ids = [VertexId(member_type, index) for index in candidates]
+        vertex_ids = [VertexId(member_type, index) for index in candidates.tolist()]
 
         running_sum = np.zeros(count)
         running_sumsq = np.zeros(count)

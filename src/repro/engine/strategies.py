@@ -233,7 +233,7 @@ class MaterializationStrategy(abc.ABC):
 
     def _checked_indices(self, path, vertex_indices) -> np.ndarray:
         """``vertex_indices`` as int64, all within ``path.source``'s range."""
-        indices = np.asarray(list(vertex_indices), dtype=np.int64)
+        indices = np.asarray(vertex_indices, dtype=np.int64)
         if indices.size:
             low, high = int(indices.min()), int(indices.max())
             if low < 0 or high >= self.network.num_vertices(path.source):

@@ -50,7 +50,7 @@ def render_html_report(
     query_text: str | None = None,
 ) -> str:
     """Render ``result`` as a standalone HTML document (returned as text)."""
-    scores = np.fromiter(result.scores.values(), dtype=float)
+    scores = result.omega
     peak = float(scores.max()) if scores.size and scores.max() > 0 else 1.0
 
     parts: list[str] = [

@@ -19,8 +19,9 @@ the actual *execution* of an admitted query to an
 
 Both backends speak the same tiny contract — ``submit(canonical_text) ->
 Future[OutlierResult]`` — and produce byte-identical
-``OutlierResult.to_dict()`` payloads: the process backend moves results
-through exactly the lossless wire form the HTTP frontend already uses.
+``OutlierResult.to_dict()`` payloads: the process backend pickles a result
+as its columns and ranked records (no ``stats``), exactly what the lossless
+wire form the HTTP frontend uses is encoded from.
 """
 
 from __future__ import annotations
@@ -339,7 +340,8 @@ def _service_worker_main(
                 ("error", worker_id, task_id, type(error).__name__, str(error), extras)
             )
         else:
-            result_connection.send(("result", worker_id, task_id, result.to_dict()))
+            # Pickled as columns plus the k ranked records (``__getstate__``).
+            result_connection.send(("result", worker_id, task_id, result))
     mapping.close()
 
 
@@ -627,7 +629,7 @@ class ProcessBackend(ExecutionBackend):
             else:
                 slot.failed += 1
         if kind == "result":
-            _resolve(task.future, result=OutlierResult.from_dict(message[3]))
+            _resolve(task.future, result=message[3])
         else:
             _resolve(
                 task.future, error=_rebuild_error(message[3], message[4], message[5])

@@ -67,7 +67,7 @@ def histogram(values, *, bins: int = 10, width: int = 40) -> str:
 
 def score_distribution(result: OutlierResult, *, bins: int = 12, width: int = 36) -> str:
     """Histogram of candidate Ω scores with the top-k outliers marked."""
-    scores = np.fromiter(result.scores.values(), dtype=float)
+    scores = result.omega
     if scores.size == 0:
         return "(no candidates)"
     outlier_scores = {entry.score for entry in result.outliers}

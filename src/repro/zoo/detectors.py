@@ -35,7 +35,7 @@ from repro.baselines.ppr import personalized_pagerank
 from repro.baselines.simrank import simrank_scores
 from repro.engine.detector import OutlierDetector
 from repro.exceptions import MeasureError
-from repro.hin.network import HeterogeneousInformationNetwork, VertexId
+from repro.hin.network import HeterogeneousInformationNetwork
 from repro.zoo.contract import Detector, ZooQuery, candidate_features
 
 __all__ = [
@@ -72,16 +72,18 @@ class NetOutDetector(Detector):
             f"TOP {len(query.candidate_indices)};"
         )
         result = self._engine.detect(text)
-        scores = np.empty(len(query.candidate_indices), dtype=np.float64)
-        for position, index in enumerate(query.candidate_indices):
-            omega = result.scores.get(VertexId(query.member_type, index))
-            if omega is None:
-                raise MeasureError(
-                    f"engine result is missing candidate index {index} of "
-                    f"type {query.member_type!r}"
-                )
-            scores[position] = -omega
-        return scores
+        # The engine's candidate column is strictly increasing.
+        wanted = np.asarray(query.candidate_indices, dtype=np.int64)
+        rows = np.searchsorted(result.indices, wanted).clip(
+            max=result.indices.size - 1
+        )
+        missing = result.indices[rows] != wanted
+        if missing.any():
+            raise MeasureError(
+                f"engine result is missing candidate index "
+                f"{int(wanted[missing][0])} of type {query.member_type!r}"
+            )
+        return -result.omega[rows]
 
 
 class LOFDetector(Detector):

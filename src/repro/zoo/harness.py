@@ -100,14 +100,15 @@ def _evaluate_candidates(
     evaluator = SetEvaluator(strategy)
     ast = parse_set_expression(instance.candidates_expr)
     member_type, indices = evaluator.evaluate(ast)
-    if not indices:
+    if not indices.size:
         raise MeasureError(
             f"scenario {instance.name!r} produced an empty candidate set"
         )
+    indices = tuple(indices.tolist())
     names = tuple(
         instance.network.vertex_names(member_type)[index] for index in indices
     )
-    return member_type, tuple(indices), names
+    return member_type, indices, names
 
 
 def _scenario_entry(

@@ -98,9 +98,7 @@ class TestOutlierResult:
         assert "B" in table and "A" not in table
 
     def test_to_table_empty(self):
-        result = OutlierResult(
-            outliers=[], scores={}, candidate_count=0, reference_count=0
-        )
+        result = OutlierResult.from_scores({}, {}, top_k=1, reference_count=0)
         assert result.to_table() == "(no outliers)"
 
     def test_scored_vertex_fields(self):

@@ -3,12 +3,15 @@
 The HTTP frontend ships results as JSON, so the wire form must be lossless
 for everything that *is* the answer: scores, ranks, names, degradation
 flags, and the per-feature breakdown.  Hypothesis drives the whole shape
-space — arbitrary score maps, optional feature scores, degraded results —
-through an actual JSON round-trip.
+space a producer can emit — score maps over candidates of one vertex type,
+optional feature scores covering every candidate, degraded results —
+through an actual JSON round-trip.  What no producer emits (mixed member
+types, a feature map missing a candidate) is rejected, pinned at the bottom.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,14 +19,22 @@ from repro.core.results import OutlierResult, ScoredVertex
 from repro.hin.network import VertexId
 
 vertex_types = st.sampled_from(["author", "paper", "venue", "term"])
-vertex_ids = st.builds(
-    VertexId, type=vertex_types, index=st.integers(min_value=0, max_value=50)
-)
 finite_scores = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 names = st.text(min_size=1, max_size=12)
-score_maps = st.dictionaries(vertex_ids, finite_scores, min_size=1, max_size=12)
+score_maps = vertex_types.flatmap(
+    lambda member_type: st.dictionaries(
+        st.builds(
+            VertexId,
+            type=st.just(member_type),
+            index=st.integers(min_value=0, max_value=50),
+        ),
+        finite_scores,
+        min_size=1,
+        max_size=12,
+    )
+)
 path_texts = st.sampled_from(
     ["author.paper.venue", "author.paper.term", "author.paper.author"]
 )
@@ -41,9 +52,7 @@ def results(draw):
             st.none(),
             st.dictionaries(
                 path_texts,
-                st.fixed_dictionaries(
-                    {}, optional={vertex: finite_scores for vertex in scores}
-                ),
+                st.fixed_dictionaries({vertex: finite_scores for vertex in scores}),
                 min_size=1,
                 max_size=3,
             ),
@@ -102,3 +111,34 @@ class TestRoundTrip:
         payload = result.to_dict()
         assert "stats" not in payload
         assert OutlierResult.from_dict(payload).stats is None
+
+
+class TestContract:
+    """One member type per result; every feature column covers every candidate."""
+
+    SCORES = {VertexId("author", 0): 1.0, VertexId("author", 1): 2.0}
+    NAMES = {VertexId("author", 0): "A", VertexId("author", 1): "B"}
+
+    def test_mixed_member_types_rejected(self):
+        scores = {VertexId("author", 0): 1.0, VertexId("venue", 0): 2.0}
+        names = {vertex: "x" for vertex in scores}
+        with pytest.raises(ValueError, match="one vertex type"):
+            OutlierResult.from_scores(scores, names, top_k=1, reference_count=2)
+
+    def test_ragged_feature_map_rejected(self):
+        with pytest.raises(ValueError, match="do not cover"):
+            OutlierResult.from_scores(
+                self.SCORES,
+                self.NAMES,
+                top_k=1,
+                reference_count=2,
+                feature_scores={"author.paper.venue": {VertexId("author", 0): 1.0}},
+            )
+
+    def test_mixed_payload_rejected(self):
+        payload = OutlierResult.from_scores(
+            self.SCORES, self.NAMES, top_k=1, reference_count=2
+        ).to_dict()
+        payload["scores"][1][0] = "venue"
+        with pytest.raises(ValueError, match="one vertex type"):
+            OutlierResult.from_dict(payload)

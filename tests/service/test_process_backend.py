@@ -50,6 +50,9 @@ QUERY_GRID = [
     "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP 5;",
     "FIND OUTLIERS FROM venue JUDGED BY venue.paper.author TOP 2;",
     "FIND OUTLIERS FROM author JUDGED BY author.paper.term TOP 4;",
+    # Multi-feature: the result pipe carries per-feature columns too.
+    "FIND OUTLIERS FROM author "
+    "JUDGED BY author.paper.venue : 2.0, author.paper.author TOP 3;",
 ]
 
 
@@ -92,6 +95,40 @@ class TestByteEquality:
                 results = service.execute_many(QUERY_GRID, timeout=60.0)
             payloads[backend] = _wire(results)
         assert payloads["thread"] == payloads["process"]
+
+    def test_pipe_payload_round_trips_without_a_worker(self):
+        """What a worker sends is the pickled result: columns, ranked
+        records and flags survive; ``stats`` stays behind; the columns come
+        back read-only."""
+        import pickle
+
+        import numpy as np
+
+        from repro.core.results import OutlierResult
+        from repro.engine.stats import ExecutionStats
+
+        sent = OutlierResult.from_columns(
+            "author",
+            [3, 5, 8],
+            [2.0, 0.5, 0.5],
+            {3: "Cy", 5: "Bob", 8: "Ann"},
+            top_k=2,
+            reference_count=7,
+            stats=ExecutionStats(),
+            feature_omega={"author.paper.venue": [1.0, 0.25, 0.75]},
+            degraded=True,
+            degradation_reason="pm: build failed",
+        )
+        received = pickle.loads(pickle.dumps(sent))
+        assert _wire([received]) == _wire([sent])
+        assert received.degraded is True
+        assert received.degradation_reason == "pm: build failed"
+        assert received.outliers == sent.outliers
+        assert received.names() == ["Ann", "Bob"]
+        assert received.stats is None
+        columns = (received.indices, received.omega, *received.feature_omega.values())
+        for column in columns:
+            assert isinstance(column, np.ndarray) and not column.flags.writeable
 
     def test_typed_errors_cross_the_process_boundary(self, figure1):
         """A worker-side failure comes back as the same exception type the

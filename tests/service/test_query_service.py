@@ -102,6 +102,26 @@ class TestResultCacheIntegration:
             assert future.result() is first
             assert service.cache.hits == 1
 
+    def test_a_hit_cannot_be_edited_into_the_next_clients_answer(self, handle):
+        """Regression: a hit hands out the cached object itself.  With dict
+        score maps ``first.scores[v] = -1.0`` became every later client's
+        HTTP answer until the TTL expired; the columns the wire is encoded
+        from, and the mapping views over them, are read-only now."""
+        import json
+
+        with QueryService(handle, ServiceConfig(workers=2)) as service:
+            first = service.execute(QUERY, timeout=10.0)
+            original = json.dumps(first.to_dict())
+            vertex = first.outliers[0].vertex
+            with pytest.raises(TypeError):
+                first.scores[vertex] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                first.omega[:] = -1.0
+            second = service.execute(QUERY, timeout=10.0)
+            assert second is first and service.cache.hits == 1
+            assert json.dumps(second.to_dict()) == original
+            assert -1.0 not in second.scores.values()
+
     def test_textual_variant_hits_the_same_entry(self, handle):
         sloppy = (
             "find  outliers from author{\"Zoe\"} . paper . author\n"

@@ -66,9 +66,7 @@ class TestScoreDistribution:
     def test_empty_result(self):
         from repro.core.results import OutlierResult
 
-        empty = OutlierResult(
-            outliers=[], scores={}, candidate_count=0, reference_count=0
-        )
+        empty = OutlierResult.from_scores({}, {}, top_k=1, reference_count=0)
         assert score_distribution(empty) == "(no candidates)"
 
 
