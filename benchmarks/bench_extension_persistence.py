@@ -68,7 +68,7 @@ def test_persistence_report(benchmark, bench_network, pm_index, tmp_path_factory
         "",
         f"in-memory index size : {pm_index.size_bytes() / 1e6:8.2f} MB "
         "(CSR accounting)",
-        f"on-disk size         : {disk_bytes / 1e6:8.2f} MB (npz, compressed)",
+        f"on-disk size         : {disk_bytes / 1e6:8.2f} MB (raw array store)",
         f"save time            : {save_seconds * 1e3:8.1f} ms",
         f"load time            : {load_seconds * 1e3:8.1f} ms",
         "",

@@ -8,7 +8,7 @@ large-graph tier end to end:
    ≥1M-vertex synthetic network straight onto ``storage="mmap"``, build
    the full PM index **out-of-core** in bounded row blocks
    (:func:`~repro.engine.index.build_pm_index` with ``block_rows``), reload it
-   zero-copy via :func:`~repro.engine.index_io.load_index_mmap`, and run
+   zero-copy via :func:`~repro.engine.index_io.load_index`, and run
    warm queries — sampling resident set size throughout.  The headline
    numbers: peak RSS during the whole mmap leg versus the in-RAM footprint
    the same network + index would occupy (both reported, bound asserted).
@@ -45,7 +45,7 @@ from repro.datagen.synthetic import (
 )
 from repro.engine.detector import OutlierDetector
 from repro.engine.index import build_pm_index, build_spm_index
-from repro.engine.index_io import load_index_mmap
+from repro.engine.index_io import load_index
 from repro.hin.network import VertexId
 from repro.hin.storage import MmapArrayStore, is_store_backed
 from repro.utils.sparsetools import csr_storage_bytes
@@ -192,7 +192,7 @@ def test_outofcore_scale(report, json_report):
                 network, block_rows=BLOCK_ROWS, store=MmapArrayStore(store_dir)
             )
             build_seconds = time.perf_counter() - t0
-            index = load_index_mmap(store_dir)
+            index = load_index(store_dir)
             detector = OutlierDetector(network, strategy="pm", index=index)
             warm_ms, _ = _warm_latencies(detector, queries)
         mmap_scores = _scores_of(detector, queries)

@@ -20,9 +20,15 @@ asserts:
   hot-swap (adaptation must never change answers),
 * the server drains cleanly on SIGTERM (exit code 0).
 
+With ``--storage mmap`` the server keeps adjacency, index and (on the
+process backend) its worker segments in file-backed array stores under a
+``--storage-dir``; after shutdown that directory must hold nothing but the
+published ``pm-index/`` — no worker store, no uncommitted array file.
+
 Run from the repository root::
 
     PYTHONPATH=src python scripts/serve_smoke.py [--backend thread|process]
+                                                 [--storage ram|mmap]
                                                  [--adaptive]
 
 ``--backend`` selects the service's execution backend (CI runs the smoke
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import os
 import re
 import signal
 import subprocess
@@ -75,6 +82,12 @@ def main() -> int:
         help="execution backend for the served QueryService",
     )
     parser.add_argument(
+        "--storage",
+        choices=("ram", "mmap"),
+        default="ram",
+        help="array tier of the served network and index",
+    )
+    parser.add_argument(
         "--adaptive",
         action="store_true",
         help="serve with the workload-adaptive re-indexer and assert a "
@@ -97,6 +110,9 @@ def main() -> int:
                    "--backend", args.backend,
                    "--workers", "4",
                    "--queue-depth", "64"]
+        storage_dir = Path(tmp) / "storage"
+        if args.storage == "mmap":
+            command += ["--storage", "mmap", "--storage-dir", str(storage_dir)]
         if args.adaptive:
             # SPM + a tight re-index loop; shutdown comes via SIGTERM once
             # the swap has been observed, not via a request budget.
@@ -204,6 +220,11 @@ def main() -> int:
                     failures.append(f"cache never warmed: {hit_rates}")
             if server.returncode != 0:
                 failures.append(f"server exit code {server.returncode}")
+            if args.storage == "mmap":
+                # pm-index/ is the one published store (absent for spm).
+                left = set(os.listdir(storage_dir)) - {"pm-index"}
+                if left:
+                    failures.append(f"storage dir not cleaned up: {sorted(left)}")
             if failures:
                 for failure in failures:
                     print(f"FAIL: {failure}")

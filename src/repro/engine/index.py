@@ -227,18 +227,18 @@ class MetaPathIndex:
         return list(self._full) + list(self._partial)
 
     # ------------------------------------------------------------------
-    # Flat-buffer export / attach (shared-memory transport)
+    # Flat-buffer export / attach (shared memory, array stores)
     # ------------------------------------------------------------------
     def export_arrays(self) -> tuple[dict, dict[str, "np.ndarray"]]:
         """Flatten the index into a manifest plus named numpy arrays.
 
         The manifest (plain dicts/lists, picklable) records each stored
-        matrix's meta-path, kind, and shape; the arrays map carries every
-        CSR buffer (``data``/``indices``/``indptr`` per matrix, plus the
-        covered-vertex array for partial stores).  Together they are the
-        wire form the process-parallel service places in
-        ``multiprocessing.shared_memory`` — see :meth:`from_arrays` for the
-        zero-copy reattach and :mod:`repro.service.shm` for the transport.
+        matrix's meta-path, kind, shape and array-name prefix; the arrays
+        map carries every CSR buffer (``data``/``indices``/``indptr`` per
+        matrix, plus the covered-vertex array for partial stores).  Together
+        they are what the process-parallel service places in shared memory
+        or an array store, and what :mod:`repro.engine.index_io` saves — see
+        :meth:`from_arrays` for the zero-copy reattach.
         """
         entries: list[dict] = []
         arrays: dict[str, np.ndarray] = {}
@@ -252,7 +252,14 @@ class MetaPathIndex:
             arrays[f"{prefix}:data"] = matrix.data
             arrays[f"{prefix}:indices"] = matrix.indices
             arrays[f"{prefix}:indptr"] = matrix.indptr
-            entries.append(_manifest_entry(kind, path, matrix, prefix))
+            entries.append(
+                {
+                    "kind": kind,
+                    "types": list(path.types),
+                    "shape": [int(s) for s in matrix.shape],
+                    "prefix": prefix,
+                }
+            )
             return prefix
 
         for position, path in enumerate(sorted(self._full, key=lambda p: p.types)):
@@ -274,8 +281,8 @@ class MetaPathIndex:
         Matrix buffers are adopted as-is (no validation pass, no dtype
         cast), so when ``arrays`` holds shared-memory views the rebuilt
         index reads the same physical pages as every other attached
-        process.  Content integrity is the transport's job — the service's
-        shared segments carry a fingerprint checked on attach.
+        process.  Content integrity is the transport's job — shared
+        segments and array stores carry a fingerprint checked on attach.
         """
         index = cls()
         for entry in manifest["entries"]:
@@ -341,18 +348,6 @@ class MetaPathIndex:
             f"MetaPathIndex(full={len(self._full)}, "
             f"partial={len(self._partial)}, bytes={self.size_bytes()})"
         )
-
-
-def _manifest_entry(
-    kind: str, path: MetaPath, matrix: sparse.csr_matrix, prefix: str
-) -> dict:
-    """One stored matrix's line in the export / array-store manifest."""
-    return {
-        "kind": kind,
-        "types": list(path.types),
-        "shape": [int(s) for s in matrix.shape],
-        "prefix": prefix,
-    }
 
 
 def _all_length2_paths(network: HeterogeneousInformationNetwork) -> list[MetaPath]:
@@ -465,13 +460,12 @@ def build_pm_index(
     **published atomically**: array files carry no meaning until the
     store's manifest is committed (written last, via the ``io`` fault
     point), so an interrupted build is invisible to
-    :func:`repro.engine.index_io.load_index_mmap`.
+    :func:`repro.engine.index_io.load_index`.
     """
     blocked = block_rows is not None or max_build_memory_mb is not None
     if block_rows is None:
         block_rows = DEFAULT_BUILD_BLOCK_ROWS
     index = MetaPathIndex()
-    entries: list[dict] = []
     target_paths = sorted(
         paths if paths is not None else _all_length2_paths(network),
         key=lambda p: p.types,
@@ -496,9 +490,10 @@ def build_pm_index(
             if store is not None:
                 matrix = spill_csr(store, prefix, matrix)
         index.store_full(path, matrix)
-        entries.append(_manifest_entry("full", path, matrix, prefix))
     if store is not None:
-        store.commit({"index": {"entries": entries}})
+        # export_arrays numbers paths in the same sorted order, so its
+        # manifest names exactly the prefixes written above.
+        store.commit({"index": index.export_arrays()[0]})
     return index
 
 
@@ -607,7 +602,6 @@ def build_spm_index(
             break
 
     index = MetaPathIndex()
-    entries: list[dict] = []
     for position, path in enumerate(sorted(kept_rows, key=lambda p: p.types)):
         vertices = np.concatenate([indices for indices, _ in kept_rows[path]])
         stacked = sparse.vstack(
@@ -617,8 +611,7 @@ def build_spm_index(
             prefix = f"index:partial:{position}"
             stacked = spill_csr(store, prefix, stacked)
             store.put(f"{prefix}:vertices", vertices)
-            entries.append(_manifest_entry("partial", path, stacked, prefix))
         index.store_rows(path, vertices, stacked)
     if store is not None:
-        store.commit({"index": {"entries": entries}})
+        store.commit({"index": index.export_arrays()[0]})
     return index, admitted

@@ -17,19 +17,26 @@ count against RSS until the kernel writes them back.  Instead arrays are
 written with buffered file I/O (in bounded chunks, so a spill of a 10 GB
 buffer needs ~16 MB of transient heap) and then reopened ``mode="r"``.
 
-The mmap store doubles as the out-of-core index builder's **atomic
-publish** target: data files carry no meaning until :meth:`~MmapArrayStore.
-commit` writes ``manifest.json`` (to a temp sibling, then ``os.replace`` —
-the same manifest-written-last discipline as :mod:`repro.engine.index_io`).
-:meth:`MmapArrayStore.open` refuses a directory without a committed
-manifest, so an interrupted build is invisible, never half-loaded.
+The mmap store is also the repository's one on-disk array format: the
+out-of-core index builders, :func:`repro.engine.index_io.save_index` and
+the process backend's mmap-tier worker segments all write it.  Data files
+carry no meaning until :meth:`~MmapArrayStore.commit` writes
+``manifest.json`` (to a temp sibling, then ``os.replace``) with a content
+:func:`fingerprint`.  :meth:`MmapArrayStore.open` refuses a directory
+without a committed manifest, or whose files no longer match it, so an
+interrupted build is invisible, never half-loaded.  New files never reuse a
+name on disk, and the files a commit supersedes are deleted only after its
+manifest lands, so re-publishing into a directory keeps the previous
+contents loadable until the new ones are.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,6 +50,7 @@ __all__ = [
     "ArrayStore",
     "RamArrayStore",
     "MmapArrayStore",
+    "fingerprint",
     "make_store",
     "spill_csr",
     "STORAGE_MODES",
@@ -52,11 +60,88 @@ __all__ = [
 STORAGE_MODES = ("ram", "mmap")
 
 _MANIFEST_NAME = "manifest.json"
-_FORMAT_VERSION = 1
+#: 2: the manifest carries a fingerprint.  Version 1 was the unfingerprinted
+#: store and the retired scipy-archive index layout; both are refused as
+#: unsupported.
+_FORMAT_VERSION = 2
 
 #: Spill chunk size: bounds the transient heap used while writing one array
 #: out (and while copying one back in), independent of the array's size.
 _CHUNK_BYTES = 16 << 20
+
+#: Bytes of head/tail content hashed per array.  Hashing whole gigabyte
+#: buffers on every attach would dominate start-up; shape + dtype + nbytes +
+#: boundary bytes catches the realistic failure modes (wrong store, torn
+#: write, stale manifest) at O(1) cost per array.
+_DIGEST_SPAN = 1024
+
+
+def fingerprint(arrays: Mapping[str, np.ndarray]) -> str:
+    """Content fingerprint over array layout plus boundary bytes, in key order."""
+    digest = hashlib.blake2b(digest_size=16)
+    for key, array in arrays.items():
+        view = np.ascontiguousarray(array)
+        digest.update(key.encode())
+        digest.update(view.dtype.str.encode())
+        digest.update(repr(view.shape).encode())
+        digest.update(int(view.nbytes).to_bytes(8, "little"))
+        # Head and tail spans, without materializing the whole buffer.
+        buffer = view.view(np.uint8).reshape(-1)
+        digest.update(buffer[:_DIGEST_SPAN].tobytes())
+        if buffer.size > _DIGEST_SPAN:
+            digest.update(buffer[-_DIGEST_SPAN:].tobytes())
+    return digest.hexdigest()
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
+        raise ExecutionError(
+            f"corrupt array-store manifest at {path}: {error}"
+        ) from error
+    if not isinstance(manifest, dict):
+        raise ExecutionError(
+            f"corrupt array-store manifest at {path}: expected an object, "
+            f"got {type(manifest).__name__}"
+        )
+    version = manifest.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ExecutionError(
+            f"unsupported array-store format version {version!r} at {path} "
+            f"(this build reads version {_FORMAT_VERSION})"
+        )
+    return manifest
+
+
+def _bare_name(name: object) -> str:
+    """A manifest's ``"file"`` entry, refused unless it names a file in place."""
+    if not isinstance(name, str) or name in ("", ".", "..") or (
+        os.path.basename(name) != name
+    ):
+        raise ExecutionError(
+            f"array-store manifest names {name!r}, which is not a bare file "
+            "name inside the store directory"
+        )
+    return name
+
+
+def _published_files(directory: Path) -> set[str]:
+    """Files the directory's committed manifest references (none if unreadable)."""
+    try:
+        entries = _read_manifest(directory / _MANIFEST_NAME)["arrays"].values()
+        return {_bare_name(entry["file"]) for entry in entries}
+    except (ExecutionError, KeyError, TypeError, AttributeError):
+        return set()
+
+
+def _discard(directory: Path, names: Iterable[str]) -> None:
+    """Best-effort unlink; live memmaps keep reading an unlinked inode."""
+    for name in list(names):
+        try:
+            (directory / name).unlink()
+        except OSError:
+            pass
 
 
 def _require_1d(array: np.ndarray, key: str) -> np.ndarray:
@@ -196,8 +281,10 @@ class MmapArrayStore(ArrayStore):
         Where array files live.  ``None`` creates a private temporary
         directory that is removed when the store is garbage-collected (the
         ephemeral case: an mmap-tier network whose adjacency should not
-        outlive the process).  An explicit directory is left on disk — the
-        persistent case, paired with :meth:`commit` / :meth:`open`.
+        outlive the process).  In an explicit directory what :meth:`commit`
+        published stays on disk — the persistent case, paired with
+        :meth:`open` — while files this store wrote and never committed are
+        removed with the store: without a manifest they mean nothing.
     """
 
     storage = "mmap"
@@ -215,7 +302,14 @@ class MmapArrayStore(ArrayStore):
         # still reads.
         self._entries: dict[str, tuple[str, np.dtype, tuple[int, ...]]] = {}
         self._views: dict[str, np.ndarray] = {}
+        self._extra: dict = {}
         self._sequence = 0
+        # Files the on-disk manifest references (kept until a commit
+        # supersedes them) and files written since the last commit (removed
+        # with the store; mutated in place, the finalizer holds the set).
+        self._published: set[str] = set()
+        self._scratch: set[str] = set()
+        weakref.finalize(self, _discard, self._directory, self._scratch)
 
     # ------------------------------------------------------------------
     # Construction from a committed directory
@@ -228,7 +322,9 @@ class MmapArrayStore(ArrayStore):
         ------
         ExecutionError
             When no committed manifest exists (e.g. an interrupted build
-            left only data files) or the manifest/data are inconsistent.
+            left only data files), the manifest is of another format or
+            names a file outside the directory, or the data files no longer
+            match it (size or fingerprint).
         """
         root = Path(directory)
         manifest_path = root / _MANIFEST_NAME
@@ -237,40 +333,38 @@ class MmapArrayStore(ArrayStore):
                 f"no committed array-store manifest at {manifest_path} — "
                 "the store was never published (or a build was interrupted)"
             )
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
-            raise ExecutionError(
-                f"corrupt array-store manifest at {manifest_path}: {error}"
-            ) from error
-        if not isinstance(manifest, dict) or manifest.get("format_version") != _FORMAT_VERSION:
-            raise ExecutionError(
-                f"unsupported array-store manifest at {manifest_path}"
-            )
+        manifest = _read_manifest(manifest_path)
         store = cls(root)
         try:
             for key, entry in manifest["arrays"].items():
+                file_path = root / _bare_name(entry["file"])
                 dtype = np.dtype(entry["dtype"])
                 shape = tuple(int(s) for s in entry["shape"])
-                file_path = root / entry["file"]
                 expected = int(np.prod(shape)) * dtype.itemsize if shape else 0
-                if shape and shape[0] and not file_path.exists():
-                    raise ExecutionError(
-                        f"array-store data file missing: {file_path}"
-                    )
-                if shape and shape[0] and file_path.stat().st_size != expected:
-                    raise ExecutionError(
-                        f"array-store data file {file_path} has "
-                        f"{file_path.stat().st_size} bytes, expected {expected}"
-                    )
-                store._entries[key] = (entry["file"], dtype, shape)
+                if shape and shape[0]:
+                    if not file_path.exists():
+                        raise ExecutionError(
+                            f"array-store data file missing: {file_path}"
+                        )
+                    size = file_path.stat().st_size
+                    if size != expected:
+                        raise ExecutionError(
+                            f"corrupt or truncated array-store data file "
+                            f"{file_path}: {size} bytes, expected {expected}"
+                        )
+                store._entries[key] = (file_path.name, dtype, shape)
             store._extra = dict(manifest.get("extra", {}))
-        except (KeyError, TypeError, ValueError) as error:
+            recorded = manifest["fingerprint"]
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ExecutionError(
                 f"corrupt array-store manifest at {manifest_path}: {error!r}"
             ) from error
-        store._sequence = len(store._entries)
+        store._published = {name for name, _, _ in store._entries.values()}
+        if fingerprint(store.arrays()) != recorded:
+            raise ExecutionError(
+                f"array store at {root} failed its fingerprint check; "
+                "refusing a torn, tampered or mismatched store"
+            )
         return store
 
     # ------------------------------------------------------------------
@@ -281,9 +375,14 @@ class MmapArrayStore(ArrayStore):
         return self._directory
 
     def _next_file(self) -> Path:
-        name = f"array_{self._sequence:05d}.bin"
-        self._sequence += 1
-        return self._directory / name
+        # Never reuse a name on disk: a committed manifest (the index a
+        # rebuild is replacing) may still reference it.
+        while True:
+            path = self._directory / f"array_{self._sequence:05d}.bin"
+            self._sequence += 1
+            if not path.exists():
+                self._scratch.add(path.name)
+                return path
 
     def _register(
         self, key: str, path: Path, dtype: np.dtype, shape: tuple[int, ...]
@@ -291,13 +390,11 @@ class MmapArrayStore(ArrayStore):
         previous = self._entries.get(key)
         self._entries[key] = (path.name, dtype, shape)
         self._views.pop(key, None)
-        if previous is not None and previous[0] != path.name:
+        if previous is not None and previous[0] not in self._published:
             # A re-put (e.g. an adjacency rebuild after mutation) retires
-            # the old file.  Live memmaps keep reading the unlinked inode.
-            try:
-                (self._directory / previous[0]).unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+            # the old file; a published one waits for the next commit.
+            self._scratch.discard(previous[0])
+            _discard(self._directory, [previous[0]])
         return self.get(key)
 
     def put(self, key: str, array: np.ndarray) -> np.ndarray:
@@ -307,6 +404,7 @@ class MmapArrayStore(ArrayStore):
         return appender.finalize()
 
     def appender(self, key: str, dtype: np.dtype) -> ArrayAppender:
+        faultinject.check("io")
         return _MmapAppender(self, key, np.dtype(dtype), self._next_file())
 
     # ------------------------------------------------------------------
@@ -332,21 +430,29 @@ class MmapArrayStore(ArrayStore):
     def keys(self) -> list[str]:
         return list(self._entries)
 
+    def close(self) -> None:
+        """Drop this store's views; their pages unmap once no array uses them."""
+        self._views.clear()
+
     # ------------------------------------------------------------------
     # Atomic publish
     # ------------------------------------------------------------------
     @property
     def extra(self) -> dict:
         """Application payload recorded at :meth:`commit` time."""
-        return getattr(self, "_extra", {})
+        return self._extra
 
     def commit(self, extra: Mapping | None = None) -> None:
         """Publish the store: write ``manifest.json`` atomically, last.
 
         Until this runs, :meth:`open` refuses the directory — data files
-        written by an interrupted build are invisible.  Goes through the
-        ``io`` fault point like every other index write.
+        written by an interrupted build are invisible, and a manifest an
+        earlier commit left keeps serving.  The files it referenced and this
+        one does not are deleted after the new manifest lands.  Goes through
+        the ``io`` fault point like every array write.
         """
+        self._extra = dict(extra or {})
+        files = {file_name for file_name, _, _ in self._entries.values()}
         manifest = {
             "format_version": _FORMAT_VERSION,
             "arrays": {
@@ -357,13 +463,17 @@ class MmapArrayStore(ArrayStore):
                 }
                 for key, (file_name, dtype, shape) in self._entries.items()
             },
-            "extra": dict(extra or {}),
+            "fingerprint": fingerprint(self.arrays()),
+            "extra": self._extra,
         }
-        self._extra = dict(extra or {})
+        superseded = _published_files(self._directory) - files
         faultinject.check("io")
         temp = self._directory / (_MANIFEST_NAME + ".tmp")
         temp.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         os.replace(temp, self._directory / _MANIFEST_NAME)
+        self._published = files
+        self._scratch.clear()
+        _discard(self._directory, superseded)
 
 
 def make_store(storage: str, directory: str | Path | None = None) -> ArrayStore:

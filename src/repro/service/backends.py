@@ -10,8 +10,10 @@ the actual *execution* of an admitted query to an
   work around the SciPy kernels.
 * :class:`ProcessBackend` — spawn-based worker processes.  The warmed CSR
   buffers (adjacency + PM/SPM index) are placed in **one** shared-memory
-  segment (:mod:`repro.service.shm`); each worker attaches zero-copy
-  read-only views and rebuilds an equivalent engine handle, so N workers
+  segment (:mod:`repro.service.shm`) — on the mmap tier, one committed
+  :class:`~repro.hin.storage.MmapArrayStore` directory instead; each worker
+  attaches zero-copy read-only views and rebuilds an equivalent engine
+  handle, so N workers
   cost one copy of the index plus per-worker interpreter overhead.  Worker
   crashes are detected via process sentinels; outstanding queries of a
   dead worker are resubmitted once (queries are read-only, so the retry is
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -44,6 +48,7 @@ from repro.exceptions import (
     ServiceError,
     WorkerCrashedError,
 )
+from repro.hin.storage import MmapArrayStore
 from repro.service import shm
 from repro.service.handle import EngineHandle
 
@@ -252,10 +257,65 @@ _ERROR_EXTRAS = (
 )
 
 
+class _StoreSegment:
+    """A worker-segment generation on the mmap tier: a committed store.
+
+    Workers receive the directory as their ``manifest`` and attach with
+    :meth:`MmapArrayStore.open`, which re-checks the store's fingerprint.
+    :meth:`release` removes the directory; Linux keeps a removed file's
+    pages readable for a worker that still maps them.
+    """
+
+    def __init__(self, arrays: dict, parent: "str | None") -> None:
+        if parent is not None:
+            os.makedirs(parent, exist_ok=True)
+        self.name = self.manifest = tempfile.mkdtemp(
+            prefix="repro-serve-", dir=parent
+        )
+        self.total_bytes = sum(int(array.nbytes) for array in arrays.values())
+        try:
+            store = MmapArrayStore(self.name)
+            for key, array in arrays.items():
+                store.put(key, array)
+            store.commit()
+        except BaseException:
+            self.release()
+            raise
+
+    def release(self) -> None:
+        shutil.rmtree(self.name, ignore_errors=True)
+
+
+def export_segment(
+    arrays: dict, backing: str, directory: "str | None" = None
+) -> "shm.SharedArraySegment | _StoreSegment":
+    """One worker-segment generation of ``arrays`` on the given backing.
+
+    ``"shm"`` packs them into a ``/dev/shm`` segment; ``"file"`` (the mmap
+    tier, whose one shared copy must not consume RAM-backed tmpfs) commits
+    them as an array store under ``directory`` (a temp dir when ``None``).
+    """
+    if backing == "shm":
+        return shm.export_arrays(arrays, name_hint="repro-serve")
+    if backing == "file":
+        return _StoreSegment(arrays, directory)
+    raise ServiceError(
+        f"unknown segment backing {backing!r}; expected 'shm' or 'file'"
+    )
+
+
+def attach_segment(manifest: "shm.SegmentManifest | str") -> tuple:
+    """Worker side of :func:`export_segment`: ``(mapping, read-only views)``."""
+    if isinstance(manifest, str):
+        store = MmapArrayStore.open(manifest)
+        return store, store.arrays()
+    return shm.attach_arrays(manifest)
+
+
 def _service_worker_main(
     worker_id: int,
     spec: dict,
-    manifest: "shm.SegmentManifest",
+    manifest: "shm.SegmentManifest | str",
     timeout_seconds: float | None,
     task_queue,
     result_connection,
@@ -263,10 +323,10 @@ def _service_worker_main(
     """Worker process body: attach shared index, serve queries until told to stop.
 
     Spawn-safe: everything arrives pickled through the process arguments;
-    the CSR buffers arrive by name through ``manifest`` and are mapped
-    zero-copy.  Every task produces exactly one reply — ``("result", ...)``
-    with the lossless wire dict, or ``("error", ...)`` with a typed error
-    description.
+    the CSR buffers arrive by name (or store directory) through
+    ``manifest`` and are mapped zero-copy.  Every task produces exactly one
+    reply — ``("result", ...)`` with the lossless wire dict, or
+    ``("error", ...)`` with a typed error description.
 
     Results travel over a **per-worker pipe**, not a shared queue, and that
     is load-bearing: a shared ``multiprocessing.Queue`` guards its pipe
@@ -278,7 +338,7 @@ def _service_worker_main(
     ``EOFError`` on that pipe alone.
     """
     try:
-        mapping, views = shm.attach_arrays(manifest)
+        mapping, views = attach_segment(manifest)
         handle = EngineHandle.from_shared(spec, views)
     except BaseException as error:  # noqa: BLE001 - startup failure report
         try:
@@ -300,7 +360,7 @@ def _service_worker_main(
             # torn-index guarantee the chaos tests pin.
             _, generation, new_spec, new_manifest = message
             try:
-                new_mapping, new_views = shm.attach_arrays(new_manifest)
+                new_mapping, new_views = attach_segment(new_manifest)
                 new_handle = EngineHandle.from_shared(new_spec, new_views)
             except BaseException as error:  # noqa: BLE001 - reported, then die
                 try:
@@ -394,11 +454,12 @@ class ProcessBackend(ExecutionBackend):
         retired (prevents a crash-looping query from forking forever).
     segment_backing:
         ``"shm"`` exports the index into POSIX shared memory (/dev/shm);
-        ``"file"`` writes an ordinary file under ``segment_dir`` and maps it
-        read-only — the route for indexes larger than the tmpfs budget.
+        ``"file"`` commits it as an array store under ``segment_dir`` that
+        workers map read-only — the route for indexes larger than the
+        tmpfs budget.  Owner teardown removes either.
     segment_dir:
-        Directory for file-backed segments (a temp dir when ``None``);
-        ignored for ``"shm"``.
+        Parent directory of file-backed segments (a temp dir when
+        ``None``); ignored for ``"shm"``.
     """
 
     name = "process"
@@ -421,12 +482,7 @@ class ProcessBackend(ExecutionBackend):
         self._segment_dir = segment_dir
         self._ctx = multiprocessing.get_context("spawn")
         spec, arrays = handle.export_shared()
-        self._segment = shm.export_arrays(
-            arrays,
-            name_hint="repro-serve",
-            backing=segment_backing,
-            directory=segment_dir,
-        )
+        self._segment = export_segment(arrays, segment_backing, segment_dir)
         self._spec = spec
         self._lock = threading.Lock()
         self._accepting = True
@@ -469,8 +525,7 @@ class ProcessBackend(ExecutionBackend):
             for slot in self._slots:
                 if slot.reader is not None:
                     slot.reader.close()
-            self._segment.close()
-            self._segment.unlink()
+            self._segment.release()
             raise
 
     # -- lifecycle -----------------------------------------------------
@@ -730,16 +785,12 @@ class ProcessBackend(ExecutionBackend):
            under a worker that may still be serving from it.
         """
         spec, arrays = self.handle.export_shared()
-        new_segment = shm.export_arrays(
-            arrays,
-            name_hint="repro-serve",
-            backing=self._segment_backing,
-            directory=self._segment_dir,
+        new_segment = export_segment(
+            arrays, self._segment_backing, self._segment_dir
         )
         with self._lock:
             if self._closed or not self._accepting:
-                new_segment.close()
-                new_segment.unlink()
+                new_segment.release()
                 raise ServiceClosedError(
                     "the query service has been shut down; cannot swap index"
                 )
@@ -783,8 +834,7 @@ class ProcessBackend(ExecutionBackend):
                     "retired for cleanup at shutdown"
                 )
             time.sleep(0.01)
-        old_segment.close()
-        old_segment.unlink()
+        old_segment.release()
 
     # -- introspection -------------------------------------------------
     def live_workers(self) -> int:
@@ -822,7 +872,7 @@ class ProcessBackend(ExecutionBackend):
             "configured_workers": len(self._slots),
             "live_workers": self.live_workers(),
             "segment": self._segment.name,
-            "segment_bytes": self._segment.manifest.total_bytes,
+            "segment_bytes": self._segment.total_bytes,
             "index_generation": generation,
             "swap_errors": swap_errors,
             "per_worker": per_worker,
@@ -878,13 +928,11 @@ class ProcessBackend(ExecutionBackend):
                 slot.reader = None
         # Last: drop the mapping and remove the segment from the OS —
         # including any segment a timed-out swap had to retire.
-        self._segment.close()
-        self._segment.unlink()
+        self._segment.release()
         for segment in self._retired_segments:
             try:
-                segment.close()
-                segment.unlink()
-            except (OSError, FileNotFoundError):
+                segment.release()
+            except OSError:
                 pass
         self._retired_segments.clear()
 

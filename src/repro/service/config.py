@@ -294,9 +294,9 @@ class ServiceConfig:
     def segment_backing(self) -> str:
         """Transport of the process backend's shared segment.
 
-        The mmap storage tier pairs with file-backed segments — the whole
-        point is keeping the one shared index copy out of RAM-backed
-        ``/dev/shm``.
+        The mmap storage tier pairs with file-backed segments (committed
+        array stores under ``storage_dir``) — the whole point is keeping
+        the one shared index copy out of RAM-backed ``/dev/shm``.
         """
         return "file" if self.storage == "mmap" else "shm"
 

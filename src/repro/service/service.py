@@ -162,7 +162,7 @@ class QueryService:
 
         ``index`` forwards a prebuilt :class:`~repro.engine.index.MetaPathIndex`
         (e.g. one attached from an out-of-core build via
-        :func:`repro.engine.index_io.load_index_mmap`) so the handle serves
+        :func:`repro.engine.index_io.load_index`) so the handle serves
         it instead of rebuilding in RAM.  Without one, ``storage="mmap"``
         with the ``pm`` strategy builds the full index out-of-core, in
         ``config.index_build_block_rows`` row blocks, and serves it through

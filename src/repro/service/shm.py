@@ -13,9 +13,14 @@ makes that possible:
   rebuilds the arrays as **views** over the shared buffer — zero bytes
   copied, marked read-only so an accidental in-place mutation fails loudly
   instead of corrupting every other worker.
-* A content :func:`fingerprint` travels with the manifest and is recomputed
-  on attach, so a torn, stale, or mismatched segment is rejected before the
+* A content fingerprint (:func:`repro.hin.storage.fingerprint`, the one
+  the array store records) travels with the manifest and is recomputed on
+  attach, so a torn, stale, or mismatched segment is rejected before the
   engine ever multiplies through it.
+
+The mmap tier does not use this module: its worker segments are committed
+:class:`~repro.hin.storage.MmapArrayStore` directories (see
+:mod:`repro.service.backends`).
 
 Lifecycle: the parent owns the segment (create → close+unlink); workers
 only ever ``close`` their mapping.  :func:`active_segments` tracks segments
@@ -25,19 +30,16 @@ tests assert it drains to empty on every path, including error paths.
 
 from __future__ import annotations
 
-import hashlib
-import mmap
 import secrets
-import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from repro.exceptions import ServiceError
+from repro.hin.storage import fingerprint
 
 __all__ = [
     "ArraySpec",
@@ -51,12 +53,6 @@ __all__ = [
 #: Slot alignment inside the segment; 64 bytes keeps every array on its own
 #: cache line and satisfies any SIMD alignment numpy/scipy could want.
 _ALIGN = 64
-
-#: Bytes of head/tail content hashed per array.  Hashing whole gigabyte
-#: segments on every attach would dominate worker start-up; shape + dtype +
-#: nbytes + boundary bytes catches the realistic failure modes (wrong
-#: segment, torn write, stale manifest) at O(1) cost per array.
-_DIGEST_SPAN = 1024
 
 # Segments created (and not yet unlinked) by this process, for leak checks.
 _ACTIVE: set[str] = set()
@@ -82,97 +78,28 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class SegmentManifest:
-    """Everything a worker needs to reattach a segment (picklable).
-
-    ``backing`` selects the transport: ``"shm"`` names a
-    ``multiprocessing.shared_memory`` segment (lives in ``/dev/shm`` on
-    Linux, bounded by that filesystem's size); ``"file"`` names an ordinary
-    file mapped read-only — same zero-copy sharing across processes, but
-    sized by the disk and paged by the kernel, the right tier for
-    mmap-storage indexes larger than comfortable RAM.
-    """
+    """Everything a worker needs to reattach a segment (picklable)."""
 
     segment: str
     total_bytes: int
     arrays: tuple[ArraySpec, ...]
     fingerprint: str
-    backing: str = field(default="shm")
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _digest_update(digest, spec: ArraySpec, view: np.ndarray) -> None:
-    digest.update(spec.key.encode())
-    digest.update(spec.dtype.encode())
-    digest.update(repr(spec.shape).encode())
-    digest.update(spec.nbytes.to_bytes(8, "little"))
-    # Head and tail spans, without materializing the whole buffer.
-    buffer = view.view(np.uint8).reshape(-1)
-    digest.update(buffer[:_DIGEST_SPAN].tobytes())
-    if buffer.size > _DIGEST_SPAN:
-        digest.update(buffer[-_DIGEST_SPAN:].tobytes())
-
-
-def fingerprint(specs: "tuple[ArraySpec, ...]", views: Mapping[str, np.ndarray]) -> str:
-    """Content fingerprint over array layout plus boundary bytes."""
-    digest = hashlib.blake2b(digest_size=16)
-    for spec in specs:
-        _digest_update(digest, spec, np.ascontiguousarray(views[spec.key]))
-    return digest.hexdigest()
-
-
-class _FileBackedSegment:
-    """A segment backed by an ordinary file, mapped read-only.
-
-    Duck-typed to the slice of ``multiprocessing.shared_memory.
-    SharedMemory`` the rest of this module uses (``buf`` / ``close`` /
-    ``unlink``), so :class:`SharedArraySegment` and workers handle both
-    backings identically.  Linux keeps an unlinked inode alive while
-    mappings exist, so the owner may unlink while workers still read.
-    """
-
-    def __init__(self, path: "str | Path") -> None:
-        self._path = Path(path)
-        self._file = open(self._path, "rb")
-        self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-
-    @property
-    def name(self) -> str:
-        return str(self._path)
-
-    @property
-    def buf(self) -> memoryview:
-        return memoryview(self._mmap)
-
-    def close(self) -> None:
-        try:
-            self._mmap.close()
-            self._file.close()
-        except Exception:  # pragma: no cover - double close
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self._path.unlink()
-        except FileNotFoundError:
-            pass
-
-
 class SharedArraySegment:
     """Owner-side handle of one exported segment.
 
-    ``close()`` drops this process's mapping; ``unlink()`` removes the
-    segment from the OS (idempotent).  The parent service calls both on
-    shutdown — workers never unlink.  Wraps either a shared-memory segment
-    or a :class:`_FileBackedSegment`, per the manifest's ``backing``.
+    ``release()`` drops this process's mapping and removes the segment from
+    the OS (idempotent).  The parent service calls it on shutdown — workers
+    only ever close their own mapping.
     """
 
     def __init__(
-        self,
-        shm: "shared_memory.SharedMemory | _FileBackedSegment",
-        manifest: SegmentManifest,
+        self, shm: shared_memory.SharedMemory, manifest: SegmentManifest
     ) -> None:
         self._shm = shm
         self.manifest = manifest
@@ -182,13 +109,15 @@ class SharedArraySegment:
     def name(self) -> str:
         return self.manifest.segment
 
-    def close(self) -> None:
+    @property
+    def total_bytes(self) -> int:
+        return self.manifest.total_bytes
+
+    def release(self) -> None:
         try:
             self._shm.close()
         except Exception:  # pragma: no cover - platform-specific double close
             pass
-
-    def unlink(self) -> None:
         if self._unlinked:
             return
         self._unlinked = True
@@ -197,11 +126,6 @@ class SharedArraySegment:
         finally:
             with _ACTIVE_LOCK:
                 _ACTIVE.discard(self.manifest.segment)
-
-    def release(self) -> None:
-        """Close the mapping and unlink the segment (full owner teardown)."""
-        self.close()
-        self.unlink()
 
 
 def _layout(arrays: Mapping[str, np.ndarray]) -> tuple[list[ArraySpec], dict[str, np.ndarray], int]:
@@ -226,129 +150,40 @@ def _layout(arrays: Mapping[str, np.ndarray]) -> tuple[list[ArraySpec], dict[str
     return specs, contiguous, max(offset, 1)  # zero-byte segments are not creatable
 
 
-#: Chunk width for streaming arrays into a file-backed segment: bounds the
-#: transient heap per array regardless of array size.
-_FILE_CHUNK_BYTES = 16 << 20
-
-
-def _export_file_backed(
-    specs: list[ArraySpec],
-    contiguous: Mapping[str, np.ndarray],
-    total: int,
-    *,
-    name_hint: str,
-    directory: "str | Path | None",
-) -> SharedArraySegment:
-    root = Path(directory) if directory is not None else Path(tempfile.gettempdir())
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{name_hint}-{secrets.token_hex(6)}.seg"
-    try:
-        # Buffered writes, not a writable mmap: dirtying gigabytes of
-        # mapped pages would count against this process's RSS until
-        # writeback — the exact failure mode the file backing exists to
-        # avoid.
-        with open(path, "wb") as handle:
-            position = 0
-            for spec in specs:
-                if spec.offset > position:
-                    handle.write(b"\x00" * (spec.offset - position))
-                    position = spec.offset
-                flat = contiguous[spec.key].reshape(-1)
-                step = max(1, _FILE_CHUNK_BYTES // max(1, flat.itemsize))
-                for start in range(0, flat.size, step):
-                    handle.write(flat[start:start + step].tobytes())
-                position += spec.nbytes
-            if position < total:
-                handle.write(b"\x00" * (total - position))
-        segment = _FileBackedSegment(path)
-        with _ACTIVE_LOCK:
-            _ACTIVE.add(segment.name)
-        spec_tuple = tuple(specs)
-        views = {
-            spec.key: np.ndarray(
-                spec.shape,
-                dtype=np.dtype(spec.dtype),
-                buffer=segment.buf,
-                offset=spec.offset,
-            )
-            for spec in spec_tuple
-        }
-        manifest = SegmentManifest(
-            segment=segment.name,
-            total_bytes=total,
-            arrays=spec_tuple,
-            fingerprint=fingerprint(spec_tuple, views),
-            backing="file",
+def _views(specs, buffer) -> dict[str, np.ndarray]:
+    """Zero-copy arrays over ``buffer`` at the slots ``specs`` assign."""
+    return {
+        spec.key: np.ndarray(
+            spec.shape, dtype=np.dtype(spec.dtype), buffer=buffer, offset=spec.offset
         )
-    except BaseException:
-        with _ACTIVE_LOCK:
-            _ACTIVE.discard(str(path))
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        raise
-    return SharedArraySegment(segment, manifest)
+        for spec in specs
+    }
 
 
 def export_arrays(
-    arrays: Mapping[str, np.ndarray],
-    *,
-    name_hint: str = "repro",
-    backing: str = "shm",
-    directory: "str | Path | None" = None,
+    arrays: Mapping[str, np.ndarray], *, name_hint: str = "repro"
 ) -> SharedArraySegment:
-    """Pack ``arrays`` into one new shared segment (shm- or file-backed).
+    """Pack ``arrays`` into one new ``multiprocessing.shared_memory`` segment.
 
     Arrays are copied once (parent → segment); the returned manifest lets
     any process rebuild zero-copy views with :func:`attach_arrays`.  Keys
     are preserved; iteration order determines layout, so the fingerprint is
     deterministic for a deterministic input mapping.
-
-    ``backing="shm"`` (default) creates a ``multiprocessing.shared_memory``
-    segment — fastest, but bounded by ``/dev/shm``.  ``backing="file"``
-    writes the same aligned layout to an ordinary file under ``directory``
-    (default: the system temp dir) and maps it read-only — the tier for
-    mmap-storage indexes whose one shared copy must not consume RAM-backed
-    tmpfs.  Workers attach both the same way.
     """
-    if backing not in ("shm", "file"):
-        raise ServiceError(
-            f"unknown segment backing {backing!r}; expected 'shm' or 'file'"
-        )
     specs, contiguous, total = _layout(arrays)
-    if backing == "file":
-        return _export_file_backed(
-            specs, contiguous, total, name_hint=name_hint, directory=directory
-        )
     name = f"{name_hint}-{secrets.token_hex(6)}"
     shm = shared_memory.SharedMemory(name=name, create=True, size=total)
     with _ACTIVE_LOCK:
         _ACTIVE.add(shm.name)
     try:
-        for spec in specs:
-            target = np.ndarray(
-                spec.shape,
-                dtype=np.dtype(spec.dtype),
-                buffer=shm.buf,
-                offset=spec.offset,
-            )
-            target[...] = contiguous[spec.key]
-        spec_tuple = tuple(specs)
-        views = {
-            spec.key: np.ndarray(
-                spec.shape,
-                dtype=np.dtype(spec.dtype),
-                buffer=shm.buf,
-                offset=spec.offset,
-            )
-            for spec in spec_tuple
-        }
+        views = _views(specs, shm.buf)
+        for key, view in views.items():
+            view[...] = contiguous[key]
         manifest = SegmentManifest(
             segment=shm.name,
             total_bytes=total,
-            arrays=spec_tuple,
-            fingerprint=fingerprint(spec_tuple, views),
+            arrays=tuple(specs),
+            fingerprint=fingerprint(views),
         )
     except BaseException:
         # Creation failed mid-copy: never leak the segment.
@@ -388,12 +223,8 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
 
 def attach_arrays(
     manifest: SegmentManifest, *, verify: bool = True
-) -> tuple["shared_memory.SharedMemory | _FileBackedSegment", dict[str, np.ndarray]]:
+) -> tuple[shared_memory.SharedMemory, dict[str, np.ndarray]]:
     """Map an exported segment and rebuild read-only zero-copy views.
-
-    Handles both backings: shared-memory segments are attached by name,
-    file-backed segments are mapped read-only from disk (no resource
-    tracker involved — the file is just a file).
 
     Raises
     ------
@@ -401,44 +232,25 @@ def attach_arrays(
         When the segment cannot be found or its content fingerprint does
         not match the manifest (stale or torn export).
     """
-    backing = getattr(manifest, "backing", "shm")
-    if backing == "file":
-        try:
-            shm: "shared_memory.SharedMemory | _FileBackedSegment" = (
-                _FileBackedSegment(manifest.segment)
-            )
-        except FileNotFoundError as error:
-            raise ServiceError(
-                f"file-backed segment {manifest.segment!r} is gone; was the "
-                "service closed while workers were starting?"
-            ) from error
-    else:
-        try:
-            shm = shared_memory.SharedMemory(name=manifest.segment)
-        except FileNotFoundError as error:
-            raise ServiceError(
-                f"shared-memory segment {manifest.segment!r} is gone; was the "
-                "service closed while workers were starting?"
-            ) from error
-        # Workers must detach from the resource tracker (it would unlink on
-        # their exit); the owner process attaching to its *own* segment must
-        # not, or the create-time registration would be dropped twice.
-        with _ACTIVE_LOCK:
-            owner = manifest.segment in _ACTIVE
-        if not owner:
-            _untrack(shm)
-    views: dict[str, np.ndarray] = {}
-    for spec in manifest.arrays:
-        view = np.ndarray(
-            spec.shape,
-            dtype=np.dtype(spec.dtype),
-            buffer=shm.buf,
-            offset=spec.offset,
-        )
+    try:
+        shm = shared_memory.SharedMemory(name=manifest.segment)
+    except FileNotFoundError as error:
+        raise ServiceError(
+            f"shared-memory segment {manifest.segment!r} is gone; was the "
+            "service closed while workers were starting?"
+        ) from error
+    # Workers must detach from the resource tracker (it would unlink on
+    # their exit); the owner process attaching to its *own* segment must
+    # not, or the create-time registration would be dropped twice.
+    with _ACTIVE_LOCK:
+        owner = manifest.segment in _ACTIVE
+    if not owner:
+        _untrack(shm)
+    views = _views(manifest.arrays, shm.buf)
+    for view in views.values():
         view.flags.writeable = False
-        views[spec.key] = view
     if verify:
-        observed = fingerprint(manifest.arrays, views)
+        observed = fingerprint(views)
         if observed != manifest.fingerprint:
             shm.close()
             raise ServiceError(

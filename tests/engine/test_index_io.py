@@ -1,5 +1,12 @@
-"""Tests for :mod:`repro.engine.index_io` (index persistence)."""
+"""Tests for :mod:`repro.engine.index_io` (index persistence).
 
+An index on disk is a committed array store; each case that damages a file
+finds it through the store's manifest.
+"""
+
+import json
+
+import numpy as np
 import pytest
 
 from repro.engine.index import build_pm_index, build_spm_index
@@ -10,6 +17,20 @@ from repro.exceptions import ExecutionError
 from repro.metapath.metapath import MetaPath
 
 PV = MetaPath.parse("author.paper.venue")
+
+
+def _manifest(directory):
+    return json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _data_file(directory, suffix):
+    """The largest data file whose array key ends in ``suffix``."""
+    files = [
+        directory / entry["file"]
+        for key, entry in _manifest(directory)["arrays"].items()
+        if key.endswith(suffix)
+    ]
+    return max(files, key=lambda path: path.stat().st_size)
 
 
 def _indexes_equal(first, second) -> bool:
@@ -91,28 +112,47 @@ class TestErrors:
     def test_missing_data_file(self, figure1, tmp_path):
         save_index(build_pm_index(figure1), tmp_path)
         # Delete one data file.
-        next(tmp_path.glob("metapath_*.npz")).unlink()
+        _data_file(tmp_path, ":indptr").unlink()
         with pytest.raises(ExecutionError, match="missing"):
             load_index(tmp_path)
 
     def test_corrupt_partial_rows(self, figure1, tmp_path):
-        import numpy as np
-
         zoe = figure1.find_vertex("author", "Zoe")
         save_index(build_spm_index(figure1, [zoe])[0], tmp_path)
-        rows_file = next(tmp_path.glob("*.rows.npy"))
-        np.save(rows_file, np.array([0, 1, 2], dtype=np.int64))
+        rows_file = _data_file(tmp_path, ":vertices")
+        np.array([0, 1, 2], dtype=np.int64).tofile(rows_file)
         with pytest.raises(ExecutionError, match="corrupt"):
+            load_index(tmp_path)
+
+    def test_retired_archive_layout_is_unsupported(self, tmp_path):
+        """A directory in the old one-archive-per-path layout is refused
+        with a typed error; there is no second reader for it."""
+        legacy = {
+            "format_version": 1,
+            "full": [{"path": "author.paper.venue", "file": "metapath_0000.npz"}],
+            "partial": [],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(legacy))
+        with pytest.raises(ExecutionError, match="unsupported"):
+            load_index(tmp_path)
+
+    def test_store_without_an_index_is_refused(self, tmp_path):
+        from repro.hin.storage import MmapArrayStore
+
+        store = MmapArrayStore(tmp_path)
+        store.put("x", np.ones(3))
+        store.commit()
+        with pytest.raises(ExecutionError, match="no published index"):
             load_index(tmp_path)
 
 
 class TestCorruptionSafety:
     """Truncated/garbled files surface as typed ExecutionError, never as raw
-    JSON/zipfile/pickle tracebacks."""
+    JSON/numpy/OS tracebacks."""
 
     def test_garbage_manifest_json(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not valid json!!", encoding="utf-8")
-        with pytest.raises(ExecutionError, match="corrupt index manifest"):
+        with pytest.raises(ExecutionError, match="corrupt array-store manifest"):
             load_index(tmp_path)
 
     def test_manifest_wrong_top_level_type(self, tmp_path):
@@ -122,20 +162,20 @@ class TestCorruptionSafety:
 
     def test_manifest_binary_garbage(self, tmp_path):
         (tmp_path / "manifest.json").write_bytes(b"\x00\xff\xfe\x01garbage")
-        with pytest.raises(ExecutionError, match="corrupt index manifest"):
+        with pytest.raises(ExecutionError, match="corrupt array-store manifest"):
             load_index(tmp_path)
 
-    def test_manifest_entry_missing_keys(self, tmp_path):
-        import json
-
-        manifest = {"format_version": 1, "full": [{"path": "author.paper.venue"}], "partial": []}
+    def test_manifest_entry_missing_keys(self, figure1, tmp_path):
+        save_index(build_pm_index(figure1), tmp_path)
+        manifest = _manifest(tmp_path)
+        del next(iter(manifest["arrays"].values()))["dtype"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ExecutionError, match="corrupt index manifest"):
+        with pytest.raises(ExecutionError, match="corrupt array-store manifest"):
             load_index(tmp_path)
 
     def test_truncated_npz_data_file(self, figure1, tmp_path):
         save_index(build_pm_index(figure1), tmp_path)
-        data_file = next(tmp_path.glob("metapath_*.npz"))
+        data_file = _data_file(tmp_path, ":data")
         payload = data_file.read_bytes()
         data_file.write_bytes(payload[: len(payload) // 2])  # short read
         with pytest.raises(ExecutionError, match="corrupt or truncated"):
@@ -143,14 +183,14 @@ class TestCorruptionSafety:
 
     def test_overwritten_npz_data_file(self, figure1, tmp_path):
         save_index(build_pm_index(figure1), tmp_path)
-        next(tmp_path.glob("metapath_*.npz")).write_bytes(b"this is not a zip file")
+        _data_file(tmp_path, ":data").write_bytes(b"this is not an array file")
         with pytest.raises(ExecutionError, match="corrupt or truncated"):
             load_index(tmp_path)
 
     def test_corrupt_rows_npy(self, figure1, tmp_path):
         zoe = figure1.find_vertex("author", "Zoe")
         save_index(build_spm_index(figure1, [zoe])[0], tmp_path)
-        next(tmp_path.glob("*.rows.npy")).write_bytes(b"\x93NUMPY garbage")
+        _data_file(tmp_path, ":vertices").write_bytes(b"\x93NUMPY garbage")
         with pytest.raises(ExecutionError, match="corrupt or truncated"):
             load_index(tmp_path)
 

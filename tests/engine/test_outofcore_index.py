@@ -4,12 +4,13 @@ Block size and storage tier must be *invisible* semantically: byte-identical
 index contents versus the whole-product PM build and the definition of the
 SPM rows, whatever the block size, storage tier, or interruption point.  Crash safety leans on the
 array store's write-data-then-manifest discipline — an interrupted build
-leaves a directory :func:`~repro.engine.index_io.load_index_mmap` refuses
+leaves a directory :func:`~repro.engine.index_io.load_index` refuses
 with a typed error, never a partial index.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.datagen.synthetic import (
 )
 from repro.engine.deadline import Deadline, deadline_scope
 from repro.engine.index import build_pm_index, build_spm_index
-from repro.engine.index_io import load_index_mmap
+from repro.engine.index_io import load_index, save_index
 from repro.exceptions import (
     DeadlineExceededError,
     ExecutionError,
@@ -125,11 +126,14 @@ class TestBlockedPmParity:
         build_pm_index(
             network, block_rows=37, store=MmapArrayStore(store_dir)
         )
-        reloaded = load_index_mmap(store_dir)
+        reloaded = load_index(store_dir)
         _assert_same_index(incore, reloaded)
         # The reload serves file-backed views, not copies.
         some_path = next(iter(reloaded.paths))
         assert isinstance(reloaded.full_matrix(some_path).data, np.memmap)
+        # save_index writes the same layout; the one loader reads both.
+        save_index(incore, tmp_path / "saved")
+        _assert_same_index(incore, load_index(tmp_path / "saved"))
 
     def test_invalid_block_rows_rejected(self, network):
         with pytest.raises(ExecutionError):
@@ -177,7 +181,7 @@ class TestBlockedSpmParity:
         built, admitted = build_spm_index(
             network, ranked, store=MmapArrayStore(store_dir)
         )
-        reloaded = load_index_mmap(store_dir)
+        reloaded = load_index(store_dir)
         _assert_same_index(built, reloaded)
         assert admitted == ranked
 
@@ -190,7 +194,7 @@ class TestCrashSafety:
         with pytest.raises(ExecutionError, match="never published|interrupted"):
             MmapArrayStore.open(store_dir)
         with pytest.raises(ExecutionError):
-            load_index_mmap(store_dir)
+            load_index(store_dir)
 
     @pytest.mark.parametrize("after_calls", [1, 5, 11])
     def test_midblock_fault_leaves_no_index(self, network, tmp_path, after_calls):
@@ -261,7 +265,39 @@ class TestCrashSafety:
         build_pm_index(
             network, block_rows=50, store=MmapArrayStore(store_dir)
         )
-        _assert_same_index(build_pm_index(network), load_index_mmap(store_dir))
+        _assert_same_index(build_pm_index(network), load_index(store_dir))
+
+    @pytest.mark.parametrize("after_calls", [1, 3, 6])
+    def test_interrupted_rebuild_keeps_the_published_index(
+        self, figure1, tmp_path, after_calls
+    ):
+        """A rebuild into a directory that already holds a published index
+        must not write over the files that index's manifest references."""
+        store_dir = str(tmp_path / "pm")
+        published = build_pm_index(
+            figure1, block_rows=1, store=MmapArrayStore(store_dir)
+        )
+        with faultinject.inject(
+            faultinject.FaultRule(
+                point="index_build", times=1, after_calls=after_calls
+            )
+        ):
+            with pytest.raises(TransientFaultError):
+                build_pm_index(
+                    figure1, block_rows=1, store=MmapArrayStore(store_dir)
+                )
+        _assert_same_index(published, load_index(store_dir))
+
+    def test_republish_retires_the_superseded_files(self, figure1, tmp_path):
+        store_dir = tmp_path / "pm"
+        build_pm_index(figure1, block_rows=1, store=MmapArrayStore(store_dir))
+        first = set(os.listdir(store_dir))
+        build_pm_index(figure1, block_rows=1, store=MmapArrayStore(store_dir))
+        manifest = json.loads((store_dir / "manifest.json").read_text())
+        referenced = {entry["file"] for entry in manifest["arrays"].values()}
+        assert set(os.listdir(store_dir)) == referenced | {"manifest.json"}
+        assert not referenced & first  # the rebuild wrote fresh files
+        _assert_same_index(build_pm_index(figure1), load_index(store_dir))
 
 
 class TestDeadline:

@@ -7,6 +7,7 @@ zero-copy CSR adapters, and the network-level storage switch.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -112,6 +113,65 @@ class TestMmapStorePersistence:
         store.put("k", np.arange(3, dtype=np.int64))
         path = store.get("k").filename
         assert os.path.exists(path)
+
+    def test_open_detects_same_size_tampering(self, tmp_path):
+        directory = tmp_path / "s"
+        store = MmapArrayStore(str(directory))
+        store.put("x", np.arange(64, dtype=np.float64))
+        store.commit()
+        manifest = json.loads((directory / "manifest.json").read_text())
+        data_file = directory / manifest["arrays"]["x"]["file"]
+        payload = bytearray(data_file.read_bytes())
+        payload[:4] = b"\xff\xff\xff\xff"
+        data_file.write_bytes(bytes(payload))
+        with pytest.raises(ExecutionError, match="fingerprint"):
+            MmapArrayStore.open(str(directory))
+
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_open_refuses_file_names_outside_the_directory(self, tmp_path, escape):
+        # A file outside the store that would pass every size check.
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes(np.ones(4).tobytes())
+        directory = tmp_path / "s"
+        store = MmapArrayStore(str(directory))
+        store.put("x", np.ones(4))
+        store.commit()
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["arrays"]["x"]["file"] = (
+            "../outside.bin" if escape == "relative" else str(outside)
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ExecutionError, match="not a bare file name"):
+            MmapArrayStore.open(str(directory))
+
+    def test_uncommitted_files_leave_with_the_store(self, tmp_path):
+        directory = tmp_path / "s"
+        store = MmapArrayStore(str(directory))
+        store.put("x", np.ones(4))
+        store.commit()
+        published = set(os.listdir(directory))
+        store.put("y", np.ones(2))  # written, never committed
+        del store
+        gc.collect()
+        assert set(os.listdir(directory)) == published
+
+    def test_reput_of_a_published_array_waits_for_the_commit(self, tmp_path):
+        directory = tmp_path / "s"
+        store = MmapArrayStore(str(directory))
+        store.put("x", np.ones(4))
+        store.commit()
+        reopened = MmapArrayStore.open(str(directory))
+        reopened.put("x", np.zeros(4))
+        # Until the next commit the published manifest still loads.
+        np.testing.assert_array_equal(
+            np.asarray(MmapArrayStore.open(str(directory)).get("x")), np.ones(4)
+        )
+        reopened.commit()
+        np.testing.assert_array_equal(
+            np.asarray(MmapArrayStore.open(str(directory)).get("x")), np.zeros(4)
+        )
+        assert len(list(directory.glob("*.bin"))) == 1
 
 
 class TestCsrAdapters:
