@@ -24,6 +24,10 @@ With ``--storage mmap`` the server keeps adjacency, index and (on the
 process backend) its worker segments in file-backed array stores under a
 ``--storage-dir``; after shutdown that directory must hold nothing but the
 published ``pm-index/`` — no worker store, no uncommitted array file.
+With ``--backend process`` on the RAM tier, ``/stats`` must name a worker
+segment directory under ``/dev/shm`` (the temp dir on a host without one),
+and after shutdown no ``repro-serve-<server pid>-*`` entry may remain
+there — the adaptive run covers every hot-swap generation.
 
 Run from the repository root::
 
@@ -95,6 +99,11 @@ def main() -> int:
     )
     args = parser.parse_args()
     repo_root = Path(__file__).resolve().parent.parent
+    # The RAM tier's worker segments live under /dev/shm when it exists.
+    shm_check = args.backend == "process" and args.storage == "ram"
+    segment_root = Path("/dev/shm")
+    if not segment_root.is_dir():
+        segment_root = Path(tempfile.gettempdir())
     with tempfile.TemporaryDirectory() as tmp:
         corpus = str(Path(tmp) / "corpus.json")
         subprocess.run(
@@ -143,6 +152,7 @@ def main() -> int:
 
             bad_statuses: list[int] = []
             hit_rates: list[float] = []
+            failures = []
             pinned_before = None
             if args.adaptive:
                 # Pin one query's payload before any swap can land.
@@ -164,12 +174,20 @@ def main() -> int:
                     if status >= 500:
                         bad_statuses.append(status)
                     hit_rates.append(stats["cache"]["hit_rate"])
+                    if shm_check:
+                        segment = Path(stats["backend"]["segment"])
+                        if not (
+                            segment.is_dir() and segment.parent == segment_root
+                        ):
+                            failures.append(
+                                f"segment {segment} is not a directory "
+                                f"under {segment_root}"
+                            )
                     print(
                         f"wave {wave + 1}/{WAVES}: "
                         f"cache hit rate {hit_rates[-1]:.2f}"
                     )
 
-            failures = []
             if args.adaptive:
                 # Wait for a re-index cycle to land on live traffic.
                 index_meta = {}
@@ -225,6 +243,15 @@ def main() -> int:
                 left = set(os.listdir(storage_dir)) - {"pm-index"}
                 if left:
                     failures.append(f"storage dir not cleaned up: {sorted(left)}")
+            if shm_check:
+                left = sorted(
+                    path.name
+                    for path in segment_root.glob(f"repro-serve-{server.pid}-*")
+                )
+                if left:
+                    failures.append(
+                        f"worker segments left in {segment_root}: {left}"
+                    )
             if failures:
                 for failure in failures:
                     print(f"FAIL: {failure}")

@@ -585,7 +585,7 @@ def _command_serve(args, out) -> int:
         server.server_close()
         # Drain before teardown: in-flight futures resolve and their
         # admission slots release before workers (and, for the process
-        # backend, the shared-memory segment) go away.
+        # backend, the worker segment) go away.
         service.close(drain=True)
         print(
             f"served {server.served_count} requests; shut down cleanly",

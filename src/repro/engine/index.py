@@ -13,7 +13,7 @@ separates the paper's PM (every vertex), SPM (some) and unindexed baseline
 :meth:`MetaPathIndex.coverage_mask` and :meth:`MetaPathIndex.gather_rows`.
 The stacked form is also the one every transport uses
 (:meth:`MetaPathIndex.export_arrays`, :mod:`repro.engine.index_io`, the
-shared-memory and mmap attach paths), so attaching an index never builds
+process backend's worker segments), so attaching an index never builds
 per-row Python objects.
 
 Index size is accounted in bytes under a conventional CSR storage model
@@ -227,7 +227,7 @@ class MetaPathIndex:
         return list(self._full) + list(self._partial)
 
     # ------------------------------------------------------------------
-    # Flat-buffer export / attach (shared memory, array stores)
+    # Flat-buffer export / attach (array stores)
     # ------------------------------------------------------------------
     def export_arrays(self) -> tuple[dict, dict[str, "np.ndarray"]]:
         """Flatten the index into a manifest plus named numpy arrays.
@@ -236,8 +236,8 @@ class MetaPathIndex:
         matrix's meta-path, kind, shape and array-name prefix; the arrays
         map carries every CSR buffer (``data``/``indices``/``indptr`` per
         matrix, plus the covered-vertex array for partial stores).  Together
-        they are what the process-parallel service places in shared memory
-        or an array store, and what :mod:`repro.engine.index_io` saves — see
+        they are what the process-parallel service commits as its worker
+        segment, and what :mod:`repro.engine.index_io` saves — see
         :meth:`from_arrays` for the zero-copy reattach.
         """
         entries: list[dict] = []
@@ -279,10 +279,10 @@ class MetaPathIndex:
         """Rebuild an index from :meth:`export_arrays` output, zero-copy.
 
         Matrix buffers are adopted as-is (no validation pass, no dtype
-        cast), so when ``arrays`` holds shared-memory views the rebuilt
-        index reads the same physical pages as every other attached
-        process.  Content integrity is the transport's job — shared
-        segments and array stores carry a fingerprint checked on attach.
+        cast), so when ``arrays`` holds an array store's memmap views the
+        rebuilt index reads the same physical pages as every other attached
+        process.  Content integrity is the transport's job — an array store
+        carries a fingerprint checked on open.
         """
         index = cls()
         for entry in manifest["entries"]:

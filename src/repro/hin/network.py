@@ -184,7 +184,7 @@ class HeterogeneousInformationNetwork:
         # layers can detect staleness (see repro.engine.strategies).
         self._version = 0
         # Set by :meth:`from_prebuilt`: a network wrapped around externally
-        # owned adjacency buffers (shared-memory views) cannot be mutated —
+        # owned adjacency buffers (worker-segment views) cannot be mutated —
         # its COO buffers are empty, so a rebuild would silently drop every
         # edge.  Mutations raise instead.
         self._frozen = False
@@ -205,7 +205,7 @@ class HeterogeneousInformationNetwork:
         """Wrap pre-built adjacency matrices in a read-only network.
 
         The service's process backend reconstructs networks in worker
-        processes from shared-memory CSR views: the matrices are installed
+        processes from worker-segment CSR views: the matrices are installed
         directly (no copy, no COO rebuild) and the network is **frozen** —
         ``add_vertex`` / ``add_edge`` raise, because the COO buffers backing
         a rebuild are empty here and the underlying buffers are shared

@@ -19,7 +19,8 @@ buffer needs ~16 MB of transient heap) and then reopened ``mode="r"``.
 
 The mmap store is also the repository's one on-disk array format: the
 out-of-core index builders, :func:`repro.engine.index_io.save_index` and
-the process backend's mmap-tier worker segments all write it.  Data files
+the process backend's worker segments (under ``/dev/shm`` on the RAM tier,
+where the store is shared memory) all write it.  Data files
 carry no meaning until :meth:`~MmapArrayStore.commit` writes
 ``manifest.json`` (to a temp sibling, then ``os.replace``) with a content
 :func:`fingerprint`.  :meth:`MmapArrayStore.open` refuses a directory
@@ -513,7 +514,7 @@ def csr_from_buffers(
 ) -> sparse.csr_matrix:
     """Adopt pre-canonical buffers as a CSR matrix without copying.
 
-    Used for store-backed (memmap) and shared-memory buffers alike; the
+    Used for store-backed (memmap) buffers, worker segments included; the
     canonical flags are set up front because the buffers may be read-only.
     """
     matrix = sparse.csr_matrix(tuple(int(s) for s in shape), dtype=data.dtype)

@@ -9,15 +9,16 @@ the actual *execution* of an admitted query to an
   cost, but the GIL serializes the Python-side parse/evaluate/aggregate
   work around the SciPy kernels.
 * :class:`ProcessBackend` — spawn-based worker processes.  The warmed CSR
-  buffers (adjacency + PM/SPM index) are placed in **one** shared-memory
-  segment (:mod:`repro.service.shm`) — on the mmap tier, one committed
-  :class:`~repro.hin.storage.MmapArrayStore` directory instead; each worker
-  attaches zero-copy read-only views and rebuilds an equivalent engine
-  handle, so N workers
-  cost one copy of the index plus per-worker interpreter overhead.  Worker
-  crashes are detected via process sentinels; outstanding queries of a
-  dead worker are resubmitted once (queries are read-only, so the retry is
-  safe) and the worker is respawned.
+  buffers (adjacency + PM/SPM index) are committed as **one**
+  :class:`~repro.hin.storage.MmapArrayStore` directory, the worker
+  segment: under ``/dev/shm`` on the RAM tier (a tmpfs, so the store is
+  shared memory), under ``storage_dir`` on the mmap tier.  Each worker
+  opens it — fingerprint re-checked, zero-copy read-only views — and
+  rebuilds an equivalent engine handle, so N workers cost one copy of the
+  index plus per-worker interpreter overhead.  Worker crashes are detected
+  via process sentinels; outstanding queries of a dead worker are
+  resubmitted once (queries are read-only, so the retry is safe) and the
+  worker is respawned.
 
 Both backends speak the same tiny contract — ``submit(canonical_text) ->
 Future[OutlierResult]`` — and produce byte-identical
@@ -38,6 +39,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
+from pathlib import Path
 
 from repro import exceptions as _exceptions
 from repro.core.results import OutlierResult
@@ -49,7 +51,6 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.hin.storage import MmapArrayStore
-from repro.service import shm
 from repro.service.handle import EngineHandle
 
 __all__ = [
@@ -105,7 +106,7 @@ class ExecutionBackend:
         :class:`~repro.service.handle.EngineHandle` (the thread backend):
         the swap's atomic attribute publish is immediately visible to every
         thread.  The process backend overrides this to roll a fresh
-        shared-memory segment generation out to its workers.
+        worker-segment generation out to its workers.
         """
 
     def live_workers(self) -> int:
@@ -257,24 +258,60 @@ _ERROR_EXTRAS = (
 )
 
 
-class _StoreSegment:
-    """A worker-segment generation on the mmap tier: a committed store.
+#: A tmpfs on Linux: a store committed under it is shared memory.
+_SHM_DIR = "/dev/shm"
+_SEGMENT_PREFIX = "repro-serve-"
 
-    Workers receive the directory as their ``manifest`` and attach with
-    :meth:`MmapArrayStore.open`, which re-checks the store's fingerprint.
-    :meth:`release` removes the directory; Linux keeps a removed file's
-    pages readable for a worker that still maps them.
+
+def segment_parent(storage: str = "ram", storage_dir: str | None = None) -> str:
+    """The directory worker segments are committed under, by storage tier.
+
+    The RAM tier uses ``/dev/shm``; the mmap tier, whose one shared copy
+    must not consume RAM-backed tmpfs, uses ``storage_dir``.  Either falls
+    back to the temp dir.
+    """
+    if storage == "mmap":
+        return storage_dir or tempfile.gettempdir()
+    return _SHM_DIR if os.path.isdir(_SHM_DIR) else tempfile.gettempdir()
+
+
+def _reclaim_orphans(parent: "str | os.PathLike") -> None:
+    """Remove sibling segments whose owner process no longer exists.
+
+    Only the owner's :meth:`_StoreSegment.release` removes a segment, so one
+    a SIGKILLed owner left behind is reclaimed here, by the next export into
+    the same directory.
+    """
+    for path in Path(parent).glob(f"{_SEGMENT_PREFIX}*-*"):
+        pid = path.name[len(_SEGMENT_PREFIX):].split("-")[0]
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(path, ignore_errors=True)
+        except (OSError, OverflowError):  # another user's, or not a pid
+            pass
+
+
+class _StoreSegment:
+    """One worker-segment generation: a committed array store.
+
+    The directory is named ``repro-serve-<owner pid>-<random>``.  Workers
+    open it with :meth:`MmapArrayStore.open`, which re-checks the store's
+    fingerprint.  :meth:`release` removes the directory; Linux keeps a
+    removed file's pages readable for a worker that still maps them.
     """
 
-    def __init__(self, arrays: dict, parent: "str | None") -> None:
-        if parent is not None:
-            os.makedirs(parent, exist_ok=True)
-        self.name = self.manifest = tempfile.mkdtemp(
-            prefix="repro-serve-", dir=parent
+    def __init__(self, arrays: dict, parent: "str | os.PathLike") -> None:
+        os.makedirs(parent, exist_ok=True)
+        _reclaim_orphans(parent)
+        self.directory = tempfile.mkdtemp(
+            prefix=f"{_SEGMENT_PREFIX}{os.getpid()}-", dir=parent
         )
         self.total_bytes = sum(int(array.nbytes) for array in arrays.values())
         try:
-            store = MmapArrayStore(self.name)
+            store = MmapArrayStore(self.directory)
             for key, array in arrays.items():
                 store.put(key, array)
             store.commit()
@@ -283,39 +320,23 @@ class _StoreSegment:
             raise
 
     def release(self) -> None:
-        shutil.rmtree(self.name, ignore_errors=True)
+        shutil.rmtree(self.directory, ignore_errors=True)
 
 
-def export_segment(
-    arrays: dict, backing: str, directory: "str | None" = None
-) -> "shm.SharedArraySegment | _StoreSegment":
-    """One worker-segment generation of ``arrays`` on the given backing.
-
-    ``"shm"`` packs them into a ``/dev/shm`` segment; ``"file"`` (the mmap
-    tier, whose one shared copy must not consume RAM-backed tmpfs) commits
-    them as an array store under ``directory`` (a temp dir when ``None``).
-    """
-    if backing == "shm":
-        return shm.export_arrays(arrays, name_hint="repro-serve")
-    if backing == "file":
-        return _StoreSegment(arrays, directory)
-    raise ServiceError(
-        f"unknown segment backing {backing!r}; expected 'shm' or 'file'"
-    )
+def export_segment(arrays: dict, directory: "str | os.PathLike") -> _StoreSegment:
+    """Commit ``arrays`` as one worker-segment generation under ``directory``."""
+    return _StoreSegment(arrays, directory)
 
 
-def attach_segment(manifest: "shm.SegmentManifest | str") -> tuple:
-    """Worker side of :func:`export_segment`: ``(mapping, read-only views)``."""
-    if isinstance(manifest, str):
-        store = MmapArrayStore.open(manifest)
-        return store, store.arrays()
-    return shm.attach_arrays(manifest)
+def _attach(spec: dict, segment: str) -> EngineHandle:
+    """Worker side of :func:`export_segment`: an engine over the store's views."""
+    return EngineHandle.from_shared(spec, MmapArrayStore.open(segment).arrays())
 
 
 def _service_worker_main(
     worker_id: int,
     spec: dict,
-    manifest: "shm.SegmentManifest | str",
+    segment: str,
     timeout_seconds: float | None,
     task_queue,
     result_connection,
@@ -323,8 +344,8 @@ def _service_worker_main(
     """Worker process body: attach shared index, serve queries until told to stop.
 
     Spawn-safe: everything arrives pickled through the process arguments;
-    the CSR buffers arrive by name (or store directory) through
-    ``manifest`` and are mapped zero-copy.  Every task produces exactly one
+    the CSR buffers arrive as the ``segment`` store directory and are
+    mapped zero-copy.  Every task produces exactly one
     reply — ``("result", ...)`` with the lossless wire dict, or
     ``("error", ...)`` with a typed error description.
 
@@ -338,8 +359,7 @@ def _service_worker_main(
     ``EOFError`` on that pipe alone.
     """
     try:
-        mapping, views = attach_segment(manifest)
-        handle = EngineHandle.from_shared(spec, views)
+        handle = _attach(spec, segment)
     except BaseException as error:  # noqa: BLE001 - startup failure report
         try:
             result_connection.send(
@@ -353,15 +373,14 @@ def _service_worker_main(
         if message[0] == "stop":
             break
         if message[0] == "swap":
-            # Index hot-swap: attach the new segment generation, rebuild
-            # the handle, and only then retire the old mapping.  The loop
-            # is serial, so a swap is always processed *between* queries —
-            # no query ever observes a half-swapped engine, which is the
-            # torn-index guarantee the chaos tests pin.
-            _, generation, new_spec, new_manifest = message
+            # Index hot-swap: attach the new segment generation and rebuild
+            # the handle; the old one's views unmap once it is dropped.  The
+            # loop is serial, so a swap is always processed *between*
+            # queries — no query ever observes a half-swapped engine, which
+            # is the torn-index guarantee the chaos tests pin.
+            _, generation, new_spec, new_segment = message
             try:
-                new_mapping, new_views = attach_segment(new_manifest)
-                new_handle = EngineHandle.from_shared(new_spec, new_views)
+                new_handle = _attach(new_spec, new_segment)
             except BaseException as error:  # noqa: BLE001 - reported, then die
                 try:
                     result_connection.send(
@@ -380,8 +399,6 @@ def _service_worker_main(
                 # converges on the new generation.
                 break
             handle = new_handle
-            mapping, old_mapping = new_mapping, mapping
-            old_mapping.close()
             result_connection.send(("swapped", worker_id, generation))
             continue
         _, task_id, query_text = message
@@ -402,7 +419,6 @@ def _service_worker_main(
         else:
             # Pickled as columns plus the k ranked records (``__getstate__``).
             result_connection.send(("result", worker_id, task_id, result))
-    mapping.close()
 
 
 @dataclass
@@ -432,15 +448,15 @@ class _WorkerSlot:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Execute queries in spawn-based worker processes over shared memory.
+    """Execute queries in spawn-based worker processes over one shared segment.
 
     Parameters
     ----------
     handle:
-        The warmed parent engine.  Its CSR buffers are exported into one
-        shared-memory segment at construction; the parent keeps serving
-        from its own copy (e.g. for ``/schema``), workers serve from the
-        shared pages.
+        The warmed parent engine.  Its CSR buffers are committed as one
+        worker segment at construction; the parent keeps serving from its
+        own copy (e.g. for ``/schema``), workers serve from the segment's
+        pages.
     workers:
         Worker process count.
     timeout_seconds:
@@ -452,14 +468,9 @@ class ProcessBackend(ExecutionBackend):
     max_restarts:
         Crash-replacement budget **per worker slot**; beyond it the slot is
         retired (prevents a crash-looping query from forking forever).
-    segment_backing:
-        ``"shm"`` exports the index into POSIX shared memory (/dev/shm);
-        ``"file"`` commits it as an array store under ``segment_dir`` that
-        workers map read-only — the route for indexes larger than the
-        tmpfs budget.  Owner teardown removes either.
     segment_dir:
-        Parent directory of file-backed segments (a temp dir when
-        ``None``); ignored for ``"shm"``.
+        Parent directory of the worker segments (:func:`segment_parent`
+        of the RAM tier when ``None``).  Owner teardown removes them.
     """
 
     name = "process"
@@ -472,17 +483,15 @@ class ProcessBackend(ExecutionBackend):
         timeout_seconds: float | None = None,
         start_timeout_seconds: float = 120.0,
         max_restarts: int = 3,
-        segment_backing: str = "shm",
         segment_dir: str | None = None,
     ) -> None:
         self.handle = handle
         self._timeout_seconds = timeout_seconds
         self._max_restarts = max_restarts
-        self._segment_backing = segment_backing
-        self._segment_dir = segment_dir
+        self._segment_dir = segment_dir or segment_parent()
         self._ctx = multiprocessing.get_context("spawn")
         spec, arrays = handle.export_shared()
-        self._segment = export_segment(arrays, segment_backing, segment_dir)
+        self._segment = export_segment(arrays, self._segment_dir)
         self._spec = spec
         self._lock = threading.Lock()
         self._accepting = True
@@ -493,8 +502,8 @@ class ProcessBackend(ExecutionBackend):
         self._startup_errors: list[str] = []
         self._generation = 0
         self._swap_errors: list[str] = []
-        # Old segments a timed-out swap could not safely unlink yet; they
-        # are removed at close() so the OS never leaks shared memory.
+        # Old segments a timed-out swap could not safely remove yet; they
+        # are removed at close() so no generation outlives the service.
         self._retired_segments: list = []
         self._slots = [_WorkerSlot(worker_id=i) for i in range(workers)]
         self._collector = None
@@ -512,7 +521,7 @@ class ProcessBackend(ExecutionBackend):
             self._monitor.start()
         except BaseException:
             # Start-up failed: tear down whatever came up and never leak
-            # the shared segment.
+            # the worker segment.
             self._stop.set()
             for slot in self._slots:
                 if slot.process is not None and slot.process.is_alive():
@@ -544,7 +553,7 @@ class ProcessBackend(ExecutionBackend):
             args=(
                 slot.worker_id,
                 self._spec,
-                self._segment.manifest,
+                self._segment.directory,
                 self._timeout_seconds,
                 slot.queue,
                 writer,
@@ -773,21 +782,19 @@ class ProcessBackend(ExecutionBackend):
         The process-backend half of the hot-swap protocol:
 
         1. Export the (already swapped) parent engine into a **fresh**
-           shared-memory segment — the old one keeps serving untouched.
+           worker segment — the old one keeps serving untouched.
         2. Under the lock, publish the new spec/segment/generation (crash
            replacements from here on attach the new generation) and
            broadcast a ``swap`` message to every live worker's task queue.
         3. Wait until no live slot is below the target generation.  A
            worker adopts by ack (``swapped``), or by dying and being
            respawned against the new spec — either way the barrier clears.
-        4. Only then unlink the old segment.  On timeout the old segment is
-           retired instead (unlinked at :meth:`close`), never yanked from
+        4. Only then remove the old segment.  On timeout the old segment is
+           retired instead (removed at :meth:`close`), never yanked from
            under a worker that may still be serving from it.
         """
         spec, arrays = self.handle.export_shared()
-        new_segment = export_segment(
-            arrays, self._segment_backing, self._segment_dir
-        )
+        new_segment = export_segment(arrays, self._segment_dir)
         with self._lock:
             if self._closed or not self._accepting:
                 new_segment.release()
@@ -808,7 +815,7 @@ class ProcessBackend(ExecutionBackend):
             ]
         for queue in queues:
             try:
-                queue.put(("swap", target, spec, new_segment.manifest))
+                queue.put(("swap", target, spec, new_segment.directory))
             except (OSError, ValueError):
                 pass  # a worker died mid-broadcast: its respawn adopts anyway
         deadline = time.monotonic() + timeout_seconds
@@ -871,7 +878,7 @@ class ProcessBackend(ExecutionBackend):
             "backend": self.name,
             "configured_workers": len(self._slots),
             "live_workers": self.live_workers(),
-            "segment": self._segment.name,
+            "segment": self._segment.directory,
             "segment_bytes": self._segment.total_bytes,
             "index_generation": generation,
             "swap_errors": swap_errors,
@@ -926,14 +933,11 @@ class ProcessBackend(ExecutionBackend):
             if slot.reader is not None:
                 slot.reader.close()
                 slot.reader = None
-        # Last: drop the mapping and remove the segment from the OS —
-        # including any segment a timed-out swap had to retire.
+        # Last: remove the segment — including any segment a timed-out
+        # swap had to retire.
         self._segment.release()
         for segment in self._retired_segments:
-            try:
-                segment.release()
-            except OSError:
-                pass
+            segment.release()
         self._retired_segments.clear()
 
 
@@ -943,7 +947,6 @@ def make_backend(
     backend: str,
     workers: int,
     timeout_seconds: float | None = None,
-    segment_backing: str = "shm",
     segment_dir: str | None = None,
 ) -> ExecutionBackend:
     """Instantiate the configured execution backend."""
@@ -956,7 +959,6 @@ def make_backend(
             handle,
             workers=workers,
             timeout_seconds=timeout_seconds,
-            segment_backing=segment_backing,
             segment_dir=segment_dir,
         )
     raise ServiceError(f"unknown execution backend {backend!r}")

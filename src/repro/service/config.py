@@ -159,8 +159,9 @@ class ServiceConfig:
     backend: str = setting(
         "thread",
         "execution backend: 'thread' shares the engine in-process; "
-        "'process' spawns workers over zero-copy shared-memory CSR views "
-        "(results are identical; see docs/service.md)",
+        "'process' spawns workers over zero-copy views of one committed "
+        "array store, under /dev/shm on the ram tier (results are "
+        "identical; see docs/service.md)",
         flag="--backend",
         choices=("thread", "process"),
     )
@@ -289,16 +290,6 @@ class ServiceConfig:
             # consumer (admission capacity, stats, backends) sees the real
             # worker count rather than the sentinel.
             object.__setattr__(self, "workers", auto_worker_count())
-
-    @property
-    def segment_backing(self) -> str:
-        """Transport of the process backend's shared segment.
-
-        The mmap storage tier pairs with file-backed segments (committed
-        array stores under ``storage_dir``) — the whole point is keeping
-        the one shared index copy out of RAM-backed ``/dev/shm``.
-        """
-        return "file" if self.storage == "mmap" else "shm"
 
     @property
     def capacity(self) -> int:

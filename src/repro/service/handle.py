@@ -92,7 +92,7 @@ class EngineHandle:
     ) -> None:
         self.network = network
         # Construction record: everything but the network and the index
-        # (which travel as shared-memory buffers).  The process backend
+        # (which travel as worker-segment arrays).  The process backend
         # ships it whole to its workers, and a hot-swap rebuilds the engine
         # from it, so a setting added here reaches both.
         self._init_spec = {
@@ -115,8 +115,8 @@ class EngineHandle:
         self.detector, self.row_cache = self._with_row_cache(base)
         self._version = network.version
         #: Counts completed hot-swaps; 0 for the index the handle was born
-        #: with.  The process backend reuses the same counter to tag shm
-        #: segment generations.
+        #: with.  The process backend reuses the same counter to tag its
+        #: worker-segment generations.
         self.index_generation = 0
         self.last_swap_unix: float | None = None
         self.subpath_cache: SubpathCache | None = None
@@ -326,7 +326,7 @@ class EngineHandle:
         return self.detector.detect_many(queries)
 
     # ------------------------------------------------------------------
-    # Shared-memory export / attach (process backend)
+    # Worker-segment export / attach (process backend)
     # ------------------------------------------------------------------
     def _concrete_strategy(self) -> MaterializationStrategy:
         """The strategy actually answering queries right now.
@@ -352,8 +352,10 @@ class EngineHandle:
         ``spec`` is a picklable description (schema, vertex registries,
         array layout, detector settings); ``arrays`` maps names to the CSR
         buffers of every adjacency matrix and — when the active strategy is
-        indexed — every index matrix.  :meth:`from_shared` inverts this in
-        a worker process over shared-memory views of the same arrays.
+        indexed — every index matrix.  The process backend commits the
+        arrays as its worker segment, an array store;
+        :meth:`from_shared` inverts this in a worker process over the
+        store's read-only memmap views.
 
         A ladder (``resilience.allow_degraded``) exports its **active
         rung**: workers serve the concrete strategy the parent settled on
@@ -428,9 +430,9 @@ class EngineHandle:
     def from_shared(cls, spec: dict, views: "dict") -> "EngineHandle":
         """Rebuild a serving handle from :meth:`export_shared` output.
 
-        ``views`` holds (typically shared-memory, read-only) arrays under
-        the names assigned by :meth:`export_shared`; all CSR matrices are
-        reconstructed as zero-copy wrappers over those buffers.
+        ``views`` holds (typically a worker segment's read-only memmap)
+        arrays under the names assigned by :meth:`export_shared`; all CSR
+        matrices are reconstructed as zero-copy wrappers over those buffers.
         """
         adjacency = {}
         for entry in spec["adjacency"]:

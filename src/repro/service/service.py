@@ -52,7 +52,12 @@ from repro.exceptions import (
 from repro.query.ast import Query
 from repro.service.admission import AdmissionController
 from repro.service.adaptive import Reindexer, WorkloadRecorder
-from repro.service.backends import ExecutionBackend, _resolve, make_backend
+from repro.service.backends import (
+    ExecutionBackend,
+    _resolve,
+    make_backend,
+    segment_parent,
+)
 from repro.service.cache import ResultCache, canonical_query_key
 from repro.service.config import ServiceConfig
 from repro.service.handle import EngineHandle
@@ -78,12 +83,12 @@ class QueryService:
     Notes
     -----
     Lifecycle: the worker pool starts immediately (the process backend
-    additionally exports the index into shared memory and spawns workers
+    additionally commits the index as its worker segment and spawns workers
     here); call :meth:`close` (or use the service as a context manager) to
     drain and stop it.  After ``close``, :meth:`submit` raises
     :class:`~repro.exceptions.ServiceClosedError`; requests admitted before
     the close still complete, their admission slots are released, and the
-    process backend's shared-memory segment is unlinked.
+    process backend's worker segment is removed.
     """
 
     def __init__(
@@ -120,8 +125,9 @@ class QueryService:
             backend=self.config.backend,
             workers=self.config.workers,
             timeout_seconds=self.config.timeout_seconds,
-            segment_backing=self.config.segment_backing,
-            segment_dir=self.config.storage_dir,
+            segment_dir=segment_parent(
+                self.config.storage, self.config.storage_dir
+            ),
         )
         if self.config.adaptive:
             self.reindexer = Reindexer(
@@ -316,8 +322,8 @@ class QueryService:
         Two halves, in the only safe order: the parent handle swaps first
         (:meth:`~repro.service.handle.EngineHandle.swap_index` bumps the
         network version, which invalidates old result-cache entries), then
-        the backend adopts it — a no-op for threads, a shared-memory
-        segment generation roll for processes.  In the overlap window both
+        the backend adopts it — a no-op for threads, a worker-segment
+        generation roll for processes.  In the overlap window both
         engines answer, and both answers are byte-identical by
         construction.  Returns the new network version.
         """
@@ -418,8 +424,8 @@ class QueryService:
         released **before** workers are torn down; with ``drain=False``
         queued-but-unstarted work resolves with
         :class:`~repro.exceptions.ServiceClosedError` (or cancellation)
-        instead of executing.  Either way the process backend unlinks its
-        shared-memory segment before this returns.
+        instead of executing.  Either way the process backend removes its
+        worker segment before this returns.
         """
         with self._lock:
             if self._closed:

@@ -3,15 +3,15 @@
 The process backend must be *indistinguishable* from the thread backend to
 every caller — byte-identical results, the same typed errors, the same
 admission accounting — while surviving the failure modes only processes
-have: worker crashes, orphaned shared-memory segments, kill signals.  Each
+have: worker crashes, orphaned segment directories, kill signals.  Each
 class below pins one of those contracts:
 
 * :class:`TestByteEquality` — the acceptance criterion: ``to_dict()``
   payloads byte-identical across backends over a strategy x query grid.
 * :class:`TestCrashReplacement` — kill a worker mid-burst; every admitted
   query still answers, the slot respawns, and the pool heals.
-* :class:`TestSegmentCleanup` — no shared-memory segments leak, on the
-  happy path or on construction/start-up failures.
+* :class:`TestSegmentCleanup` — no segment directory outlives its
+  service, on the happy path or on construction/start-up failures.
 * :class:`TestCloseDrain` — ``close(drain=True)`` resolves every in-flight
   future and releases every admission slot before teardown.
 * :class:`TestServeSignals` — ``repro serve`` under SIGTERM takes the same
@@ -33,12 +33,8 @@ import pytest
 
 from repro.core.measures import NetOutMeasure
 from repro.exceptions import ServiceClosedError, ServiceError
-from repro.service import (
-    QueryService,
-    ServiceConfig,
-    auto_worker_count,
-    shm,
-)
+from repro.service import QueryService, ServiceConfig, auto_worker_count
+from repro.service.backends import segment_parent
 from repro.service.simload import GilBoundNetOutMeasure
 
 #: A small grid of executable figure-1 queries with distinct canonical forms.
@@ -83,7 +79,7 @@ class TestByteEquality:
     @pytest.mark.parametrize("strategy", ["baseline", "pm", "spm"])
     def test_results_identical_across_backends(self, figure1, strategy):
         """Acceptance: the backend switch never changes a single byte of
-        any result, for every strategy whose index crosses the shm layer."""
+        any result, for every strategy whose index crosses the segment."""
         payloads = {}
         for backend in ("thread", "process"):
             config = ServiceConfig(
@@ -206,14 +202,11 @@ class TestCrashReplacement:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory cleanup
+# Segment cleanup
 # ----------------------------------------------------------------------
-def _dev_shm_segments():
-    """Names of this suite's segments visible in the OS shm filesystem."""
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-Linux fallback
-        return set()
-    return {entry.name for entry in root.iterdir() if "repro-serve" in entry.name}
+def _own_segments():
+    """This process's segment directories under the RAM tier's parent."""
+    return set(Path(segment_parent()).glob(f"repro-serve-{os.getpid()}-*"))
 
 
 def _poison_rebuild():
@@ -238,22 +231,21 @@ class PoisonedRebuildMeasure(NetOutMeasure):
 class TestSegmentCleanup:
     def test_normal_close_unlinks_the_segment(self, figure1):
         service = _service(figure1, "process")
-        segment = service.stats()["backend"]["segment"]
-        assert segment in shm.active_segments()
-        assert segment in _dev_shm_segments()
+        segment = Path(service.stats()["backend"]["segment"])
+        assert segment.parent == Path(segment_parent())
+        assert (segment / "manifest.json").is_file()
         service.execute(QUERY_GRID[0], timeout=30.0)
         service.close()
-        assert segment not in shm.active_segments()
-        assert segment not in _dev_shm_segments()
+        assert not segment.exists()
 
     def test_nondrain_close_unlinks_the_segment(self, figure1):
         service = _service(figure1, "process")
-        segment = service.stats()["backend"]["segment"]
+        segment = Path(service.stats()["backend"]["segment"])
+        assert segment.parent == Path(segment_parent())
         for query in QUERY_GRID:
             service.submit(query)
         service.close(drain=False)
-        assert segment not in shm.active_segments()
-        assert segment not in _dev_shm_segments()
+        assert not segment.exists()
 
     def test_unpicklable_spec_fails_before_any_segment_exists(self, figure1):
         """An engine spec that cannot cross the boundary is rejected with a
@@ -262,20 +254,18 @@ class TestSegmentCleanup:
         class Unpicklable(NetOutMeasure):  # local class: not picklable
             name = "netout-local"
 
-        before = shm.active_segments()
+        before = _own_segments()
         with pytest.raises(ServiceError, match="pickle"):
             _service(figure1, "process", measure=Unpicklable())
-        assert shm.active_segments() == before
+        assert _own_segments() == before
 
     def test_worker_startup_failure_unlinks_the_segment(self, figure1):
         """Start-up failure *after* export (workers die rebuilding the
         engine) must tear the segment down on the error path."""
-        before_active = shm.active_segments()
-        before_os = _dev_shm_segments()
+        before = _own_segments()
         with pytest.raises(ServiceError, match="failed to start|died"):
             _service(figure1, "process", measure=PoisonedRebuildMeasure())
-        assert shm.active_segments() == before_active
-        assert _dev_shm_segments() == before_os
+        assert _own_segments() == before
 
 
 # ----------------------------------------------------------------------
