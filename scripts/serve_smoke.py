@@ -11,13 +11,16 @@ a dashboard workload), and asserts the serving contract:
 * the server shuts down cleanly (exit code 0) after ``--max-requests``.
 
 With ``--adaptive`` the server runs the workload-adaptive re-indexer
-(``--strategy spm --adaptive``, tight interval) and the smoke additionally
-asserts:
+(``--strategy spm --adaptive``, tight interval) under a ``--timeout``, so
+the SPM index is served through the degradation ladder, and the smoke
+additionally asserts:
 
 * a background re-index cycle lands while traffic flows (``/healthz``
   reports ``index.generation >= 1`` and ``index.reindexes >= 1``),
 * a pinned query's result payload is byte-identical before and after the
   hot-swap (adaptation must never change answers),
+* the ``engine.fingerprint`` in ``/stats`` is identical before and after
+  the hot-swap (a swap keeps the ladder),
 * the server drains cleanly on SIGTERM (exit code 0).
 
 With ``--storage mmap`` the server keeps adjacency, index and (on the
@@ -123,9 +126,11 @@ def main() -> int:
         if args.storage == "mmap":
             command += ["--storage", "mmap", "--storage-dir", str(storage_dir)]
         if args.adaptive:
-            # SPM + a tight re-index loop; shutdown comes via SIGTERM once
-            # the swap has been observed, not via a request budget.
+            # SPM under the ladder + a tight re-index loop; shutdown comes
+            # via SIGTERM once the swap has been observed, not via a request
+            # budget.
             command += ["--strategy", "spm",
+                        "--timeout", "30",
                         "--adaptive",
                         "--reindex-interval", "1.0",
                         "--reindex-min-queries", "10",
@@ -153,9 +158,13 @@ def main() -> int:
             bad_statuses: list[int] = []
             hit_rates: list[float] = []
             failures = []
-            pinned_before = None
+            pinned_before = fingerprint_before = None
             if args.adaptive:
-                # Pin one query's payload before any swap can land.
+                # Pin the engine fingerprint and one query's payload before
+                # any swap can land.
+                fingerprint_before = request(host, port, "GET", "/stats")[1][
+                    "engine"
+                ]["fingerprint"]
                 status, body = post(DISTINCT_QUERIES[0])
                 if status != 200:
                     print(f"FAIL: pinned query got {status}: {body}")
@@ -221,6 +230,14 @@ def main() -> int:
                     ):
                         failures.append(
                             "hot-swap changed the pinned query's payload"
+                        )
+                    fingerprint = request(host, port, "GET", "/stats")[1][
+                        "engine"
+                    ]["fingerprint"]
+                    if fingerprint != fingerprint_before:
+                        failures.append(
+                            f"hot-swap changed the engine fingerprint: "
+                            f"{fingerprint_before} -> {fingerprint}"
                         )
                 server.send_signal(signal.SIGTERM)
             deadline = time.monotonic() + 30.0

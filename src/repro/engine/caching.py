@@ -350,6 +350,9 @@ class CachingStrategy(MaterializationStrategy):
     def connectivity_sums(self, path, candidates, reference, stats=None) -> np.ndarray:
         return self.inner.connectivity_sums(path, candidates, reference, stats)
 
+    rung = property(lambda self: self.inner.rung)
+    degradation_reason = property(lambda self: self.inner.degradation_reason)
+
     def visibilities(self, path, vertex_indices, stats=None) -> np.ndarray:
         """Cached ``‖φ_path(v)‖²``.  Unknown ones go to ``inner`` directly — its
         every check, index and fault point as on any row request — and store

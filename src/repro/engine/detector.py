@@ -67,10 +67,11 @@ class OutlierDetector:
         Attach per-phase execution statistics to every result.
     resilience:
         Optional :class:`~repro.engine.resilience.ResiliencePolicy`.  When
-        set (and ``strategy`` is a name, not a pre-built instance), the
-        detector executes through the degradation ladder — the requested
-        rung falling back toward on-the-fly counting on index-build or
-        lookup failure — under the policy's per-query deadline, memory
+        it allows degradation (and ``strategy`` is a name, not a pre-built
+        instance), the detector executes through the degradation ladder —
+        the requested rung, starting from ``index`` when one is given,
+        falling back toward on-the-fly counting on index-build or lookup
+        failure — under the policy's per-query deadline, memory
         guardrails, retry, and circuit-breaker settings.  Degraded answers
         come back flagged ``degraded=True`` rather than failing.
     """
@@ -97,7 +98,7 @@ class OutlierDetector:
                 analyzer = WorkloadAnalyzer(network)
                 analyzer.analyze_many(spm_workload)
                 selected = analyzer.frequent_vertices(spm_threshold)
-            if resilience is not None and resilience.allow_degraded and index is None:
+            if resilience is not None and resilience.allow_degraded:
                 from repro.engine.resilience import (
                     DEGRADATION_LADDER,
                     FallbackStrategy,
@@ -115,6 +116,7 @@ class OutlierDetector:
                     ladder=ladder,
                     policy=resilience,
                     spm_selected=selected,
+                    index=index,
                 )
             else:
                 self.strategy = make_strategy(

@@ -197,13 +197,8 @@ class QueryExecutor:
 
     def _degradation_reason(self, partial_reason: str | None) -> str | None:
         """Combine strategy-ladder demotions and partial scoring into one reason."""
-        parts = []
-        strategy_reason = getattr(self.strategy, "degradation_reason", None)
-        if getattr(self.strategy, "degraded", False) and strategy_reason:
-            parts.append(strategy_reason)
-        if partial_reason is not None:
-            parts.append(partial_reason)
-        return "; ".join(parts) if parts else None
+        parts = (self.strategy.degradation_reason, partial_reason)
+        return "; ".join(part for part in parts if part) or None
 
     # ------------------------------------------------------------------
     # Scoring

@@ -17,9 +17,13 @@ engine composes:
   builds whose estimated materialized size exceeds a memory budget.
 
 :class:`FallbackStrategy` ties them into the **degradation ladder**:
-PM → SPM → on-the-fly counting.  A query keeps its answer as long as *any*
-rung can produce neighbor vectors; the result is then flagged
-``degraded=True`` with an explicit reason instead of hard-failing.
+PM → SPM → on-the-fly counting.  It is the one coverage strategy of
+:mod:`repro.engine.strategies`, and a rung is only the index installed in
+it: demotion builds the next rung's index under those guards and replaces
+the installed one, once per failed rung however many requests saw it fail.
+A query keeps its answer as long as *any* rung can produce neighbor
+vectors; the result is then flagged ``degraded=True`` with an explicit
+reason instead of hard-failing.
 
 All time sources and sleeps are injectable so the resilience test suite is
 deterministic (see ``tests/engine/test_resilience.py`` and
@@ -28,6 +32,7 @@ deterministic (see ``tests/engine/test_resilience.py`` and
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -41,12 +46,7 @@ from repro.engine.deadline import (
     deadline_scope,
 )
 from repro.engine.index import MetaPathIndex, build_pm_index, build_spm_index
-from repro.engine.strategies import (
-    BaselineStrategy,
-    MaterializationStrategy,
-    PMStrategy,
-    SPMStrategy,
-)
+from repro.engine.strategies import Rung, _CoverageStrategy
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -374,23 +374,19 @@ class ResiliencePolicy:
 # ----------------------------------------------------------------------
 # The degradation ladder
 # ----------------------------------------------------------------------
-class FallbackStrategy(MaterializationStrategy):
-    """Materialization with a degradation ladder: PM → SPM → on-the-fly.
+class FallbackStrategy(_CoverageStrategy):
+    """The coverage routine over a degradation ladder: PM → SPM → on-the-fly.
 
-    Rung strategies are built lazily; index construction runs through the
-    policy's circuit breaker, retry-with-backoff, and memory guard.  When a
-    rung cannot be built — or fails while serving vectors — the ladder
-    demotes to the next rung and records why, so the executor can flag the
-    result ``degraded=True`` with a concrete reason instead of failing the
-    query.  The final rung (on-the-fly traversal) needs no index and cannot
-    fail to build, so a query always gets an answer unless its deadline
-    expires first.
-
-    Requests delegate wholesale to the active rung's ``neighbor_matrix`` or
-    ``connectivity_sums`` (``neighbor_row`` and ``visibilities`` are inherited and
-    built on the former), so the wrapper inherits each rung's deadline,
-    freshness and fault-point checks; a rung failure mid-request demotes
-    and re-runs the whole request on the next rung.
+    A rung is only *which index* the routine serves from
+    (:class:`~repro.engine.strategies.Rung`).  The first is built on first
+    use, behind the policy's memory guard, breaker and retry, unless
+    ``index`` hands it in.  When a rung cannot be built or a request fails
+    on it, the next rung's index is built the same way and published under
+    a lock — only while the failed rung is still installed, so concurrent
+    failures demote once and the losers re-run on the winner's rung.  The
+    demotion history is ``degradation_reason``, which flags the result.
+    The final rung (on-the-fly traversal) needs no index and cannot fail to
+    build, so a query always gets an answer unless its deadline expires.
 
     Parameters
     ----------
@@ -404,6 +400,8 @@ class FallbackStrategy(MaterializationStrategy):
         omitted).
     spm_selected:
         Vertices to index when the SPM rung is built.
+    index:
+        The first rung's prebuilt index, as ``index`` means for PM and SPM.
     """
 
     name = "resilient"
@@ -415,8 +413,8 @@ class FallbackStrategy(MaterializationStrategy):
         ladder: Sequence[str] = DEGRADATION_LADDER,
         policy: ResiliencePolicy | None = None,
         spm_selected: Iterable[VertexId] | None = None,
+        index: MetaPathIndex | None = None,
     ) -> None:
-        super().__init__(network)
         if not ladder:
             raise ExecutionError("the degradation ladder needs at least one rung")
         unknown = [rung for rung in ladder if rung not in DEGRADATION_LADDER]
@@ -425,24 +423,25 @@ class FallbackStrategy(MaterializationStrategy):
                 f"unknown ladder rungs {unknown}; expected a subsequence of "
                 f"{DEGRADATION_LADDER}"
             )
+        first = None if index is None else Rung.of(network, ladder[0], index)
+        super().__init__(network, first)
         self.ladder = tuple(ladder)
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._spm_selected = list(spm_selected or [])
-        self._position = 0
-        self._built: dict[str, MaterializationStrategy] = {}
+        self._lock = threading.RLock()
         #: ``(rung, reason)`` pairs, in demotion order.
         self.events: list[tuple[str, str]] = []
 
-    # -- ladder state ---------------------------------------------------
     @property
-    def active_rung(self) -> str:
-        """The rung currently answering queries."""
-        return self.ladder[min(self._position, len(self.ladder) - 1)]
+    def rung(self) -> Rung:
+        """The installed rung (the first is built on first use)."""
+        rung = self._rung
+        return rung if rung is not None else self._install(None)
 
     @property
-    def degraded(self) -> bool:
-        """True once any rung has been demoted."""
-        return bool(self.events)
+    def active_rung(self) -> str:
+        """The name of the rung answering queries."""
+        return self.rung.name
 
     @property
     def degradation_reason(self) -> str | None:
@@ -451,88 +450,78 @@ class FallbackStrategy(MaterializationStrategy):
             return None
         return "; ".join(f"{rung}: {reason}" for rung, reason in self.events)
 
-    def _demote(self, rung: str, reason: str) -> None:
-        self.events.append((rung, reason))
-        self._position += 1
+    def tolerate_stale(self) -> None:
+        with self._lock:
+            super().tolerate_stale()
 
-    # -- rung construction ----------------------------------------------
-    def _build_rung(self, rung: str) -> MaterializationStrategy:
-        guard = self.policy.resource_guard()
-        if rung == "pm":
-            guard.check_estimate(
-                estimate_pm_index_bytes(self.network), "the PM index build"
-            )
-            index = self._guarded_build("pm", lambda: build_pm_index(self.network))
-            return PMStrategy(self.network, index=index)
-        if rung == "spm":
-            guard.check_estimate(
-                estimate_spm_index_bytes(self.network, self._spm_selected),
-                "the SPM index build",
-            )
-            index = self._guarded_build(
-                "spm",
-                lambda: build_spm_index(self.network, self._spm_selected)[0],
-            )
-            return SPMStrategy(self.network, index=index)
-        return BaselineStrategy(self.network)
+    def _build_rung(self, name: str) -> Rung:
+        """``name``'s index, behind the memory guard, breaker and retry."""
+        if name == "baseline":
+            return Rung.of(self.network, name)
+        network, selected = self.network, self._spm_selected
 
-    def _guarded_build(
-        self, key: str, builder: Callable[[], MetaPathIndex]
-    ) -> MetaPathIndex:
-        """Index construction behind the breaker, with transient retries."""
-        breaker = self.policy.breaker(f"{key}-index-build")
-        return breaker.call(lambda: self.policy.retry(builder))
+        def build() -> MetaPathIndex:
+            if name == "pm":
+                return build_pm_index(network)
+            return build_spm_index(network, selected)[0]
 
-    def _active_strategy(self) -> MaterializationStrategy:
-        while self._position < len(self.ladder):
-            rung = self.ladder[self._position]
-            built = self._built.get(rung)
-            if built is not None:
-                return built
-            try:
-                strategy = self._build_rung(rung)
-            except DeadlineExceededError:
-                raise
-            except ExecutionError as error:
-                if not self.policy.allow_degraded:
+        self.policy.resource_guard().check_estimate(
+            estimate_pm_index_bytes(network)
+            if name == "pm"
+            else estimate_spm_index_bytes(network, selected),
+            f"the {name.upper()} index build",
+        )
+        breaker = self.policy.breaker(f"{name}-index-build")
+        return Rung.of(network, name, breaker.call(lambda: self.policy.retry(build)))
+
+    def _install(self, failed: Rung | None, reason: str = "") -> Rung:
+        """Publish the strongest buildable rung below ``failed`` (the first
+        rung when ``None``) — unless another caller already replaced it.
+
+        Its events are recorded with the outcome, so a deadline that stops
+        the build leaves ``failed`` installed to demote again, unrecorded.
+        """
+        with self._lock:
+            if self._rung is not failed:
+                return self._rung
+            events = [] if failed is None else [(failed.name, reason)]
+            start = 0 if failed is None else self.ladder.index(failed.name) + 1
+            for name in self.ladder[start:]:
+                try:
+                    rung = self._build_rung(name)
+                except DeadlineExceededError:
                     raise
-                self._demote(rung, f"build failed ({error})")
-                continue
-            self._built[rung] = strategy
-            return strategy
+                except ExecutionError as error:
+                    if not self.policy.allow_degraded:
+                        raise
+                    events.append((name, f"build failed ({error})"))
+                    continue
+                self.events += events
+                self._rung = rung
+                return rung
+            self.events += events
         raise ExecutionError(
             "degradation ladder exhausted: " + (self.degradation_reason or "")
         )
 
-    # -- MaterializationStrategy interface -------------------------------
-    can_propagate = True  # every rung is an index-coverage strategy
-
-    def _on_active_rung(self, operation: str, *args):
-        """Run ``operation`` on the active rung, demoting while rungs fail."""
+    def _demoting(self, operation: str, call, *args):
+        """``call(*args)``, demoting and re-running while the rung fails."""
         while True:
-            strategy = self._active_strategy()
+            rung = self.rung
             try:
-                return getattr(strategy, operation)(*args)
+                return call(*args)
             except DeadlineExceededError:
                 raise
             except ExecutionError as error:
-                if (
-                    not self.policy.allow_degraded
-                    or self._position >= len(self.ladder) - 1
-                ):
+                if not self.policy.allow_degraded or rung.name == self.ladder[-1]:
                     raise
-                self._demote(
-                    self.ladder[self._position], f"{operation} failed ({error})"
-                )
+                self._install(rung, f"{operation} failed ({error})")
 
     def neighbor_matrix(self, path, vertex_indices, stats=None) -> sparse.csr_matrix:
-        return self._on_active_rung("neighbor_matrix", path, vertex_indices, stats)
+        call = super().neighbor_matrix
+        return self._demoting("neighbor_matrix", call, path, vertex_indices, stats)
 
     def connectivity_sums(self, path, candidates, reference, stats=None):
-        return self._on_active_rung(
-            "connectivity_sums", path, candidates, reference, stats
-        )
-
-    def index_size_bytes(self) -> int:
-        strategy = self._built.get(self.active_rung)
-        return strategy.index_size_bytes() if strategy is not None else 0
+        call = super().connectivity_sums
+        args = (path, candidates, reference, stats)
+        return self._demoting("connectivity_sums", call, *args)

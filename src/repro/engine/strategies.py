@@ -20,6 +20,10 @@ what they construct and what they refuse:
 * :class:`PMStrategy` — a full index: every length-2 matrix stored, and a
   missing one is an error rather than a reason to traverse.
 
+A coverage strategy serves from one immutable :class:`Rung` (index, build
+version, staleness tolerance); the degradation ladder
+(:class:`~repro.engine.resilience.FallbackStrategy`) replaces its rung.
+
 The routine
 -----------
 A path decomposes into length-2 segments plus one tail hop when its length
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import abc
 import time
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,6 +87,7 @@ from repro.metapath.metapath import MetaPath
 
 __all__ = [
     "BLOCK_ROWS",
+    "Rung",
     "MaterializationStrategy",
     "BaselineStrategy",
     "PMStrategy",
@@ -142,6 +148,46 @@ def _stitch_rows(
     return stacked[np.argsort(positions, kind="stable"), :].tocsr()
 
 
+@dataclass(frozen=True)
+class Rung:
+    """The index a coverage strategy serves from, and what it refuses.
+
+    Immutable: a strategy replaces the whole record (a ladder demotion, a
+    hot-swap's retirement), and a block reads it once, so no block mixes
+    two indexes.
+    """
+
+    name: str  # "baseline", "pm" or "spm"
+    index: MetaPathIndex
+    #: The network version the index is consistent with.
+    built_version: int
+    #: Whether a network mutation after ``built_version`` is tolerated.
+    allow_stale: bool = False
+
+    @classmethod
+    def of(cls, network, name, index=None, *, allow_stale=False) -> "Rung":
+        """``index`` presumed consistent with ``network`` as it is now; the
+        baseline's index is empty and never stale."""
+        if name == "baseline":
+            return cls(name, MetaPathIndex(), network.version, allow_stale=True)
+        return cls(name, index, network.version, allow_stale)
+
+    @property
+    def requires_full_index(self) -> bool:
+        """PM only: a length-2 segment the index holds no full matrix for is
+        an error rather than a product over the adjacency matrices."""
+        return self.name == "pm"
+
+    def check_fresh(self, network: HeterogeneousInformationNetwork) -> None:
+        if self.allow_stale or network.version == self.built_version:
+            return
+        raise ExecutionError(
+            f"the network changed after the {self.name.upper()} index was built "
+            f"(version {self.built_version} -> {network.version}); "
+            "rebuild the index or pass allow_stale=True"
+        )
+
+
 class MaterializationStrategy(abc.ABC):
     """Produces neighbor vectors ``φ_P`` and accounts the time per phase.
 
@@ -165,6 +211,12 @@ class MaterializationStrategy(abc.ABC):
     #: reference, stats)``, Equation 1's numerators by vector propagation.
     #: One that only implements :meth:`_materialize_block` is scored from rows.
     can_propagate = False
+
+    #: The :class:`Rung` served from (``None`` for a strategy without an
+    #: index), and why answers are degraded (a ladder's demotion history).
+    rung: Rung | None = None
+    degradation_reason: str | None = None
+    degraded = property(lambda self: self.degradation_reason is not None)
 
     def __init__(self, network: HeterogeneousInformationNetwork) -> None:
         self.network = network
@@ -280,48 +332,42 @@ class _CoverageStrategy(MaterializationStrategy):
     """The one materialization routine, driven by an index's coverage.
 
     See the module docstring for the routine and its accounting rule.
-    Subclasses differ in the index they construct and in two refusals:
-    ``allow_stale`` (whether a network mutation after construction is an
-    error) and :attr:`_requires_full_index`.
+    Subclasses differ only in the :class:`Rung` they construct.
     """
 
-    #: Whether a length-2 segment the index holds no full matrix for is an
-    #: error (PM) instead of a product over the adjacency matrices.
-    _requires_full_index = False
     can_propagate = True
 
-    def __init__(
-        self,
-        network: HeterogeneousInformationNetwork,
-        index: MetaPathIndex,
-        *,
-        allow_stale: bool,
-    ) -> None:
+    def __init__(self, network, rung: Rung | None) -> None:
         super().__init__(network)
-        self.index = index
-        # Snapshot the network's mutation counter: a pre-built index is
-        # presumed consistent with the network *as passed in*.
-        self._built_version = network.version
-        self._allow_stale = allow_stale
+        self._rung = rung
+
+    @property
+    def rung(self) -> Rung:
+        return self._rung
+
+    @property
+    def index(self) -> MetaPathIndex:
+        return self.rung.index
+
+    def tolerate_stale(self) -> None:
+        """Let calls in flight finish on this index after the network
+        version moves (the hot-swap's retirement of an engine)."""
+        self._rung = replace(self.rung, allow_stale=True)
 
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
 
-    def _check_fresh(self) -> None:
-        if self._allow_stale or self.network.version == self._built_version:
-            return
-        raise ExecutionError(
-            f"the network changed after the {self.name.upper()} index was built "
-            f"(version {self._built_version} -> {self.network.version}); "
-            "rebuild the index or pass allow_stale=True"
-        )
+    def answers_by_lookup(self, path: MetaPath) -> bool:
+        # PM up to one full length-2 segment: one gather from the index (or
+        # from an adjacency matrix), no product chained after it.
+        return path.length <= 2 and self.rung.requires_full_index
 
     def connectivity_sums(self, path, candidates, reference, stats=None) -> np.ndarray:
         """:func:`~repro.metapath.materialize.connectivity_sums`: adjacency hops
         only, whatever the index covers; refused like a row request when the
         index is stale; one deadline check per hop.  The rows a hop fetches
         are ``propagated_vectors``, the time scoring time."""
-        self._check_fresh()
+        self.rung.check_fresh(self.network)
         started = time.perf_counter()
         fetched: list[int] = []
 
@@ -355,17 +401,17 @@ class _CoverageStrategy(MaterializationStrategy):
         return matrix
 
     def _expand(
-        self, block: sparse.csr_matrix, segment: MetaPath
+        self, rung: Rung, block: sparse.csr_matrix, segment: MetaPath
     ) -> sparse.csr_matrix:
         """``block @ M_segment`` through the cheapest operand held."""
-        matrix = self.index.full_matrix(segment)
+        matrix = rung.index.full_matrix(segment)
         if matrix is not None:
             # The pre-multiplied operand: one product instead of two hops.
             faultinject.check("matrix_multiply")
             return block @ matrix
-        if self._requires_full_index:
+        if rung.requires_full_index:
             raise ExecutionError(
-                f"{self.name.upper()} index is missing the matrix for {segment}"
+                f"{rung.name.upper()} index is missing the matrix for {segment}"
             )
         if self.subpath_cache is not None:
             return block @ self._segment_product(segment)
@@ -376,7 +422,7 @@ class _CoverageStrategy(MaterializationStrategy):
         )
 
     def _first_segment(
-        self, segment: MetaPath, vertex_indices: np.ndarray
+        self, rung: Rung, segment: MetaPath, vertex_indices: np.ndarray
     ) -> tuple[sparse.csr_matrix, int, float, float]:
         """Rows of the first ``segment``, split by the index's coverage.
 
@@ -385,7 +431,7 @@ class _CoverageStrategy(MaterializationStrategy):
         seconds)``.
         """
         source_width = self.network.num_vertices(segment.source)
-        coverage = self.index.coverage_mask(segment, source_width)
+        coverage = rung.index.coverage_mask(segment, source_width)
         if coverage is None:
             faultinject.check("matrix_multiply")
             hit_mask = np.ones(len(vertex_indices), dtype=bool)
@@ -396,20 +442,20 @@ class _CoverageStrategy(MaterializationStrategy):
         gather_seconds = product_seconds = 0.0
         if hit_positions.size:
             started = time.perf_counter()
-            hits = self.index.gather_rows(segment, vertex_indices[hit_mask])
+            hits = rung.index.gather_rows(segment, vertex_indices[hit_mask])
             parts.append((hit_positions, hits))
             gather_seconds = time.perf_counter() - started
         if hit_positions.size < len(vertex_indices):
             started = time.perf_counter()
             misses = _selection_matrix(vertex_indices[~hit_mask], source_width)
-            misses = self._expand(misses, segment).tocsr()
+            misses = self._expand(rung, misses, segment).tocsr()
             parts.append((np.flatnonzero(~hit_mask), misses))
             product_seconds = time.perf_counter() - started
         block = _stitch_rows(parts, len(vertex_indices))
         return block, int(hit_positions.size), gather_seconds, product_seconds
 
     def _covered_elements(
-        self, segment: MetaPath, block: sparse.csr_matrix
+        self, rung: Rung, segment: MetaPath, block: sparse.csr_matrix
     ) -> int:
         """How many stored elements of ``block`` fetch a covered ``segment`` row.
 
@@ -417,7 +463,7 @@ class _CoverageStrategy(MaterializationStrategy):
         needs no canonicalization; full and empty coverage need no look at
         the column indices either.
         """
-        coverage = self.index.coverage_mask(segment, block.shape[1])
+        coverage = rung.index.coverage_mask(segment, block.shape[1])
         if coverage is None:
             return int(block.nnz)
         if not coverage.any():
@@ -426,11 +472,12 @@ class _CoverageStrategy(MaterializationStrategy):
 
     def _materialize_block(self, path, vertex_indices, stats):
         path.validate(self.network.schema)
-        self._check_fresh()
+        rung = self.rung  # once: a concurrent demotion never splits a block
+        rung.check_fresh(self.network)
         segments, tail = decompose_length2(path)
         if segments:
             block, indexed, gather_seconds, product_seconds = self._first_segment(
-                segments[0], vertex_indices
+                rung, segments[0], vertex_indices
             )
         else:
             source_width = self.network.num_vertices(path.source)
@@ -441,9 +488,9 @@ class _CoverageStrategy(MaterializationStrategy):
         for segment in segments[1:]:
             check_deadline("segment block expansion")
             if stats is not None:
-                indexed += self._covered_elements(segment, block)
+                indexed += self._covered_elements(rung, segment, block)
                 fetched += int(block.nnz)
-            block = self._expand(block, segment)
+            block = self._expand(rung, block, segment)
         if tail is not None:
             block = block @ self.network.adjacency(tail.types[0], tail.types[1])
         if stats is not None:
@@ -472,7 +519,7 @@ class BaselineStrategy(_CoverageStrategy):
     name = "baseline"
 
     def __init__(self, network: HeterogeneousInformationNetwork) -> None:
-        super().__init__(network, MetaPathIndex(), allow_stale=True)
+        super().__init__(network, Rung.of(network, "baseline"))
 
 
 class PMStrategy(_CoverageStrategy):
@@ -491,7 +538,6 @@ class PMStrategy(_CoverageStrategy):
     """
 
     name = "pm"
-    _requires_full_index = True
 
     def __init__(
         self,
@@ -502,12 +548,8 @@ class PMStrategy(_CoverageStrategy):
     ) -> None:
         if index is None:
             index = build_pm_index(network)
-        super().__init__(network, index, allow_stale=allow_stale)
-
-    def answers_by_lookup(self, path: MetaPath) -> bool:
-        # Up to one full length-2 segment: one gather from the index (or
-        # from an adjacency matrix), no product chained after it.
-        return path.length <= 2
+        rung = Rung.of(network, "pm", index, allow_stale=allow_stale)
+        super().__init__(network, rung)
 
 
 class SPMStrategy(_CoverageStrategy):
@@ -537,7 +579,8 @@ class SPMStrategy(_CoverageStrategy):
     ) -> None:
         if index is None:
             index, _ = build_spm_index(network, selected or [])
-        super().__init__(network, index, allow_stale=allow_stale)
+        rung = Rung.of(network, "spm", index, allow_stale=allow_stale)
+        super().__init__(network, rung)
 
 
 def make_strategy(

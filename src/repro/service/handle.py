@@ -13,11 +13,12 @@ Everything mutable is per-request: execution statistics are freshly
 allocated inside each ``execute`` call, and deadlines live in
 thread-local scopes (:mod:`repro.engine.deadline`).  The shared pieces are
 read-only after :meth:`warm`, which forces every lazy structure — adjacency
-matrices rebuilt on first access, lazily-built ladder rungs — to
-materialize before the first concurrent request can race on it.  The one
-deliberately shared mutable structure, the optional
-:class:`~repro.engine.caching.CachingStrategy` row cache, carries its own
-lock.
+matrices rebuilt on first access, a ladder's first rung — to materialize
+before the first concurrent request can race on it.  Two shared mutable
+structures carry their own locks: the optional
+:class:`~repro.engine.caching.CachingStrategy` row cache, and a ladder's
+installed rung (:class:`~repro.engine.resilience.FallbackStrategy`), which
+a demotion replaces whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.engine.caching import CachingStrategy, SubpathCache
 from repro.engine.detector import OutlierDetector
 from repro.engine.executor import BatchExecution
 from repro.engine.index import MetaPathIndex
-from repro.engine.strategies import MaterializationStrategy, SPMStrategy
+from repro.engine.strategies import MaterializationStrategy
 from repro.exceptions import ServiceError
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.storage import csr_from_buffers
@@ -104,49 +105,39 @@ class EngineHandle:
             "collect_stats": collect_stats,
             "subpath_cache_mb": subpath_cache_mb,
         }
-        base = OutlierDetector(
-            network,
-            strategy=strategy,
-            index=index,
-            spm_workload=spm_workload,
-            spm_threshold=spm_threshold,
-            **self._detector_settings(),
+        self.subpath_cache: SubpathCache | None = None
+        self.detector, self.row_cache = self._generation(
+            strategy, index, spm_workload=spm_workload, spm_threshold=spm_threshold
         )
-        self.detector, self.row_cache = self._with_row_cache(base)
         self._version = network.version
         #: Counts completed hot-swaps; 0 for the index the handle was born
         #: with.  The process backend reuses the same counter to tag its
         #: worker-segment generations.
         self.index_generation = 0
         self.last_swap_unix: float | None = None
-        self.subpath_cache: SubpathCache | None = None
         self.warm()
         if subpath_cache_mb > 0:
             self.attach_subpath_cache(subpath_cache_mb)
 
-    def _detector_settings(self) -> dict:
-        """The construction record's :class:`OutlierDetector` keywords."""
+    def _generation(
+        self, strategy, index, **selection
+    ) -> "tuple[OutlierDetector, CachingStrategy | None]":
+        """One engine generation: the detector over ``index`` (or a fresh
+        build), with the shared sub-path cache, behind the locked LRU row
+        cache.  Start-up and every hot-swap come through here."""
         spec = self._init_spec
-        return {
+        settings = {
             name: spec[name]
             for name in ("measure", "combine", "collect_stats", "resilience")
         }
-
-    def _with_row_cache(
-        self, detector: OutlierDetector
-    ) -> "tuple[OutlierDetector, CachingStrategy | None]":
-        """Layer the (locked) LRU row cache in front of ``detector``.
-
-        Re-wraps the already-built strategy: the index is not rebuilt.
-        """
-        rows = self._init_spec["row_cache_rows"]
-        if rows <= 0:
-            return detector, None
-        row_cache = CachingStrategy(detector.strategy, max_rows=rows)
-        cached = OutlierDetector(
-            self.network, strategy=row_cache, **self._detector_settings()
+        detector = OutlierDetector(
+            self.network, strategy=strategy, index=index, **selection, **settings
         )
-        return cached, row_cache
+        detector.strategy.subpath_cache = self.subpath_cache
+        if spec["row_cache_rows"] <= 0:
+            return detector, None
+        row_cache = CachingStrategy(detector.strategy, max_rows=spec["row_cache_rows"])
+        return OutlierDetector(self.network, strategy=row_cache, **settings), row_cache
 
     # ------------------------------------------------------------------
     # Warm-up
@@ -155,7 +146,7 @@ class EngineHandle:
         """Force every lazily-built shared structure to materialize now.
 
         Adjacency matrices rebuild on first access and the resilience
-        ladder builds its active rung on first query; both are benign
+        ladder builds its first rung on first use; both are benign
         single-threaded but race under a worker pool.  Warming from the
         loading thread makes the shared state effectively immutable before
         the first concurrent request arrives.
@@ -163,15 +154,9 @@ class EngineHandle:
         schema = self.network.schema
         for edge_type in schema.edge_types:
             self.network.adjacency(edge_type.source, edge_type.target)
-        # A FallbackStrategy builds its strongest viable rung lazily; force
-        # that build (and any demotions it causes) to happen here, once.
-        # The ladder may sit beneath the row-cache wrapper, so walk inward.
-        strategy = self.detector.strategy
-        while strategy is not None:
-            build_active = getattr(strategy, "_active_strategy", None)
-            if callable(build_active):
-                build_active()
-            strategy = getattr(strategy, "inner", None)
+        # Reading a ladder's rung builds its first one (and runs any
+        # demotions that causes) here, once.
+        _ = self.detector.strategy.rung
 
     # ------------------------------------------------------------------
     # Identity
@@ -190,9 +175,8 @@ class EngineHandle:
     def fingerprint(self) -> str:
         """Execution-semantics identity: two handles with equal fingerprints
         and versions return identical results for the same query."""
-        strategy_name = getattr(self.detector.strategy, "name", "custom")
         combine = self._init_spec["combine"]
-        return f"{strategy_name}/{self.detector.measure_name}/{combine}"
+        return f"{self.detector.strategy.name}/{self.detector.measure_name}/{combine}"
 
     @property
     def measure_name(self) -> str:
@@ -215,9 +199,7 @@ class EngineHandle:
         """
         if megabytes <= 0 or self.subpath_cache is not None:
             return
-        self.subpath_cache = SubpathCache(
-            max_bytes=int(megabytes * 1024 * 1024)
-        )
+        self.subpath_cache = SubpathCache(max_bytes=int(megabytes * 1024 * 1024))
         self._init_spec["subpath_cache_mb"] = megabytes
         self._concrete_strategy().subpath_cache = self.subpath_cache
 
@@ -226,8 +208,7 @@ class EngineHandle:
 
         The hot-swap protocol, in publish-safe order:
 
-        1. Every strategy in the *old* chain (row-cache wrapper, ladder
-           rungs, concrete strategy) is marked stale-tolerant, so in-flight
+        1. The old engine's rung is marked stale-tolerant, so in-flight
            queries finish on the old index instead of tripping the
            staleness guard when the version moves.
         2. The network version is bumped — from this instant the result
@@ -235,39 +216,19 @@ class EngineHandle:
            cache clears itself on first touch.  (Caching an old-index
            result under the new version during the overlap window is
            harmless: scores are byte-identical by construction.)
-        3. A fresh :class:`SPMStrategy` chain is built against the new
-           version and published with one attribute assignment — readers
-           see either the whole old engine or the whole new one, never a
-           mix.
+        3. A generation over ``index`` is built as at start-up (a ladder
+           engine gets a fresh, undegraded ladder) and published with one
+           attribute assignment — readers see either the whole old engine
+           or the whole new one, never a mix.
 
-        Only meaningful for SPM serving (the adaptive loop's target);
-        raises :class:`~repro.exceptions.ServiceError` otherwise.  Returns
-        the new network version.
+        Only meaningful while an SPM index is served (the adaptive loop's
+        target); raises :class:`~repro.exceptions.ServiceError` otherwise.
+        Returns the new network version.
         """
-        concrete = self._concrete_strategy()
-        if not isinstance(concrete, SPMStrategy):
-            raise ServiceError(
-                "index hot-swap requires the spm strategy, but this engine "
-                f"serves {getattr(concrete, 'name', 'custom')!r}"
-            )
-        strategy = self.detector.strategy
-        while strategy is not None:
-            if hasattr(strategy, "_allow_stale"):
-                strategy._allow_stale = True
-            build_active = getattr(strategy, "_active_strategy", None)
-            if callable(build_active):
-                rung = build_active()
-                if hasattr(rung, "_allow_stale"):
-                    rung._allow_stale = True
-            strategy = getattr(strategy, "inner", None)
+        self.require_spm("index hot-swap")
+        self._concrete_strategy().tolerate_stale()
         version = self.network.bump_version()
-        replacement = SPMStrategy(self.network, index=index)
-        replacement.subpath_cache = self.subpath_cache
-        detector, row_cache = self._with_row_cache(
-            OutlierDetector(
-                self.network, strategy=replacement, **self._detector_settings()
-            )
-        )
+        detector, row_cache = self._generation("spm", index)
         # Atomic publish: one attribute write swaps the whole engine.
         self.detector = detector
         self.row_cache = row_cache
@@ -275,6 +236,16 @@ class EngineHandle:
         self.index_generation += 1
         self.last_swap_unix = time.time()
         return version
+
+    def require_spm(self, what: str) -> None:
+        """Raise :class:`~repro.exceptions.ServiceError` unless the engine
+        serves an SPM index, naming ``what`` needs it."""
+        serves, _ = self._served()
+        if serves != "spm":
+            raise ServiceError(
+                f"{what} requires the spm strategy, but this engine "
+                f"serves {serves!r}"
+            )
 
     def index_metadata(self) -> dict:
         """JSON-ready description of the served index for observability.
@@ -285,10 +256,9 @@ class EngineHandle:
         for SPM, 0.0 for the baseline's empty index, ``None`` for a custom
         strategy that holds no index.
         """
-        concrete = self._concrete_strategy()
-        index = getattr(concrete, "index", None)
+        strategy, index = self._served()
         metadata = {
-            "strategy": getattr(concrete, "name", "custom"),
+            "strategy": strategy,
             "network_version": self.network.version,
             "generation": self.index_generation,
             "last_swap_unix": self.last_swap_unix,
@@ -329,22 +299,16 @@ class EngineHandle:
     # Worker-segment export / attach (process backend)
     # ------------------------------------------------------------------
     def _concrete_strategy(self) -> MaterializationStrategy:
-        """The strategy actually answering queries right now.
-
-        Unwraps the row-cache layer and, for a resilience ladder, forces
-        and returns the active rung — the one whose index (if any) is worth
-        shipping to workers.
-        """
+        """The strategy behind the row cache: the one holding the index."""
         strategy = self.detector.strategy
-        while True:
-            if isinstance(strategy, CachingStrategy):
-                strategy = strategy.inner
-                continue
-            build_active = getattr(strategy, "_active_strategy", None)
-            if callable(build_active):
-                strategy = build_active()
-                continue
-            return strategy
+        return strategy.inner if isinstance(strategy, CachingStrategy) else strategy
+
+    def _served(self) -> "tuple[str, MetaPathIndex | None]":
+        """Name and index of what answers queries: a coverage strategy's
+        (a ladder's installed) rung, else the custom strategy's name."""
+        concrete = self._concrete_strategy()
+        rung = concrete.rung
+        return (concrete.name, None) if rung is None else (rung.name, rung.index)
 
     def export_shared(self) -> "tuple[dict, dict]":
         """Flatten the warmed engine into ``(spec, arrays)``.
@@ -357,9 +321,10 @@ class EngineHandle:
         :meth:`from_shared` inverts this in a worker process over the
         store's read-only memmap views.
 
-        A ladder (``resilience.allow_degraded``) exports its **active
-        rung**: workers serve the concrete strategy the parent settled on
-        and do not re-run per-worker demotion (see ``docs/service.md``).
+        A ladder (``resilience.allow_degraded``) exports its installed
+        **rung**: each worker builds its own ladder starting from that
+        index; the parent's demotion history stays in the parent (see
+        ``docs/service.md``).
         """
         arrays: dict = {}
         adjacency_entries: list[dict] = []
@@ -387,8 +352,7 @@ class EngineHandle:
                 }
             )
 
-        concrete = self._concrete_strategy()
-        index = getattr(concrete, "index", None)
+        strategy, index = self._served()
         index_manifest = None
         if index is not None:
             index_manifest, index_arrays = index.export_arrays()
@@ -402,11 +366,8 @@ class EngineHandle:
             },
             "adjacency": adjacency_entries,
             "index_manifest": index_manifest,
-            # Workers serve the rung the parent settled on, by name.
-            "init": {
-                **self._init_spec,
-                "strategy": getattr(concrete, "name", "baseline"),
-            },
+            # Workers start from the rung the parent settled on, by name.
+            "init": {**self._init_spec, "strategy": strategy},
             "num_edges": self.network.num_edges(),
             "version": self.network.version,
             "fingerprint": self.fingerprint,

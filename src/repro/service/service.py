@@ -109,13 +109,7 @@ class QueryService:
         self.recorder: WorkloadRecorder | None = None
         self.reindexer: Reindexer | None = None
         if self.config.adaptive:
-            concrete = handle._concrete_strategy()
-            if getattr(concrete, "name", "custom") != "spm":
-                raise ServiceError(
-                    "adaptive re-indexing requires the spm strategy (the "
-                    "index it re-plans), but this engine serves "
-                    f"{getattr(concrete, 'name', 'custom')!r}"
-                )
+            handle.require_spm("adaptive re-indexing")
             self.recorder = WorkloadRecorder(
                 max_entries=self.config.admission_log_entries,
                 spill_path=self.config.admission_log_path,

@@ -5,6 +5,12 @@ faults fire on seeded schedules, so the suite proves *exactly* which rung of
 the degradation ladder answered each query and when deadlines trip.
 """
 
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
 
 from repro import faultinject
@@ -515,6 +521,53 @@ class TestDegradationLadder:
         assert detector.strategy.active_rung != "pm"
         assert len(result) == 3
 
+    def test_concurrent_failures_of_one_rung_demote_once(self, figure1):
+        """Regression: two requests failing on the PM rung at once demoted
+        twice, skipping SPM and blaming it for PM's error."""
+        ladder = FallbackStrategy(figure1, policy=make_policy(retry_attempts=1))
+        path = MetaPath.parse("author.paper.venue")
+        expected = ladder.neighbor_matrix(path, [0, 1])  # builds the PM rung
+        barrier = threading.Barrier(2, timeout=10.0)
+        rules = (
+            # Both requests stall inside the PM rung until both are there...
+            FaultRule(point="matrix_multiply", times=2, delay_seconds=0.0),
+            # ...then both fail.
+            FaultRule(point="matrix_multiply", times=2, message="pm rung broke"),
+        )
+        with faultinject.inject(*rules) as injector:
+            injector.sleep = lambda _seconds: barrier.wait()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    pool.submit(ladder.neighbor_matrix, path, [0, 1])
+                    for _ in range(2)
+                ]
+                answers = [future.result(timeout=30.0) for future in futures]
+        assert ladder.active_rung == "spm"
+        assert ladder.events == [("pm", "neighbor_matrix failed (pm rung broke)")]
+        assert all((answer != expected).nnz == 0 for answer in answers)
+
+    def test_demotion_under_thread_stress_demotes_once(self, figure1):
+        """More threads than cores, switching every microsecond, all
+        failing on the PM rung: still exactly one demotion, to SPM."""
+        ladder = FallbackStrategy(figure1, policy=make_policy(retry_attempts=1))
+        path = MetaPath.parse("author.paper.venue")
+        expected = ladder.neighbor_matrix(path, [0, 1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with faultinject.inject(FaultRule(point="matrix_multiply", times=None)):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [
+                        pool.submit(ladder.neighbor_matrix, path, [0, 1])
+                        for _ in range(64)
+                    ]
+                    answers = [future.result(timeout=30.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [rung for rung, _ in ladder.events] == ["pm"]
+        assert ladder.active_rung == "spm"
+        assert all((answer != expected).nnz == 0 for answer in answers)
+
 
 # ----------------------------------------------------------------------
 # Policy plumbing
@@ -556,6 +609,25 @@ class TestFaultInjection:
     def test_unknown_point_rejected(self):
         with pytest.raises(ExecutionError):
             FaultRule(point="warp_drive")
+
+    def test_every_fault_point_has_a_seam_and_a_test(self):
+        """The registry, the ``faultinject.check`` sites under ``src/`` and
+        the points the suite injects name the same seams."""
+        import repro
+
+        def literals(root, pattern):
+            found = set()
+            for source in Path(root).rglob("*.py"):
+                found.update(re.findall(pattern, source.read_text("utf-8")))
+            return found
+
+        seams = literals(
+            Path(repro.__file__).parent, r'faultinject\.check\(\s*"([\w.]+)"'
+        )
+        tested = literals(Path(__file__).parents[1], r'\bpoint="([\w.]+)"')
+        tested.discard("warp_drive")  # test_unknown_point_rejected's
+        assert seams == set(faultinject.FAULT_POINTS)
+        assert tested == set(faultinject.FAULT_POINTS)
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ExecutionError):

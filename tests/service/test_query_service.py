@@ -4,13 +4,18 @@ import threading
 
 import pytest
 
+from repro import faultinject
 from repro.core.results import OutlierResult
+from repro.engine.index import build_spm_index
+from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import (
     DeadlineExceededError,
+    DegradedResultWarning,
     QuerySyntaxError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.faultinject import FaultRule
 from repro.service import EngineHandle, QueryService, ServiceConfig
 
 QUERY = (
@@ -63,6 +68,55 @@ class TestWarmUp:
         # A PM rung holds real matrices; 0 would mean the build is still
         # pending its first query.
         assert warmed.index_size_bytes() > 0
+
+
+class TestLadderBehindTheHandle:
+    def test_degraded_flag_survives_the_row_cache(self, figure1):
+        """Regression: behind the row cache a demoted engine answered
+        ``degraded=False`` although the baseline rung served it."""
+        with faultinject.inject(FaultRule(point="index_build", times=None)):
+            handle = EngineHandle(
+                figure1,
+                strategy="pm",
+                resilience=ResiliencePolicy(retry_attempts=1),
+                row_cache_rows=64,
+            )
+        with pytest.warns(DegradedResultWarning):
+            result = handle.execute(QUERY)
+        assert result.degraded
+        assert result.degradation_reason.startswith("pm: build failed")
+
+    def test_hot_swap_keeps_the_ladder(self, figure1):
+        """Regression: a swap replaced the ladder with a plain SPM engine,
+        so a later mutation failed every query instead of demoting."""
+        handle = EngineHandle(
+            figure1, strategy="spm", resilience=ResiliencePolicy(retry_attempts=1)
+        )
+        fingerprint = handle.fingerprint
+        zoe = figure1.find_vertex("author", "Zoe")
+        handle.swap_index(build_spm_index(figure1, [zoe])[0])
+        assert handle.fingerprint == fingerprint == "cached-resilient/netout/score"
+        figure1.add_vertex("author", "Late Arrival")
+        with pytest.warns(DegradedResultWarning):
+            result = handle.execute(QUERY)
+        baseline = EngineHandle(figure1, strategy="baseline").execute(QUERY)
+        assert result.degraded and result.degradation_reason.startswith("spm:")
+        assert [(e.name, e.score) for e in result] == [
+            (e.name, e.score) for e in baseline
+        ]
+
+    def test_hot_swap_starts_a_fresh_ladder(self, figure1):
+        """A PM ladder demoted to SPM by its memory budget swaps onto a
+        fresh ladder at the new index: the degraded flag clears."""
+        handle = EngineHandle(
+            figure1, strategy="pm", resilience=ResiliencePolicy(max_memory_mb=1e-6)
+        )
+        with pytest.warns(DegradedResultWarning):
+            assert handle.execute(QUERY).degraded
+        zoe = figure1.find_vertex("author", "Zoe")
+        handle.swap_index(build_spm_index(figure1, [zoe])[0])
+        assert handle.fingerprint == "cached-resilient/netout/score"
+        assert not handle.execute(OTHER_QUERY).degraded
 
 
 class TestSubmitAndExecute:
