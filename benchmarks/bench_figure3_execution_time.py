@@ -117,12 +117,13 @@ def test_figure3_report(benchmark, bench_network, query_sets, report):
         assert pm.indexed_vectors == fetched
         assert spm.indexed_vectors + spm.traversed_vectors == fetched
         assert 0 < spm.traversed_vectors < fetched, f"{template_name}: SPM mix"
-        # Scoring by propagation is the same work whatever the index.
+        # Scoring by propagation hops once over each stored length-2 matrix
+        # where the adjacency takes two; SPM's partial rows are no operand.
         assert (
-            baseline.propagated_vectors
-            == pm.propagated_vectors
+            pm.propagated_vectors
+            < baseline.propagated_vectors
             == spm.propagated_vectors
-        )
+        ), f"{template_name}: PM propagation not over its stored matrices"
         assert pm.materialization_seconds * 1.5 < baseline.materialization_seconds, (
             f"{template_name}: PM materialization not 1.5x faster than baseline "
             "— indexing is not paying off"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.index import MetaPathIndex
 from repro.engine.strategies import MaterializationStrategy
 from repro.metapath.materialize import decompose_length2
 from repro.metapath.metapath import MetaPath
@@ -91,9 +90,11 @@ def estimate_row_nnz(strategy: MaterializationStrategy, path: MetaPath) -> float
 
 
 def _segment_coverage(strategy: MaterializationStrategy, segment: MetaPath) -> str:
-    index: MetaPathIndex | None = getattr(strategy, "index", None)
-    if index is None:
+    # The rung, not an ``index`` attribute: wrappers (the row cache) forward it.
+    rung = strategy.rung
+    if rung is None:
         return "none"
+    index = rung.index
     if index.full_matrix(segment) is not None:
         return "full"
     return "partial" if segment in index.paths else "none"

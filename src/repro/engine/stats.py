@@ -52,9 +52,10 @@ class ExecutionStats:
         product are timed into their own phases; the rest of a block's
         time is split between the two phases in proportion to its counts.
     propagated_vectors:
-        Adjacency rows fetched while Equation 1 is scored by vector
+        Operand rows fetched while Equation 1 is scored by vector
         propagation: by the later-segment rule, one per stored element of the
-        frontier entering a hop.  Kept apart because their time is scoring time.
+        frontier entering a hop — an adjacency hop, or one hop over a stored
+        length-2 matrix.  Kept apart because their time is scoring time.
     materialized_blocks:
         Number of materialization blocks (≤ ``BLOCK_ROWS`` rows each)
         processed by ``neighbor_matrix`` calls; a ``neighbor_row`` call is

@@ -3,8 +3,8 @@
 ``Ω(v) = φ(v)·(Σ_r φ(r)) / ‖φ(v)‖²`` is scored from a vector propagation
 (``connectivity_sums``) and a cached per-vertex norm (``visibilities``)
 wherever the strategy can propagate.  These tests pin what the new route
-does at its edges: deadlines, staleness, faults, invalidation, threads,
-strategies that cannot propagate, and the exactness bound the byte
+does at its edges: stored hops, deadlines, staleness, faults, invalidation,
+threads, strategies that cannot propagate, and the exactness bound the byte
 identity with the rows route rests on (``tests/properties/
 test_sums_route.py`` holds the identity itself).
 """
@@ -24,7 +24,7 @@ from repro.engine.caching import CachingStrategy
 from repro.engine.deadline import Deadline, deadline_scope
 from repro.engine.executor import QueryExecutor
 from repro.engine.resilience import FallbackStrategy
-from repro.engine.stats import PHASE_SCORING
+from repro.engine.stats import PHASE_SCORING, ExecutionStats
 from repro.engine.strategies import (
     BaselineStrategy,
     MaterializationStrategy,
@@ -172,6 +172,33 @@ class TestRouteSelection:
         assert strategy.snapshot()["visibility_paths"] == 0
 
 
+class TestStoredHops:
+    """PM propagates over its stored length-2 matrices: one hop per segment
+    where Baseline takes two adjacency hops, for the same bytes."""
+
+    @pytest.mark.parametrize("path, pm_hops, baseline_hops", [(APV, 2, 4), (APVPA, 4, 8)])
+    def test_hop_callbacks_per_call(self, figure1, monkeypatch, path, pm_hops, baseline_hops):
+        hops = []
+
+        def counting(label):
+            if label == "meta-path propagation":
+                hops.append(label)
+
+        monkeypatch.setattr(strategies_module, "check_deadline", counting)
+        everyone = list(range(figure1.num_vertices("author")))
+        answers = {}
+        for strategy, expected in [
+            (PMStrategy(figure1), pm_hops),
+            (BaselineStrategy(figure1), baseline_hops),
+        ]:
+            hops.clear()
+            stats = ExecutionStats()
+            answers[strategy.name] = strategy.connectivity_sums(path, everyone, everyone, stats)
+            assert len(hops) == expected, strategy.name  # Sc = Sr: push + pull
+            assert stats.propagated_vectors > 0
+        assert answers["pm"].tobytes() == answers["baseline"].tobytes()
+
+
 class TestDeadlines:
     def test_expiry_mid_propagation_raises(self, figure1):
         """The third hop's check finds the budget spent: two hops ran."""
@@ -233,6 +260,20 @@ class TestStalenessAndFaults:
         assert ladder.active_rung == "spm"  # built after the mutation: fresh
         assert "connectivity_sums failed" in ladder.degradation_reason
         expected = BaselineStrategy(figure1).connectivity_sums(APV, [0, 1], [0, 1])
+        assert sums.tobytes() == expected.tobytes()
+
+    def test_matrix_multiply_fault_during_pm_sums_demotes(self, figure1):
+        """A stored hop passes the point ``_expand`` passes for the same
+        operand, so a broken index demotes the ladder for sums too."""
+        ladder = FallbackStrategy(figure1, policy=make_policy(retry_attempts=1))
+        assert ladder.active_rung == "pm"
+        everyone = list(range(figure1.num_vertices("author")))
+        expected = BaselineStrategy(figure1).connectivity_sums(APVPA, everyone, everyone)
+        with faultinject.inject(FaultRule(point="matrix_multiply", times=None)):
+            sums = ladder.connectivity_sums(APVPA, everyone, everyone)
+        assert ladder.active_rung != "pm"
+        assert ladder.events[0][0] == "pm"
+        assert "connectivity_sums failed" in ladder.degradation_reason
         assert sums.tobytes() == expected.tobytes()
 
     def test_matrix_multiply_fault_on_a_visibility_miss_demotes(self, figure1):

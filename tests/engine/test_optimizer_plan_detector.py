@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.caching import CachingStrategy
 from repro.engine.detector import OutlierDetector
 from repro.engine.optimizer import WorkloadAnalyzer, select_frequent_vertices
 from repro.engine.plan import explain
@@ -103,6 +104,20 @@ class TestExplain:
         zoe = figure1.find_vertex("author", "Zoe")
         plan = explain(SPMStrategy(figure1, selected=[zoe]), self.QUERY)
         assert plan.features[0].coverage[0] == "partial"
+
+    def test_coverage_seen_through_the_row_cache(self, figure1):
+        """The cache forwards its inner strategy's rung, so PM segments stay
+        ``full`` behind it (they once read as ``none``)."""
+        zoe = figure1.find_vertex("author", "Zoe")
+        for inner, expected in [
+            (PMStrategy(figure1), "full"),
+            (SPMStrategy(figure1, selected=[zoe]), "partial"),
+            (BaselineStrategy(figure1), "none"),
+        ]:
+            cached = explain(CachingStrategy(inner, max_rows=10), self.QUERY)
+            assert cached.features[0].coverage[0] == expected
+            text = cached.describe()
+            assert f"segment author.paper.venue  [index: {expected}]" in text
 
     def test_describe_renders(self, figure1):
         text = explain(PMStrategy(figure1), self.QUERY).describe()
