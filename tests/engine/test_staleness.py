@@ -59,6 +59,18 @@ class TestStalenessDetection:
         # Opted out: the stale lookup proceeds (values reflect build time).
         strategy.neighbor_row(PV, 0)
 
+    def test_allow_stale_sums_read_the_live_adjacency(self, figure1):
+        """A stale index's matrices are sized for the old network, so a
+        tolerated stale rung propagates over the adjacency, as Baseline."""
+        strategy = PMStrategy(figure1, allow_stale=True)
+        late = figure1.add_vertex("author", "Late Arrival")
+        figure1.add_edge(figure1.find_vertex("paper", "p1"), late)
+        everyone = list(range(figure1.num_vertices("author")))
+        for path in (PV, MetaPath.parse("author.paper.venue.paper.author")):
+            sums = strategy.connectivity_sums(path, everyone, everyone)
+            live = BaselineStrategy(figure1).connectivity_sums(path, everyone, everyone)
+            assert sums.tobytes() == live.tobytes()
+
     def test_rebuild_clears_staleness(self, figure1):
         strategy = PMStrategy(figure1)
         figure1.add_vertex("author", "Late Arrival")
