@@ -15,6 +15,8 @@ With ``--adaptive`` the server runs the workload-adaptive re-indexer
 the SPM index is served through the degradation ladder, and the smoke
 additionally asserts:
 
+* a semantically invalid query is answered 400, and the admission log entry
+  it leaves behind does not stop re-indexing,
 * a background re-index cycle lands while traffic flows (``/healthz``
   reports ``index.generation >= 1`` and ``index.reindexes >= 1``),
 * a pinned query's result payload is byte-identical before and after the
@@ -65,6 +67,9 @@ DISTINCT_QUERIES = [
     f"JUDGED BY author.paper.venue TOP {top};"
     for top in range(1, 6)
 ]
+INVALID_QUERY = (
+    "FIND OUTLIERS FROM author.venue JUDGED BY author.paper.venue TOP 3;"
+)
 #: 50 queries + one /stats probe per wave; the server stops itself after.
 TOTAL_REQUESTS = WAVES * (QUERIES_PER_WAVE + 1)
 
@@ -170,6 +175,12 @@ def main() -> int:
                     print(f"FAIL: pinned query got {status}: {body}")
                     return 1
                 pinned_before = json.dumps(body["result"], sort_keys=True)
+                # A query that parses but names no edge type: the admission
+                # log keeps it, and re-indexing must skip it, not stall.
+                status, body = post(INVALID_QUERY)
+                if status != 400:
+                    print(f"FAIL: semantically invalid query got {status}: {body}")
+                    return 1
             with ThreadPoolExecutor(max_workers=QUERIES_PER_WAVE) as pool:
                 for wave in range(WAVES):
                     queries = [

@@ -411,15 +411,13 @@ def _command_workload(args, out) -> int:
     )
     policy = _resilience_policy(args)
     for strategy_name in strategies:
-        kwargs = {}
-        if strategy_name == "spm":
-            kwargs = {"spm_workload": queries, "spm_threshold": 0.01}
+        # The workload selects SPM's vertices; other strategies ignore it.
         detector = OutlierDetector(
             network,
             strategy=strategy_name,
             measure=args.measure,
             resilience=policy,
-            **kwargs,
+            spm_workload=queries,
         )
         batch = detector.detect_many(queries)
         results, stats = batch

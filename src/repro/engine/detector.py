@@ -4,6 +4,14 @@
 an outlierness measure behind one ``detect(query_text)`` call — the
 "query-based outlier detection system" of the paper, in library form.
 
+The facade adds no execution semantics of its own: strategy names mean what
+:func:`~repro.engine.strategies.make_strategy` says (ladder included),
+:func:`configured_strategy` is the one reading of the constructor settings
+it shares with the serving layer's engine handle, and
+:meth:`OutlierDetector.detect_with_features` validates and retrieves its
+sets exactly as a full query's (``validate_sets`` and
+:meth:`~repro.engine.executor.QueryExecutor.resolve_sets`).
+
 Examples
 --------
 >>> from repro import OutlierDetector
@@ -18,25 +26,54 @@ Examples
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.measures import Measure
 from repro.core.results import OutlierResult
 from repro.engine.executor import BatchExecution, QueryExecutor
 from repro.engine.index import MetaPathIndex
-from repro.engine.optimizer import WorkloadAnalyzer
+from repro.engine.optimizer import select_frequent_vertices
 from repro.engine.plan import QueryPlan, explain
-from repro.engine.stats import ExecutionStats
-from repro.engine.strategies import MaterializationStrategy, make_strategy
+from repro.engine.strategies import (
+    MaterializationStrategy,
+    make_strategy,
+    strategy_name,
+)
 from repro.exceptions import ExecutionError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.query.ast import Query
+from repro.query.parser import parse_set_expression
+from repro.query.semantics import validate_sets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.deadline import Deadline
     from repro.engine.resilience import ResiliencePolicy
 
-__all__ = ["OutlierDetector"]
+__all__ = ["OutlierDetector", "configured_strategy"]
+
+
+def configured_strategy(
+    network: HeterogeneousInformationNetwork,
+    strategy: str | MaterializationStrategy,
+    *,
+    index: MetaPathIndex | None = None,
+    spm_workload: Sequence[str | Query] | None = None,
+    spm_threshold: float = 0.01,
+    resilience: "ResiliencePolicy | None" = None,
+) -> MaterializationStrategy:
+    """The strategy an :class:`OutlierDetector` or a serving
+    :class:`~repro.service.handle.EngineHandle` runs on, from the settings
+    both take: an instance as given, a name through
+    :func:`~repro.engine.strategies.make_strategy`, and SPM's vertices
+    selected from ``spm_workload`` when no ``index`` is given."""
+    if isinstance(strategy, MaterializationStrategy):
+        return strategy
+    selected = None
+    if index is None and spm_workload is not None and strategy_name(strategy) == "spm":
+        selected = select_frequent_vertices(network, spm_workload, spm_threshold)
+    return make_strategy(
+        network, strategy, index=index, selected=selected, resilience=resilience
+    )
 
 
 class OutlierDetector:
@@ -90,38 +127,14 @@ class OutlierDetector:
         resilience: "ResiliencePolicy | None" = None,
     ) -> None:
         self.network = network
-        if isinstance(strategy, MaterializationStrategy):
-            self.strategy = strategy
-        else:
-            selected: Iterable[VertexId] | None = None
-            if strategy.lower() == "spm" and index is None and spm_workload is not None:
-                analyzer = WorkloadAnalyzer(network)
-                analyzer.analyze_many(spm_workload)
-                selected = analyzer.frequent_vertices(spm_threshold)
-            if resilience is not None and resilience.allow_degraded:
-                from repro.engine.resilience import (
-                    DEGRADATION_LADDER,
-                    FallbackStrategy,
-                )
-
-                requested = strategy.lower()
-                if requested not in DEGRADATION_LADDER:
-                    raise ExecutionError(
-                        f"unknown strategy {strategy!r}; expected one of "
-                        f"{DEGRADATION_LADDER}"
-                    )
-                ladder = DEGRADATION_LADDER[DEGRADATION_LADDER.index(requested):]
-                self.strategy = FallbackStrategy(
-                    network,
-                    ladder=ladder,
-                    policy=resilience,
-                    spm_selected=selected,
-                    index=index,
-                )
-            else:
-                self.strategy = make_strategy(
-                    network, strategy, index=index, selected=selected
-                )
+        self.strategy = configured_strategy(
+            network,
+            strategy,
+            index=index,
+            spm_workload=spm_workload,
+            spm_threshold=spm_threshold,
+            resilience=resilience,
+        )
         self._executor = QueryExecutor(
             self.strategy,
             measure,
@@ -193,31 +206,14 @@ class OutlierDetector:
         import numpy as np
         from scipy import sparse as _sparse
 
-        from repro.engine.evaluator import SetEvaluator
-        from repro.exceptions import ExecutionError
-        from repro.query.parser import parse_set_expression
-        from repro.query.semantics import member_type_of
-
         if top_k < 1:
             raise ExecutionError(f"top_k must be >= 1, got {top_k}")
-        evaluator = SetEvaluator(self.strategy)
         candidate_ast = parse_set_expression(candidates)
-        member_type_of(self.network.schema, candidate_ast)  # validate
-        member_type, candidate_indices = evaluator.evaluate(candidate_ast)
-        if not candidate_indices.size:
-            raise ExecutionError("the candidate set is empty")
-        if reference is not None:
-            reference_ast = parse_set_expression(reference)
-            reference_type, reference_indices = evaluator.evaluate(reference_ast)
-            if reference_type != member_type:
-                raise ExecutionError(
-                    "candidate and reference sets must share a member type: "
-                    f"{member_type!r} vs {reference_type!r}"
-                )
-            if not reference_indices.size:
-                raise ExecutionError("the reference set is empty")
-        else:
-            reference_indices = candidate_indices
+        reference_ast = None if reference is None else parse_set_expression(reference)
+        validate_sets(self.network.schema, candidate_ast, reference_ast)
+        member_type, candidate_indices, reference_indices = (
+            self._executor.resolve_sets(candidate_ast, reference_ast)
+        )
 
         def rows_for(indices):
             if callable(features):

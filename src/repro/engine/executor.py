@@ -5,6 +5,11 @@ then compute outlierness — using the vectorized Equation 1 evaluation by
 default.  Multiple feature meta-paths are handled the way Section 5.1
 suggests: scores are computed per meta-path independently and combined as a
 weighted average.
+
+:meth:`QueryExecutor.validate` and :meth:`QueryExecutor.resolve_sets` are
+the first two steps on their own: the progressive executor and the
+detector's custom-feature scoring enter through them, the SPM workload
+analyzer through the first.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.metapath.metapath import WeightedMetaPath
-from repro.query.ast import Query
+from repro.query.ast import Query, SetExpression
 from repro.query.parser import parse_query
 from repro.query.semantics import ValidatedQuery, validate_query
 
@@ -151,24 +156,16 @@ class QueryExecutor:
             ranking is returned with ``degraded=True``.
         """
         started = time.perf_counter()
-        ast = parse_query(query) if isinstance(query, str) else query
-        validated = validate_query(self.network.schema, ast)
+        validated = self.validate(query)
+        ast = validated.query
         stats = ExecutionStats() if self.collect_stats else None
         if deadline is None and self.resilience is not None:
             deadline = self.resilience.deadline()
 
         with deadline_scope(deadline):
-            evaluator = SetEvaluator(self.strategy, stats)
-            member_type, candidates = evaluator.evaluate(ast.candidates)
-            if ast.reference is not None:
-                _, reference = evaluator.evaluate(ast.reference)
-            else:
-                reference = candidates
-            if not candidates.size:
-                raise ExecutionError("the candidate set is empty")
-            if not reference.size:
-                raise ExecutionError("the reference set is empty")
-
+            member_type, candidates, reference = self.resolve_sets(
+                ast.candidates, ast.reference, stats
+            )
             scores, per_feature, partial_reason = self._score(
                 validated, candidates, reference, stats
             )
@@ -194,6 +191,32 @@ class QueryExecutor:
             degraded=degradation_reason is not None,
             degradation_reason=degradation_reason,
         )
+
+    def validate(self, query: str | Query) -> ValidatedQuery:
+        """``query`` (text or AST) parsed and validated against the network's
+        schema — the check every entry point runs before touching data."""
+        ast = parse_query(query) if isinstance(query, str) else query
+        return validate_query(self.network.schema, ast)
+
+    def resolve_sets(
+        self,
+        candidates: SetExpression,
+        reference: SetExpression | None,
+        stats: ExecutionStats | None = None,
+    ) -> tuple[str, np.ndarray, np.ndarray]:
+        """Step one of §6.1: validated set expressions as ``(member_type,
+        Sc, Sr)``, evaluated through the strategy.  Without a reference
+        expression ``Sr is Sc``; an empty set of either kind is an error."""
+        evaluator = SetEvaluator(self.strategy, stats)
+        member_type, candidate_set = evaluator.evaluate(candidates)
+        reference_set = (
+            candidate_set if reference is None else evaluator.evaluate(reference)[1]
+        )
+        if not candidate_set.size:
+            raise ExecutionError("the candidate set is empty")
+        if not reference_set.size:
+            raise ExecutionError("the reference set is empty")
+        return member_type, candidate_set, reference_set
 
     def _degradation_reason(self, partial_reason: str | None) -> str | None:
         """Combine strategy-ladder demotions and partial scoring into one reason."""

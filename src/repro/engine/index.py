@@ -32,12 +32,7 @@ from repro import faultinject
 from repro.engine.deadline import check_deadline
 from repro.exceptions import ExecutionError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
-from repro.hin.storage import (
-    ArrayStore,
-    RamArrayStore,
-    csr_from_buffers,
-    spill_csr,
-)
+from repro.hin.storage import MmapArrayStore, csr_from_buffers, spill_csr
 from repro.metapath.materialize import materialize
 from repro.metapath.metapath import MetaPath
 from repro.utils.sparsetools import (
@@ -388,28 +383,27 @@ def _blocked_segment_product(
     a2: sparse.csr_matrix,
     *,
     block_rows: int,
-    store: "ArrayStore | None",
+    store: MmapArrayStore,
     prefix: str,
 ) -> sparse.csr_matrix:
     """``A1 @ A2`` computed in row blocks, spilling each completed block.
 
     Peak memory is one block's product (plus the append copy), not the
     whole matrix: a block is formed, canonicalized, its CSR triple
-    appended (``indptr`` rebased by the running non-zero count), and
-    dropped.  Because CSR matmul is row-wise independent, the concatenated
-    rows are exactly the rows of the in-core product — the value buffers
-    are byte-identical, which is what keeps scores byte-identical across
-    in-core and out-of-core builds.
+    appended to ``store`` (``indptr`` rebased by the running non-zero
+    count), and dropped.  Because CSR matmul is row-wise independent, the
+    concatenated rows are exactly the rows of the in-core product — the
+    value buffers are byte-identical, which is what keeps scores
+    byte-identical across in-core and out-of-core builds.
 
     Every block passes the ``index_build`` fault point and the cooperative
     deadline, so the out-of-core build honors the same interruption
     machinery as the rest of the engine.
     """
-    target = store if store is not None else RamArrayStore()
     rows, width = a1.shape[0], a2.shape[1]
-    data_out = target.appender(f"{prefix}:data", np.float64)
-    indices_out = target.appender(f"{prefix}:indices", np.int64)
-    indptr_out = target.appender(f"{prefix}:indptr", np.int64)
+    data_out = store.appender(f"{prefix}:data", np.float64)
+    indices_out = store.appender(f"{prefix}:indices", np.int64)
+    indptr_out = store.appender(f"{prefix}:indptr", np.int64)
     indptr_out.append(np.zeros(1, dtype=np.int64))
     nnz = 0
     for start in range(0, rows, block_rows):
@@ -435,7 +429,7 @@ def build_pm_index(
     *,
     block_rows: "int | None" = None,
     max_build_memory_mb: "float | None" = None,
-    store: "ArrayStore | None" = None,
+    store: "MmapArrayStore | None" = None,
     paths: "Iterable[MetaPath] | None" = None,
 ) -> MetaPathIndex:
     """Materialize every legal length-2 meta-path in full (PM, §6.2).
@@ -446,7 +440,9 @@ def build_pm_index(
     product is computed ``block_rows`` rows at a time (default
     :data:`DEFAULT_BUILD_BLOCK_ROWS`, shrunk when the product's expected
     density would blow ``max_build_memory_mb``) and every completed block
-    is appended to ``store`` before the next is formed.  The two builds
+    is appended to ``store`` — a private temporary
+    :class:`~repro.hin.storage.MmapArrayStore` when none is given — before
+    the next is formed.  The two builds
     store byte-identical matrices (after canonicalization), because blocked
     CSR products concatenate to exactly the whole product's rows.
 
@@ -465,6 +461,7 @@ def build_pm_index(
     blocked = block_rows is not None or max_build_memory_mb is not None
     if block_rows is None:
         block_rows = DEFAULT_BUILD_BLOCK_ROWS
+    spill = MmapArrayStore() if blocked and store is None else store
     index = MetaPathIndex()
     target_paths = sorted(
         paths if paths is not None else _all_length2_paths(network),
@@ -481,7 +478,7 @@ def build_pm_index(
                 block_rows=_effective_block_rows(
                     a1, a2, block_rows, max_build_memory_mb
                 ),
-                store=store,
+                store=spill,
                 prefix=prefix,
             )
         else:
@@ -529,7 +526,7 @@ def build_spm_index(
     *,
     max_bytes: "int | None" = None,
     block_rows: int = DEFAULT_BUILD_BLOCK_ROWS,
-    store: "ArrayStore | None" = None,
+    store: "MmapArrayStore | None" = None,
 ) -> tuple[MetaPathIndex, list[VertexId]]:
     """Materialize length-2 rows for the ``ranked`` vertices only (SPM, §6.2).
 

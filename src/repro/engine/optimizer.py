@@ -6,9 +6,13 @@ set* (query logs, or synthetic queries standing in for them) and indexes
 length-2 rows only for vertices whose relative frequency clears a threshold
 (0.01 in the paper's experiments).
 
-:class:`WorkloadAnalyzer` evaluates the candidate-set expression of each
-initialization query against the network, tallies how often each vertex
-appears across candidate sets, and returns the vertices above threshold.
+:class:`WorkloadAnalyzer` validates each initialization query exactly as
+the executor does (:meth:`~repro.engine.executor.QueryExecutor.validate`),
+evaluates its candidate-set expression against the network, tallies how
+often each vertex appears across candidate sets, and returns the vertices
+above threshold.  A query the executor would refuse as malformed raises the
+same typed :class:`~repro.exceptions.QueryError` here; one whose anchor is
+gone or whose candidate set is empty is analyzed and contributes nothing.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
+from repro.engine.evaluator import SetEvaluator
+from repro.engine.executor import QueryExecutor
 from repro.engine.index import MetaPathIndex, build_spm_index
 from repro.engine.strategies import BaselineStrategy
-from repro.engine.evaluator import SetEvaluator
 from repro.exceptions import VertexNotFoundError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.query.ast import Query
-from repro.query.parser import parse_query
 
 __all__ = ["WorkloadAnalyzer", "select_frequent_vertices"]
 
@@ -45,7 +49,8 @@ class WorkloadAnalyzer:
         self._occurrences: Counter[VertexId] = Counter()
         self._analyzed = 0
         # Analysis itself runs unindexed (there is no index yet to use).
-        self._evaluator = SetEvaluator(BaselineStrategy(network))
+        self._executor = QueryExecutor(BaselineStrategy(network), collect_stats=False)
+        self._evaluator = SetEvaluator(self._executor.strategy)
 
     @property
     def analyzed_queries(self) -> int:
@@ -57,8 +62,14 @@ class WorkloadAnalyzer:
         Queries whose anchors do not exist in the network are counted as
         analyzed but contribute no members (matching how a dead query log
         entry would behave).
+
+        Raises
+        ------
+        QueryError
+            When the query does not parse or fails semantic validation; it
+            is then not counted.
         """
-        ast = parse_query(query) if isinstance(query, str) else query
+        ast = self._executor.validate(query).query
         self._analyzed += 1
         try:
             member_type, members = self._evaluator.evaluate(ast.candidates)

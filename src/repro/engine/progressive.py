@@ -17,6 +17,12 @@ interval from the running contribution variance.
 stream and can stop early once the provisional top-k is *stable*: every
 inside-candidate's upper bound is below every outside-candidate's lower
 bound at the requested confidence.
+
+Only the reference loop is progressive.  A progressive executor holds a
+:class:`~repro.engine.executor.QueryExecutor` and validates the query and
+retrieves ``Sc``/``Sr`` through it, so a query exact execution refuses is
+refused here with the same error; the final ranking is
+:meth:`~repro.core.results.OutlierResult.from_columns`, as for every result.
 """
 
 from __future__ import annotations
@@ -26,15 +32,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.measures import Measure, get_measure
+from repro.core.measures import Measure
 from repro.core.results import OutlierResult
-from repro.engine.evaluator import SetEvaluator
+from repro.engine.executor import QueryExecutor
 from repro.engine.strategies import MaterializationStrategy
 from repro.exceptions import ExecutionError, MeasureError
 from repro.hin.network import VertexId
 from repro.query.ast import Query
-from repro.query.parser import parse_query
-from repro.query.semantics import validate_query
 from repro.utils.rng import ensure_rng
 
 __all__ = ["ProgressiveSnapshot", "ProgressiveQueryExecutor"]
@@ -117,9 +121,11 @@ class ProgressiveQueryExecutor:
         confidence: float = 0.95,
         seed: int | np.random.Generator = 0,
     ) -> None:
+        #: Validation and set retrieval are the exact executor's own.
+        self.executor = QueryExecutor(strategy, measure, collect_stats=False)
         self.strategy = strategy
         self.network = strategy.network
-        self.measure = get_measure(measure) if isinstance(measure, str) else measure
+        self.measure = self.executor.measure
         if not self.measure.is_additive:
             raise MeasureError(
                 f"progressive execution needs an additive measure; "
@@ -141,24 +147,16 @@ class ProgressiveQueryExecutor:
         Only single-feature queries are supported (the natural anytime
         setting; multi-path queries can be streamed per path by the caller).
         """
-        ast = parse_query(query) if isinstance(query, str) else query
-        validated = validate_query(self.network.schema, ast)
+        validated = self.executor.validate(query)
         if len(validated.features) != 1:
             raise ExecutionError(
                 "progressive execution supports exactly one feature meta-path"
             )
         feature = validated.features[0]
-
-        evaluator = SetEvaluator(self.strategy)
-        member_type, candidates = evaluator.evaluate(ast.candidates)
-        if ast.reference is not None:
-            __, reference = evaluator.evaluate(ast.reference)
-        else:
-            reference = candidates
-        if not candidates.size:
-            raise ExecutionError("the candidate set is empty")
-        if not reference.size:
-            raise ExecutionError("the reference set is empty")
+        ast = validated.query
+        member_type, candidates, reference = self.executor.resolve_sets(
+            ast.candidates, ast.reference
+        )
 
         phi_candidates = self.strategy.neighbor_matrix(feature.path, candidates)
         order = reference[self._rng.permutation(len(reference))]
@@ -243,20 +241,21 @@ class ProgressiveQueryExecutor:
         projected estimates at that point (exact when the full set was
         processed).
         """
-        ast = parse_query(query) if isinstance(query, str) else query
         last: ProgressiveSnapshot | None = None
-        for snapshot in self.stream(ast):
+        for snapshot in self.stream(query):
             last = snapshot
             if early_stop and snapshot.stable and snapshot.fraction >= min_fraction:
                 break
         assert last is not None  # stream always yields for non-empty sets
-        name_map = {
-            vertex: self.network.vertex_name(vertex) for vertex in last.estimates
-        }
-        result = OutlierResult.from_scores(
-            last.estimates,
-            name_map,
-            top_k=ast.top_k,
+        vertices = list(last.estimates)
+        member_type = vertices[0].type
+        result = OutlierResult.from_columns(
+            member_type,
+            [vertex.index for vertex in vertices],
+            list(last.estimates.values()),
+            self.network.vertex_names(member_type),
+            # The provisional head is min(TOP k, |Sc|) long: the same head.
+            top_k=len(last.top_k),
             reference_count=last.total,
             measure=self.measure.name,
         )

@@ -45,8 +45,14 @@ from repro.engine.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.engine.index import MetaPathIndex, build_pm_index, build_spm_index
-from repro.engine.strategies import Rung, _CoverageStrategy
+from repro.engine.index import MetaPathIndex
+from repro.engine.strategies import (
+    DEGRADATION_LADDER,
+    Rung,
+    _CoverageStrategy,
+    build_index,
+    strategy_name,
+)
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -73,10 +79,6 @@ __all__ = [
     "FallbackStrategy",
     "DEGRADATION_LADDER",
 ]
-
-#: The full ladder, strongest rung first.  A detector configured for a
-#: weaker rung starts partway down (SPM falls back to baseline only).
-DEGRADATION_LADDER = ("pm", "spm", "baseline")
 
 
 # ----------------------------------------------------------------------
@@ -417,15 +419,10 @@ class FallbackStrategy(_CoverageStrategy):
     ) -> None:
         if not ladder:
             raise ExecutionError("the degradation ladder needs at least one rung")
-        unknown = [rung for rung in ladder if rung not in DEGRADATION_LADDER]
-        if unknown:
-            raise ExecutionError(
-                f"unknown ladder rungs {unknown}; expected a subsequence of "
-                f"{DEGRADATION_LADDER}"
-            )
+        ladder = tuple(strategy_name(rung) for rung in ladder)
         first = None if index is None else Rung.of(network, ladder[0], index)
         super().__init__(network, first)
-        self.ladder = tuple(ladder)
+        self.ladder = ladder
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._spm_selected = list(spm_selected or [])
         self._lock = threading.RLock()
@@ -459,12 +456,6 @@ class FallbackStrategy(_CoverageStrategy):
         if name == "baseline":
             return Rung.of(self.network, name)
         network, selected = self.network, self._spm_selected
-
-        def build() -> MetaPathIndex:
-            if name == "pm":
-                return build_pm_index(network)
-            return build_spm_index(network, selected)[0]
-
         self.policy.resource_guard().check_estimate(
             estimate_pm_index_bytes(network)
             if name == "pm"
@@ -472,7 +463,10 @@ class FallbackStrategy(_CoverageStrategy):
             f"the {name.upper()} index build",
         )
         breaker = self.policy.breaker(f"{name}-index-build")
-        return Rung.of(network, name, breaker.call(lambda: self.policy.retry(build)))
+        index = breaker.call(
+            lambda: self.policy.retry(lambda: build_index(network, name, selected))
+        )
+        return Rung.of(network, name, index)
 
     def _install(self, failed: Rung | None, reason: str = "") -> Rung:
         """Publish the strongest buildable rung below ``failed`` (the first

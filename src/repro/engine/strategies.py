@@ -23,6 +23,9 @@ what they construct and what they refuse:
 A coverage strategy serves from one immutable :class:`Rung` (index, build
 version, staleness tolerance); the degradation ladder
 (:class:`~repro.engine.resilience.FallbackStrategy`) replaces its rung.
+:func:`make_strategy` is the one reader of a strategy name: with a
+resilience policy that allows degradation, a name means the ladder from that
+rung down, and :func:`build_index` is the one per-name index build.
 
 The routine
 -----------
@@ -61,7 +64,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -85,6 +88,9 @@ from repro.metapath.materialize import (
 )
 from repro.metapath.metapath import MetaPath
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.resilience import ResiliencePolicy
+
 __all__ = [
     "BLOCK_ROWS",
     "Rung",
@@ -92,6 +98,9 @@ __all__ = [
     "BaselineStrategy",
     "PMStrategy",
     "SPMStrategy",
+    "DEGRADATION_LADDER",
+    "strategy_name",
+    "build_index",
     "make_strategy",
 ]
 
@@ -100,6 +109,11 @@ __all__ = [
 #: that one cooperative deadline check per block keeps overrun latency
 #: bounded by a single block's cost.
 BLOCK_ROWS = 512
+
+#: The strategy names, strongest index first: the full degradation ladder.
+#: A ladder for a weaker rung starts partway down (SPM falls back to
+#: baseline only).
+DEGRADATION_LADDER = ("pm", "spm", "baseline")
 
 
 def _selection_matrix(indices: np.ndarray, width: int) -> sparse.csr_matrix:
@@ -563,7 +577,7 @@ class PMStrategy(_CoverageStrategy):
         allow_stale: bool = False,
     ) -> None:
         if index is None:
-            index = build_pm_index(network)
+            index = build_index(network, "pm")
         rung = Rung.of(network, "pm", index, allow_stale=allow_stale)
         super().__init__(network, rung)
 
@@ -594,9 +608,32 @@ class SPMStrategy(_CoverageStrategy):
         allow_stale: bool = False,
     ) -> None:
         if index is None:
-            index, _ = build_spm_index(network, selected or [])
+            index = build_index(network, "spm", selected)
         rung = Rung.of(network, "spm", index, allow_stale=allow_stale)
         super().__init__(network, rung)
+
+
+def strategy_name(name: str) -> str:
+    """``name`` as the engine spells it — the one place a strategy name is
+    case-folded, and the one place an unknown one is refused."""
+    lowered = name.lower()
+    if lowered not in DEGRADATION_LADDER:
+        raise ExecutionError(
+            f"unknown strategy {name!r}; expected baseline, pm, or spm"
+        )
+    return lowered
+
+
+def build_index(
+    network: HeterogeneousInformationNetwork,
+    name: str,
+    selected: Iterable[VertexId] | None = None,
+) -> MetaPathIndex:
+    """The in-RAM index rung ``"pm"`` or ``"spm"`` serves from: every legal
+    length-2 matrix, or the length-2 rows of ``selected``."""
+    if name == "pm":
+        return build_pm_index(network)
+    return build_spm_index(network, selected or [])[0]
 
 
 def make_strategy(
@@ -605,6 +642,7 @@ def make_strategy(
     *,
     index: MetaPathIndex | None = None,
     selected: Iterable[VertexId] | None = None,
+    resilience: "ResiliencePolicy | None" = None,
 ) -> MaterializationStrategy:
     """Instantiate a strategy by name: ``"baseline"``, ``"pm"``, or ``"spm"``.
 
@@ -614,14 +652,24 @@ def make_strategy(
         Pre-built index for ``"pm"``/``"spm"`` (built on demand otherwise).
     selected:
         SPM only: vertices to index when no pre-built index is supplied.
+    resilience:
+        A :class:`~repro.engine.resilience.ResiliencePolicy`.  When it allows
+        degradation the strategy is the degradation ladder from the named
+        rung down, starting from ``index`` when one is given.
     """
-    lowered = name.lower()
-    if lowered == "baseline":
+    name = strategy_name(name)
+    if resilience is not None and resilience.allow_degraded:
+        from repro.engine.resilience import FallbackStrategy
+
+        return FallbackStrategy(
+            network,
+            ladder=DEGRADATION_LADDER[DEGRADATION_LADDER.index(name):],
+            policy=resilience,
+            spm_selected=selected,
+            index=index,
+        )
+    if name == "baseline":
         return BaselineStrategy(network)
-    if lowered == "pm":
+    if name == "pm":
         return PMStrategy(network, index=index)
-    if lowered == "spm":
-        return SPMStrategy(network, index=index, selected=selected)
-    raise ExecutionError(
-        f"unknown strategy {name!r}; expected baseline, pm, or spm"
-    )
+    return SPMStrategy(network, index=index, selected=selected)

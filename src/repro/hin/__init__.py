@@ -12,19 +12,13 @@ This package provides the typed graph store everything else builds on:
 * :mod:`~repro.hin.bibliographic` — DBLP-style constructors matching the
   paper's running example (authors, papers, venues, terms).
 * :mod:`~repro.hin.io` — JSON and TSV persistence.
-* :mod:`~repro.hin.storage` — the ``storage={ram,mmap}`` array tiers
+* :mod:`~repro.hin.storage` — the array store behind ``storage="mmap"``
   (np.memmap-backed CSR buffers for networks larger than comfortable RAM).
 """
 
 from repro.hin.schema import EdgeType, NetworkSchema, bibliographic_schema
 from repro.hin.network import HeterogeneousInformationNetwork, Vertex, VertexId
-from repro.hin.storage import (
-    STORAGE_MODES,
-    ArrayStore,
-    MmapArrayStore,
-    RamArrayStore,
-    make_store,
-)
+from repro.hin.storage import STORAGE_MODES, MmapArrayStore
 from repro.hin.builder import NetworkBuilder
 from repro.hin.interop import from_networkx, infer_schema_from_networkx, to_networkx
 from repro.hin.subnetwork import induced_subnetwork, slice_by_attribute
@@ -49,10 +43,7 @@ __all__ = [
     "VertexId",
     "NetworkBuilder",
     "STORAGE_MODES",
-    "ArrayStore",
-    "RamArrayStore",
     "MmapArrayStore",
-    "make_store",
     "BibliographicNetworkBuilder",
     "Publication",
     "AUTHOR",

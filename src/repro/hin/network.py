@@ -32,7 +32,7 @@ from scipy import sparse
 
 from repro.exceptions import NetworkError, VertexNotFoundError
 from repro.hin.schema import EdgeType, NetworkSchema
-from repro.hin.storage import ArrayStore, make_store, spill_csr
+from repro.hin.storage import STORAGE_MODES, MmapArrayStore, spill_csr
 
 __all__ = ["VertexId", "Vertex", "HeterogeneousInformationNetwork"]
 
@@ -163,13 +163,13 @@ class HeterogeneousInformationNetwork:
         # heap (historical behavior); "mmap" spills every rebuilt matrix to
         # read-only np.memmap files so resident memory tracks the working
         # set, not the graph size.  See repro.hin.storage.
-        if storage not in ("ram", "mmap"):
+        if storage not in STORAGE_MODES:
             raise NetworkError(
                 f"unknown storage mode {storage!r}; expected 'ram' or 'mmap'"
             )
         self._storage = storage
-        self._store: ArrayStore | None = (
-            make_store(storage, storage_dir) if storage != "ram" else None
+        self._store: MmapArrayStore | None = (
+            MmapArrayStore(storage_dir) if storage == "mmap" else None
         )
         # Per-type registries.
         self._names: dict[str, list[str]] = {t: [] for t in schema.vertex_types}

@@ -1,16 +1,14 @@
-"""Array storage tiers for the HIN substrate: RAM and ``np.memmap``-backed.
+"""The ``np.memmap``-backed array store behind the HIN's mmap tier.
 
 Everything above this module (adjacency matrices, PM/SPM index buffers)
 stores flat numpy arrays.  At AMiner scale (millions of vertices, 10⁸+
 non-zeros) those buffers no longer fit comfortably in RAM, so the network
-and index grow a ``storage={ram,mmap}`` switch backed by the two
-:class:`ArrayStore` implementations here:
-
-* :class:`RamArrayStore` — plain in-process arrays, the historical default.
-* :class:`MmapArrayStore` — one raw little-endian binary file per array in
-  a directory, reopened as **read-only** ``np.memmap`` views.  The kernel
-  pages data in on demand and evicts it under pressure, so resident memory
-  tracks the working set instead of the total index size.
+and index grow a ``storage={ram,mmap}`` switch.  ``"ram"`` keeps plain heap
+arrays and needs no store; ``"mmap"`` puts them in a
+:class:`MmapArrayStore` — one raw little-endian binary file per array in a
+directory, reopened as **read-only** ``np.memmap`` views.  The kernel pages
+data in on demand and evicts it under pressure, so resident memory tracks
+the working set instead of the total index size.
 
 Writes never go through a writable memmap: spilling dirties pages that
 count against RSS until the kernel writes them back.  Instead arrays are
@@ -45,14 +43,11 @@ import numpy as np
 from scipy import sparse
 
 from repro import faultinject
-from repro.exceptions import ExecutionError, NetworkError
+from repro.exceptions import ExecutionError
 
 __all__ = [
-    "ArrayStore",
-    "RamArrayStore",
     "MmapArrayStore",
     "fingerprint",
-    "make_store",
     "spill_csr",
     "STORAGE_MODES",
 ]
@@ -154,7 +149,7 @@ def _require_1d(array: np.ndarray, key: str) -> np.ndarray:
     return flat
 
 
-class ArrayAppender:
+class _MmapAppender:
     """Incremental writer for one array: ``append`` chunks, then ``finalize``.
 
     The out-of-core index builder streams block products through this —
@@ -162,89 +157,6 @@ class ArrayAppender:
     one block, not one matrix.
     """
 
-    def append(self, chunk: np.ndarray) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def finalize(self) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class ArrayStore:
-    """Named flat-array storage behind the ``storage={ram,mmap}`` switch."""
-
-    storage: str = "ram"
-
-    def put(self, key: str, array: np.ndarray) -> np.ndarray:
-        """Store ``array`` under ``key``; returns the view to use from now on."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def get(self, key: str) -> np.ndarray:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def keys(self) -> list[str]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def appender(self, key: str, dtype: np.dtype) -> ArrayAppender:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def commit(self, extra: Mapping | None = None) -> None:
-        """Publish the store's contents (a no-op for the RAM tier)."""
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Materialize the full ``key -> array`` map (views, not copies)."""
-        return {key: self.get(key) for key in self.keys()}
-
-
-class _RamAppender(ArrayAppender):
-    __slots__ = ("_store", "_key", "_dtype", "_chunks")
-
-    def __init__(self, store: "RamArrayStore", key: str, dtype: np.dtype) -> None:
-        self._store = store
-        self._key = key
-        self._dtype = np.dtype(dtype)
-        self._chunks: list[np.ndarray] = []
-
-    def append(self, chunk: np.ndarray) -> None:
-        self._chunks.append(
-            _require_1d(chunk, self._key).astype(self._dtype, copy=False)
-        )
-
-    def finalize(self) -> np.ndarray:
-        if self._chunks:
-            merged = np.concatenate(self._chunks)
-        else:
-            merged = np.empty(0, dtype=self._dtype)
-        self._chunks = []
-        return self._store.put(self._key, merged)
-
-
-class RamArrayStore(ArrayStore):
-    """The in-RAM tier: arrays stay exactly where they are."""
-
-    storage = "ram"
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def put(self, key: str, array: np.ndarray) -> np.ndarray:
-        flat = _require_1d(array, key)
-        self._arrays[key] = flat
-        return flat
-
-    def get(self, key: str) -> np.ndarray:
-        try:
-            return self._arrays[key]
-        except KeyError:
-            raise ExecutionError(f"array store has no array named {key!r}") from None
-
-    def keys(self) -> list[str]:
-        return list(self._arrays)
-
-    def appender(self, key: str, dtype: np.dtype) -> ArrayAppender:
-        return _RamAppender(self, key, dtype)
-
-
-class _MmapAppender(ArrayAppender):
     __slots__ = ("_store", "_key", "_dtype", "_path", "_handle", "_count")
 
     def __init__(
@@ -273,7 +185,7 @@ class _MmapAppender(ArrayAppender):
         )
 
 
-class MmapArrayStore(ArrayStore):
+class MmapArrayStore:
     """Directory of raw binary array files reopened as read-only memmaps.
 
     Parameters
@@ -287,8 +199,6 @@ class MmapArrayStore(ArrayStore):
         :meth:`open` — while files this store wrote and never committed are
         removed with the store: without a manifest they mean nothing.
     """
-
-    storage = "mmap"
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self._tempdir: tempfile.TemporaryDirectory | None = None
@@ -404,7 +314,7 @@ class MmapArrayStore(ArrayStore):
         appender.append(flat)
         return appender.finalize()
 
-    def appender(self, key: str, dtype: np.dtype) -> ArrayAppender:
+    def appender(self, key: str, dtype: np.dtype) -> _MmapAppender:
         faultinject.check("io")
         return _MmapAppender(self, key, np.dtype(dtype), self._next_file())
 
@@ -430,6 +340,10 @@ class MmapArrayStore(ArrayStore):
 
     def keys(self) -> list[str]:
         return list(self._entries)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The full ``key -> array`` map (views, not copies)."""
+        return {key: self.get(key) for key in self.keys()}
 
     def close(self) -> None:
         """Drop this store's views; their pages unmap once no array uses them."""
@@ -477,19 +391,8 @@ class MmapArrayStore(ArrayStore):
         _discard(self._directory, superseded)
 
 
-def make_store(storage: str, directory: str | Path | None = None) -> ArrayStore:
-    """Instantiate the store behind a ``storage={ram,mmap}`` switch value."""
-    if storage == "ram":
-        return RamArrayStore()
-    if storage == "mmap":
-        return MmapArrayStore(directory)
-    raise NetworkError(
-        f"unknown storage mode {storage!r}; expected one of {STORAGE_MODES}"
-    )
-
-
 def spill_csr(
-    store: ArrayStore, prefix: str, matrix: sparse.csr_matrix
+    store: MmapArrayStore, prefix: str, matrix: sparse.csr_matrix
 ) -> sparse.csr_matrix:
     """Move a CSR matrix's buffers into ``store``; returns the store-backed view.
 

@@ -36,7 +36,7 @@ from repro.query.ast import (
     SetOperation,
 )
 
-__all__ = ["ValidatedQuery", "validate_query", "member_type_of"]
+__all__ = ["ValidatedQuery", "validate_query", "validate_sets", "member_type_of"]
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,25 @@ def member_type_of(schema: NetworkSchema, expression: SetExpression) -> str:
     raise QuerySemanticError(f"unknown set expression node {expression!r}")
 
 
+def validate_sets(
+    schema: NetworkSchema,
+    candidates: SetExpression,
+    reference: SetExpression | None = None,
+) -> str:
+    """Validate the candidate and (optional) reference set expressions and
+    return their shared member type — the set half of :func:`validate_query`,
+    for callers that take sets without a full query."""
+    candidate_type = member_type_of(schema, candidates)
+    if reference is not None:
+        reference_type = member_type_of(schema, reference)
+        if reference_type != candidate_type:
+            raise QuerySemanticError(
+                "candidate and reference sets must share a member type: "
+                f"{candidate_type!r} vs {reference_type!r}"
+            )
+    return candidate_type
+
+
 def validate_query(schema: NetworkSchema, query: Query) -> ValidatedQuery:
     """Validate ``query`` against ``schema``; see module docstring for rules."""
     # TOP k is re-validated at execution time: the parser rejects bad
@@ -143,14 +162,7 @@ def validate_query(schema: NetworkSchema, query: Query) -> ValidatedQuery:
     if top_k <= 0:
         raise QuerySemanticError(f"TOP k must be a positive integer, got {top_k}")
 
-    candidate_type = member_type_of(schema, query.candidates)
-    if query.reference is not None:
-        reference_type = member_type_of(schema, query.reference)
-        if reference_type != candidate_type:
-            raise QuerySemanticError(
-                "candidate and reference sets must share a member type: "
-                f"{candidate_type!r} vs {reference_type!r}"
-            )
+    candidate_type = validate_sets(schema, query.candidates, query.reference)
 
     features: list[WeightedMetaPath] = []
     for feature in query.features:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.engine.index import build_spm_index
 from repro.engine.optimizer import WorkloadAnalyzer
-from repro.exceptions import ServiceError
+from repro.exceptions import QueryError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import QueryService
@@ -139,7 +139,9 @@ class Reindexer:
     2. Mine the window with :class:`WorkloadAnalyzer`, rank vertices by
        relative frequency (ties broken by vertex id for determinism), and
        keep those at or above ``spm_threshold`` — the paper's SPM
-       selection rule applied to the live window.
+       selection rule applied to the live window.  ``submit`` logs a query
+       before the engine validates it, so an entry the analyzer refuses as
+       malformed (a request answered 400) is skipped as a dead log entry.
     3. Skip if the selection equals the currently served one (the index
        would be identical) or the byte budget admits no vertex at all.
     4. Build the new index off-thread and hand it to
@@ -253,7 +255,11 @@ class Reindexer:
 
         network = self.service.handle.network
         analyzer = WorkloadAnalyzer(network)
-        analyzer.analyze_many(window)
+        for key in window:
+            try:
+                analyzer.analyze(key)
+            except QueryError:
+                continue  # refused by the service too: a dead log entry
         frequencies = analyzer.relative_frequencies()
         # Hottest first, vertex id as the deterministic tiebreak.
         ranked = [

@@ -7,6 +7,12 @@ construction is exactly the cost the paper's Section 6 works to amortize.
 shares the immutable pieces (adjacency matrices, index matrices, measure)
 across every worker thread.
 
+A generation of the engine is one
+:class:`~repro.engine.executor.QueryExecutor` over the row cache, over the
+strategy :func:`~repro.engine.detector.configured_strategy` makes of the
+same settings an :class:`~repro.engine.detector.OutlierDetector` takes, so
+a served answer is the library's answer by construction.
+
 Thread-safety contract
 ----------------------
 Everything mutable is per-request: execution statistics are freshly
@@ -29,8 +35,8 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.measures import Measure
 from repro.core.results import OutlierResult
 from repro.engine.caching import CachingStrategy, SubpathCache
-from repro.engine.detector import OutlierDetector
-from repro.engine.executor import BatchExecution
+from repro.engine.detector import configured_strategy
+from repro.engine.executor import BatchExecution, QueryExecutor
 from repro.engine.index import MetaPathIndex
 from repro.engine.strategies import MaterializationStrategy
 from repro.exceptions import ServiceError
@@ -55,8 +61,8 @@ class EngineHandle:
         cached against an older version are invalidated automatically.
     strategy, measure, combine, index, spm_workload, spm_threshold,
     resilience:
-        Forwarded to :class:`~repro.engine.detector.OutlierDetector` — the
-        handle adds sharing and warm-up, not new execution semantics.
+        As for :class:`~repro.engine.detector.OutlierDetector` — the handle
+        adds sharing and warm-up, not new execution semantics.
     row_cache_rows:
         When positive, wrap the strategy in a (thread-safe) LRU row cache
         of this many ``(meta-path, vertex)`` rows, so hub vertices touched
@@ -106,7 +112,7 @@ class EngineHandle:
             "subpath_cache_mb": subpath_cache_mb,
         }
         self.subpath_cache: SubpathCache | None = None
-        self.detector, self.row_cache = self._generation(
+        self.executor, self.row_cache = self._generation(
             strategy, index, spm_workload=spm_workload, spm_threshold=spm_threshold
         )
         self._version = network.version
@@ -121,23 +127,29 @@ class EngineHandle:
 
     def _generation(
         self, strategy, index, **selection
-    ) -> "tuple[OutlierDetector, CachingStrategy | None]":
-        """One engine generation: the detector over ``index`` (or a fresh
+    ) -> "tuple[QueryExecutor, CachingStrategy | None]":
+        """One engine generation: the executor over ``index`` (or a fresh
         build), with the shared sub-path cache, behind the locked LRU row
         cache.  Start-up and every hot-swap come through here."""
         spec = self._init_spec
-        settings = {
-            name: spec[name]
-            for name in ("measure", "combine", "collect_stats", "resilience")
-        }
-        detector = OutlierDetector(
-            self.network, strategy=strategy, index=index, **selection, **settings
+        resilience = spec["resilience"]
+        strategy = configured_strategy(
+            self.network, strategy, index=index, resilience=resilience, **selection
         )
-        detector.strategy.subpath_cache = self.subpath_cache
-        if spec["row_cache_rows"] <= 0:
-            return detector, None
-        row_cache = CachingStrategy(detector.strategy, max_rows=spec["row_cache_rows"])
-        return OutlierDetector(self.network, strategy=row_cache, **settings), row_cache
+        strategy.subpath_cache = self.subpath_cache
+        row_cache = None
+        if spec["row_cache_rows"] > 0:
+            strategy = row_cache = CachingStrategy(
+                strategy, max_rows=spec["row_cache_rows"]
+            )
+        executor = QueryExecutor(
+            strategy,
+            spec["measure"],
+            combine=spec["combine"],
+            collect_stats=spec["collect_stats"],
+            resilience=resilience,
+        )
+        return executor, row_cache
 
     # ------------------------------------------------------------------
     # Warm-up
@@ -156,7 +168,7 @@ class EngineHandle:
             self.network.adjacency(edge_type.source, edge_type.target)
         # Reading a ladder's rung builds its first one (and runs any
         # demotions that causes) here, once.
-        _ = self.detector.strategy.rung
+        _ = self.executor.strategy.rung
 
     # ------------------------------------------------------------------
     # Identity
@@ -175,16 +187,16 @@ class EngineHandle:
     def fingerprint(self) -> str:
         """Execution-semantics identity: two handles with equal fingerprints
         and versions return identical results for the same query."""
-        combine = self._init_spec["combine"]
-        return f"{self.detector.strategy.name}/{self.detector.measure_name}/{combine}"
+        executor = self.executor
+        return f"{executor.strategy.name}/{executor.measure.name}/{executor.combine}"
 
     @property
     def measure_name(self) -> str:
-        return self.detector.measure_name
+        return self.executor.measure.name
 
     def index_size_bytes(self) -> int:
         """Bytes held by the shared index (plus any row cache)."""
-        return self.detector.index_size_bytes()
+        return self.executor.strategy.index_size_bytes()
 
     # ------------------------------------------------------------------
     # Adaptive indexing: sub-path cache + atomic index hot-swap
@@ -228,9 +240,9 @@ class EngineHandle:
         self.require_spm("index hot-swap")
         self._concrete_strategy().tolerate_stale()
         version = self.network.bump_version()
-        detector, row_cache = self._generation("spm", index)
+        executor, row_cache = self._generation("spm", index)
         # Atomic publish: one attribute write swaps the whole engine.
-        self.detector = detector
+        self.executor = executor
         self.row_cache = row_cache
         self._version = version
         self.index_generation += 1
@@ -289,18 +301,18 @@ class EngineHandle:
         self, query: str | Query, *, deadline: "Deadline | None" = None
     ) -> OutlierResult:
         """Run one query against the shared engine (any thread)."""
-        return self.detector.detect(query, deadline=deadline)
+        return self.executor.execute(query, deadline=deadline)
 
     def execute_many(self, queries: Sequence[str | Query]) -> BatchExecution:
         """Run a batch against the shared engine (any thread)."""
-        return self.detector.detect_many(queries)
+        return self.executor.execute_many(list(queries))
 
     # ------------------------------------------------------------------
     # Worker-segment export / attach (process backend)
     # ------------------------------------------------------------------
     def _concrete_strategy(self) -> MaterializationStrategy:
         """The strategy behind the row cache: the one holding the index."""
-        strategy = self.detector.strategy
+        strategy = self.executor.strategy
         return strategy.inner if isinstance(strategy, CachingStrategy) else strategy
 
     def _served(self) -> "tuple[str, MetaPathIndex | None]":

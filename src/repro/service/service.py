@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.results import OutlierResult
 from repro.engine.index import MetaPathIndex, build_pm_index
+from repro.engine.strategies import strategy_name
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.storage import MmapArrayStore
 from repro.exceptions import (
@@ -171,7 +172,8 @@ class QueryService:
         the RAM budget entirely.
         """
         config = config if config is not None else ServiceConfig()
-        if index is None and config.storage == "mmap" and strategy == "pm":
+        out_of_core = config.storage == "mmap" and strategy_name(strategy) == "pm"
+        if index is None and out_of_core:
             directory = config.storage_dir
             index = build_pm_index(
                 network,

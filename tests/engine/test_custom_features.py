@@ -87,8 +87,15 @@ class TestReferenceAndErrors:
 
     def test_mismatched_reference_type(self, figure1, detector):
         full = materialize(figure1, MetaPath.parse("author.paper.venue"))
-        with pytest.raises(ExecutionError, match="member type"):
+        with pytest.raises(QuerySemanticError, match="member type"):
             detector.detect_with_features("author", full, reference="venue")
+
+    def test_illegal_reference_chain(self, figure1, detector):
+        """The reference set is validated like the candidate set: an
+        unregistered step is a semantic error, not a network lookup failure."""
+        full = materialize(figure1, MetaPath.parse("author.paper.venue"))
+        with pytest.raises(QuerySemanticError, match="author-venue"):
+            detector.detect_with_features("author", full, reference="author.venue")
 
     def test_row_count_mismatch_rejected(self, figure1, detector):
         def bad(network, member_type, indices):
@@ -96,17 +103,6 @@ class TestReferenceAndErrors:
 
         with pytest.raises(ExecutionError, match="do not match"):
             detector.detect_with_features("author", bad)
-
-    def test_invalid_candidate_expression(self, figure1, detector):
-        with pytest.raises(QuerySemanticError):
-            detector.detect_with_features('galaxy{"X"}', np.ones((1, 1)))
-
-    def test_empty_candidates(self, figure1, detector):
-        full = materialize(figure1, MetaPath.parse("author.paper.venue"))
-        with pytest.raises(ExecutionError, match="empty"):
-            detector.detect_with_features(
-                "author AS A WHERE COUNT(A.paper) > 99", full
-            )
 
     def test_invalid_top_k(self, figure1, detector):
         with pytest.raises(ExecutionError):

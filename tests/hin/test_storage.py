@@ -1,4 +1,4 @@
-"""The array-store layer behind ``storage={ram,mmap}``.
+"""The array store behind ``storage="mmap"``.
 
 Covers the store contract (put/get/appender/commit), the crash-safety
 discipline (manifest last; an uncommitted directory is invisible), the
@@ -23,18 +23,14 @@ from repro.hin.schema import bibliographic_schema
 from repro.hin.storage import (
     STORAGE_MODES,
     MmapArrayStore,
-    RamArrayStore,
     csr_from_buffers,
     is_store_backed,
-    make_store,
     spill_csr,
 )
 
 
-@pytest.fixture(params=["ram", "mmap"])
+@pytest.fixture(params=["mmap"])
 def store(request, tmp_path):
-    if request.param == "ram":
-        return RamArrayStore()
     return MmapArrayStore(str(tmp_path / "store"))
 
 
@@ -209,8 +205,6 @@ class TestNetworkStorageTier:
             HeterogeneousInformationNetwork(
                 bibliographic_schema(), storage="tape"
             )
-        with pytest.raises(NetworkError):
-            make_store("tape", None)
 
     def test_copy_with_storage_roundtrip(self, tmp_path):
         network = figure1_network()

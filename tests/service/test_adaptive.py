@@ -24,7 +24,8 @@ import time
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.engine.optimizer import WorkloadAnalyzer
+from repro.exceptions import QuerySemanticError, ServiceError
 from repro.service import (
     QueryService,
     Reindexer,
@@ -41,6 +42,8 @@ QUERY_B = (
     "JUDGED BY author.paper.author TOP 3;"
 )
 QUERY_C = "FIND OUTLIERS FROM venue JUDGED BY venue.paper.author TOP 2;"
+#: Parses, but author-venue is no edge type: a 400 over HTTP.
+INVALID_QUERY = "FIND OUTLIERS FROM author.venue JUDGED BY author.paper.venue TOP 3;"
 
 
 def _adaptive_config(**overrides):
@@ -193,6 +196,22 @@ class TestReindexerControlLoop:
             for _ in range(3):
                 s.execute(QUERY_B)
             s.execute(QUERY_A)
+
+    def test_invalid_admitted_query_is_a_dead_log_entry(self, figure1):
+        """``submit`` logs a query before the engine refuses it, so the
+        window holds a query the client saw answered 400; the analyzer
+        refuses it with the same typed error and the cycle skips it instead
+        of failing every later cycle."""
+        config = _adaptive_config(reindex_min_queries=1)
+        with QueryService.from_network(figure1, config, strategy="spm") as s:
+            with pytest.raises(QuerySemanticError):
+                s.execute(INVALID_QUERY)
+            for _ in range(3):
+                s.execute(QUERY_A)
+            assert s.reindex_now() is True
+            assert s.reindexer.last_error is None
+        with pytest.raises(QuerySemanticError):
+            WorkloadAnalyzer(figure1).analyze(INVALID_QUERY)
 
     def test_validation_rejects_bad_knobs(self, figure1):
         with QueryService.from_network(

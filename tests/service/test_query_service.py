@@ -360,3 +360,17 @@ class TestMmapTier:
             )
             assert (tmp_path / "pm-index").is_dir()
             assert service.execute(query).to_dict() == expected
+
+    def test_strategy_name_case_does_not_change_the_tier(self, figure1, tmp_path):
+        """``"PM"`` is ``"pm"``: the index is built out-of-core, not in RAM
+        under the same fingerprint."""
+        from repro.hin.storage import is_store_backed
+
+        config = ServiceConfig(workers=1, storage="mmap", storage_dir=str(tmp_path))
+        with QueryService.from_network(figure1, config, strategy="PM") as service:
+            index = service.handle._concrete_strategy().index
+            assert index.paths
+            assert all(
+                is_store_backed(index.full_matrix(path)) for path in index.paths
+            )
+            assert service.handle.fingerprint == "cached-pm/netout/score"
