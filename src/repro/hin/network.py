@@ -125,6 +125,24 @@ def _index_array(values: Iterable[int]) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def _refuse_lone_surrogates(vertex_type: str, names: Iterable[Any]) -> None:
+    """Raise :class:`NetworkError` for a name that is not valid Unicode.
+
+    A ``str`` can hold a lone UTF-16 surrogate (a JSON ``"\\ud800"``
+    escape loads as one).  Such a name has no UTF-8 form, so no reply
+    naming its vertex could be written; it is refused where it enters.
+    """
+    for name in names:
+        if isinstance(name, str) and not name.isascii():
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise NetworkError(
+                    f"{vertex_type} vertex name {name!r} is not valid "
+                    "Unicode (it holds a lone surrogate)"
+                ) from None
+
+
 def _span(array: np.ndarray, empty: tuple) -> tuple:
     """``(min, max)`` of ``array``, or ``empty`` when it has no elements."""
     return (array.min(), array.max()) if array.size else empty
@@ -317,6 +335,7 @@ class HeterogeneousInformationNetwork:
             return VertexId(vertex_type, existing)
         if self._frozen:
             raise NetworkError(_FROZEN_MESSAGE)
+        _refuse_lone_surrogates(vertex_type, (name,))
         index = len(self._names[vertex_type])
         self._version += 1
         self._names[vertex_type].append(name)
@@ -356,6 +375,7 @@ class HeterogeneousInformationNetwork:
             )
         if self._frozen:
             raise NetworkError(_FROZEN_MESSAGE)
+        _refuse_lone_surrogates(vertex_type, names)
         index_map = self._name_index[vertex_type]
         start = len(self._names[vertex_type])
         fresh = dict(zip(names, range(start, start + len(names))))

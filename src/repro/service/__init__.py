@@ -16,8 +16,10 @@ ROADMAP's production north star actually needs:
   TTL and network-version invalidation.
 * :class:`~repro.service.service.QueryService` — the programmatic API:
   ``submit()`` futures, ``execute()`` sync calls, ``stats()`` snapshots.
-* :mod:`repro.service.http` — a stdlib-only JSON/HTTP frontend, exposed on
-  the CLI as ``repro serve``.
+* :mod:`repro.service.http` — a JSON/HTTP frontend on the stdlib HTTP
+  server, its bodies encoded by ``orjson`` (the serving layer's one
+  dependency beyond numpy/scipy/networkx), exposed on the CLI as
+  ``repro serve``.
 * :mod:`repro.service.adaptive` — workload-adaptive online indexing: a
   :class:`~repro.service.adaptive.WorkloadRecorder` logs admitted queries
   and a background :class:`~repro.service.adaptive.Reindexer` re-plans the

@@ -22,7 +22,12 @@ from repro.query.ast import Query
 from repro.query.formatter import format_query
 from repro.query.parser import parse_query
 
-__all__ = ["canonical_query_key", "extract_query_text"]
+__all__ = ["BODY_ERRORS", "canonical_query_key", "extract_query_text"]
+
+#: Everything :func:`extract_query_text` raises for a malformed body.  Both
+#: front doors catch exactly this and answer 400; an exception outside it
+#: would kill the handler thread and drop the connection unanswered.
+BODY_ERRORS = (ValueError, KeyError, TypeError)
 
 
 def canonical_query_key(query: str | Query) -> str:
@@ -43,10 +48,11 @@ def extract_query_text(body: bytes) -> str:
 
     The one body-parsing rule both HTTP front doors (replica and router)
     apply, so a body one accepts is never rejected by the other.  Raises
-    ``json.JSONDecodeError`` for malformed JSON, ``KeyError`` when the
-    field is absent, and ``TypeError`` when the payload is not an object
-    or the field is not a string — callers catch exactly that triple and
-    shape a 400.
+    one of :data:`BODY_ERRORS`: ``UnicodeDecodeError`` for bytes that are
+    not UTF-8 (or UTF-16/32) text, ``json.JSONDecodeError`` for malformed
+    JSON (both are ``ValueError``), ``KeyError`` when the field is absent,
+    and ``TypeError`` when the payload is not an object or the field is
+    not a string.
     """
     payload = json.loads(body or b"{}")
     query_text = payload["query"]

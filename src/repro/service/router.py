@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import http.client
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -58,8 +57,16 @@ from repro.exceptions import (
     TransientFaultError,
 )
 from repro.service.config import RouterConfig
-from repro.service.http import CountingHTTPServer, JSONRequestHandler
-from repro.service.keys import canonical_query_key, extract_query_text
+from repro.service.http import (
+    CountingHTTPServer,
+    JSONRequestHandler,
+    encode_body,
+)
+from repro.service.keys import (
+    BODY_ERRORS,
+    canonical_query_key,
+    extract_query_text,
+)
 
 __all__ = [
     "HashRing",
@@ -253,9 +260,9 @@ _FORWARD_HEADERS = ("Content-Type", "Retry-After")
 
 def _local_error(status: int, error: BaseException) -> RoutedResponse:
     """A router-local error response shaped exactly like a replica's."""
-    body = json.dumps(
+    body = encode_body(
         {"error": {"type": type(error).__name__, "message": str(error)}}
-    ).encode("utf-8")
+    )
     return RoutedResponse(
         status=status,
         headers={"Content-Type": "application/json"},
@@ -399,7 +406,7 @@ class Router:
         """
         try:
             query_text = extract_query_text(body)
-        except (json.JSONDecodeError, KeyError, TypeError) as error:
+        except BODY_ERRORS as error:
             return _local_error(400, error)
         try:
             key = canonical_query_key(query_text)

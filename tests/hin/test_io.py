@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.hin.io` (JSON and TSV round-trips)."""
 
 import io
+import json
 
 import pytest
 
@@ -61,6 +62,16 @@ class TestJsonRoundTrip:
         data["format_version"] = 99
         with pytest.raises(NetworkError, match="format version"):
             network_from_dict(data)
+
+    def test_lone_surrogate_name_refused_on_load(self, figure1, tmp_path):
+        """``"\\ud800"`` is valid JSON but not Unicode text: a network naming
+        a vertex with it must not load (its name has no UTF-8 form)."""
+        data = network_to_dict(figure1)
+        data["vertices"]["author"][0]["name"] = "Zo\ud800e"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data), encoding="ascii")
+        with pytest.raises(NetworkError, match="lone surrogate"):
+            load_json(path)
 
     def test_parallel_edge_counts_survive(self, figure2, tmp_path):
         path = tmp_path / "net.json"

@@ -98,6 +98,22 @@ class TestVertices:
         ids = empty_network.add_vertices("term", ["a", "b", "c"])
         assert [v.index for v in ids] == [0, 1, 2]
 
+    def test_lone_surrogate_name_refused(self, empty_network):
+        """A name with no UTF-8 form could never be written into a reply."""
+        with pytest.raises(NetworkError, match="lone surrogate"):
+            empty_network.add_vertex("author", "Zo\ud800e")
+        with pytest.raises(NetworkError, match="lone surrogate"):
+            empty_network.add_vertices("author", ["Ava", "Zo\udfffe"])
+        # Refused before anything is registered.
+        assert empty_network.num_vertices("author") == 0
+        assert empty_network.version == 0
+
+    def test_non_ascii_names_accepted(self, empty_network):
+        zoe = empty_network.add_vertex("author", "Zoë")
+        ids = empty_network.add_vertices("author", ["Łukasz", "渡辺", "😀"])
+        assert empty_network.vertex_name(zoe) == "Zoë"
+        assert [empty_network.vertex_name(v) for v in ids] == ["Łukasz", "渡辺", "😀"]
+
     def test_vertex_record(self, empty_network):
         vid = empty_network.add_vertex("paper", "p", {"year": 2014})
         vertex = empty_network.vertex(vid)

@@ -43,6 +43,12 @@ class TestVertexTypes:
         with pytest.raises(SchemaError):
             NetworkSchema([42])
 
+    def test_lone_surrogate_rejected(self):
+        """A type name must be an identifier, and a lone surrogate is not
+        an identifier character: no such name reaches a reply."""
+        with pytest.raises(SchemaError):
+            NetworkSchema(["author\ud800"])
+
 
 class TestEdgeTypes:
     def test_symmetric_registration(self):

@@ -5,11 +5,13 @@ for everything that *is* the answer: scores, ranks, names, degradation
 flags, and the per-feature breakdown.  Hypothesis drives the whole shape
 space a producer can emit — score maps over candidates of one vertex type,
 optional feature scores covering every candidate, degraded results —
-through an actual JSON round-trip.  What no producer emits (mixed member
+through an actual JSON round-trip, by the stdlib encoder and by the one
+the HTTP frontend replies with.  What no producer emits (mixed member
 types, a feature map missing a candidate) is rejected, pinned at the bottom.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,27 @@ from hypothesis import strategies as st
 
 from repro.core.results import OutlierResult, ScoredVertex
 from repro.hin.network import VertexId
+from repro.service.http import encode_body
 
 vertex_types = st.sampled_from(["author", "paper", "venue", "term"])
-finite_scores = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+#: Doubles whose text form is easy to get wrong: a signed zero, the
+#: smallest subnormal, the first integer-valued double written with an
+#: exponent, and the largest double.
+EDGE_SCORES = [-0.0, 5e-324, 1e16, sys.float_info.max]
+finite_scores = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_SCORES),
 )
-names = st.text(min_size=1, max_size=12)
+names = st.one_of(
+    st.text(min_size=1, max_size=12),
+    st.sampled_from(["Zoë", "Łukasz", "渡辺", "😀", "a\u00a0b"]),
+)
+#: The two ways a payload becomes bytes: the stdlib encoder, and the one
+#: every HTTP reply body goes through.
+ENCODERS = {
+    "json.dumps": lambda payload: json.dumps(payload).encode("utf-8"),
+    "reply": encode_body,
+}
 score_maps = vertex_types.flatmap(
     lambda member_type: st.dictionaries(
         st.builds(
@@ -91,10 +108,15 @@ class TestRoundTrip:
     def test_survives_actual_json(self, result):
         """The wire case: the payload must encode to JSON text and decode
         back without losing anything — what the HTTP frontend relies on."""
-        back = OutlierResult.from_dict(json.loads(json.dumps(result.to_dict())))
-        assert back.outliers == result.outliers
-        assert back.scores == result.scores
-        assert back.feature_scores == result.feature_scores
+        payload = result.to_dict()
+        for encode in ENCODERS.values():
+            decoded = json.loads(encode(payload))
+            back = OutlierResult.from_dict(decoded)
+            assert back.outliers == result.outliers
+            assert back.scores == result.scores
+            assert back.feature_scores == result.feature_scores
+            # Bit for bit, not just ==: -0.0 keeps its sign.
+            assert repr(decoded) == repr(json.loads(json.dumps(payload)))
 
     @given(results())
     @settings(max_examples=50)

@@ -1,25 +1,34 @@
-"""Tests for :mod:`repro.service.http` — the stdlib JSON frontend."""
+"""Tests for :mod:`repro.service.http` — the JSON frontend."""
 
 import http.client
 import json
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro import faultinject
+from repro.engine.resilience import ResiliencePolicy
+from repro.exceptions import ServiceOverloadedError, WorkerCrashedError
 from repro.service import QueryService, ServiceConfig, make_server
+from repro.service import http as http_module
 
 QUERY = (
     'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
     "JUDGED BY author.paper.venue TOP 3;"
 )
+FEATURES_QUERY = (
+    "FIND OUTLIERS FROM author "
+    "JUDGED BY author.paper.venue : 2.0, author.paper.author TOP 3;"
+)
 
 
-@pytest.fixture()
-def served(figure1):
+@contextmanager
+def serving(network, config=None, **engine):
     """A live server on an ephemeral port; yields (host, port, service)."""
+    engine.setdefault("strategy", "baseline")
     service = QueryService.from_network(
-        figure1, ServiceConfig(workers=2), strategy="baseline"
+        network, config or ServiceConfig(workers=2), **engine
     )
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -34,10 +43,19 @@ def served(figure1):
         service.close()
 
 
+@pytest.fixture()
+def served(figure1):
+    with serving(figure1) as live:
+        yield live
+
+
 def request(host, port, method, path, body=None, headers=None):
-    connection = http.client.HTTPConnection(host, port, timeout=10.0)
+    """``body`` is sent as JSON, or as-is when it is already bytes."""
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
     try:
-        payload = None if body is None else json.dumps(body).encode("utf-8")
+        payload = body
+        if body is not None and not isinstance(body, bytes):
+            payload = json.dumps(body).encode("utf-8")
         connection.request(method, path, body=payload, headers=headers or {})
         response = connection.getresponse()
         return (
@@ -133,6 +151,17 @@ class TestQueryEndpoint:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize(
+        "body", [b'{"query": "\xff"}', b"\xff\xfe\x00"], ids=["utf8", "utf16"]
+    )
+    def test_undecodable_body_400(self, served, body):
+        """Regression: bytes that do not decode killed the handler thread
+        and the client saw the connection drop with no response."""
+        host, port, _ = served
+        status, _, payload = request(host, port, "POST", "/query", body)
+        assert status == 400
+        assert payload["error"]["type"] == "UnicodeDecodeError"
+
     def test_missing_query_field_400(self, served):
         host, port, _ = served
         status, _, payload = request(host, port, "POST", "/query", body={})
@@ -204,3 +233,127 @@ class TestMaxRequests:
         finally:
             server.server_close()
             service.close()
+
+
+# ----------------------------------------------------------------------
+# Wire equivalence: what a client decodes is what json.dumps would send
+# ----------------------------------------------------------------------
+def _post(query, status=200):
+    return ("POST", "/query", json.dumps({"query": query}).encode("utf-8"), status)
+
+
+GETS = [("GET", path, None, 200) for path in ("/healthz", "/stats", "/schema")]
+
+
+def _adaptive(backend):
+    return ServiceConfig(
+        workers=1,
+        backend=backend,
+        adaptive=True,
+        reindex_interval_seconds=3600.0,
+        reindex_min_queries=1,
+        subpath_cache_mb=8.0,
+    )
+
+
+def _reindex(service, _monkeypatch):
+    """Re-plan from the query just served, so /healthz and /stats report
+    a landed swap."""
+    assert service.reindexer.run_once()
+
+
+def _submit_raises(error):
+    def setup(service, monkeypatch):
+        def submit(query_text):
+            raise error
+
+        monkeypatch.setattr(service, "submit", submit)
+
+    return setup
+
+
+#: case -> (serving() arguments, steps).  A step is a request
+#: ``(method, path, body, expected status)`` or a callable
+#: ``(service, monkeypatch)`` run between requests.  Together the cases
+#: make the replica write every body it can: results fresh, cached, with
+#: feature scores and degraded; the GET endpoints on both backends with
+#: the adaptive re-indexer on; and each 4xx/5xx envelope.
+WIRE_CASES = {
+    "query": ({}, [_post(QUERY), _post(QUERY), _post(FEATURES_QUERY)]),
+    "degraded": (
+        {"strategy": "pm", "resilience": ResiliencePolicy(max_memory_mb=1e-6)},
+        [_post(QUERY)],
+    ),
+    "thread-adaptive": (
+        {"config": _adaptive("thread"), "strategy": "spm"},
+        [_post(QUERY), _reindex, *GETS],
+    ),
+    "process-adaptive": (
+        {"config": _adaptive("process"), "strategy": "spm"},
+        [_post(QUERY), _reindex, *GETS],
+    ),
+    "client-errors": (
+        {},
+        [
+            ("POST", "/query", b"{not json", 400),
+            ("POST", "/query", b"{}", 400),
+            _post("FIND gibberish", 400),
+            _post(QUERY.replace("Zoe", "Zoë 渡辺"), 422),
+            ("GET", "/nope", None, 404),
+            ("POST", "/nope", b"{}", 404),
+        ],
+    ),
+    "shed": (
+        {},
+        [
+            _submit_raises(ServiceOverloadedError("queue full", retry_after_seconds=0.5)),
+            _post(QUERY, 429),
+        ],
+    ),
+    "crashed": (
+        {},
+        [_submit_raises(WorkerCrashedError("worker died twice")), _post(QUERY, 500)],
+    ),
+    "closed": (
+        {},
+        [
+            lambda service, _: service.close(),
+            _post(QUERY, 503),
+            ("GET", "/healthz", None, 503),
+        ],
+    ),
+    "deadline": (
+        {"config": ServiceConfig(workers=1, timeout_seconds=1e-9)},
+        [_post(QUERY, 504)],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.DegradedResultWarning")
+@pytest.mark.parametrize("case", list(WIRE_CASES))
+def test_every_body_decodes_as_json_dumps_would(case, figure1, monkeypatch):
+    """The reply encoder changes bytes (compact, raw UTF-8), never what a
+    client decodes from them."""
+    written = []
+    encode = http_module.encode_body
+
+    def recording(payload):
+        body = encode(payload)
+        written.append((payload, body))
+        return body
+
+    monkeypatch.setattr(http_module, "encode_body", recording)
+    arguments, steps = WIRE_CASES[case]
+    requests = [step for step in steps if not callable(step)]
+    statuses = []
+    with serving(figure1, **arguments) as (host, port, service):
+        for step in steps:
+            if callable(step):
+                step(service, monkeypatch)
+            else:
+                statuses.append(request(host, port, *step[:3])[0])
+    assert statuses == [step[3] for step in requests]
+    assert len(written) == len(requests)
+    for payload, body in written:
+        assert isinstance(body, bytes)
+        assert json.loads(body) == json.loads(json.dumps(payload))

@@ -15,8 +15,9 @@ import pytest
 
 from repro.query.parser import parse_query
 from repro.service import cache as cache_module
+from repro.service import http as http_module
 from repro.service import router as router_module
-from repro.service.keys import canonical_query_key, extract_query_text
+from repro.service.keys import BODY_ERRORS, canonical_query_key, extract_query_text
 
 #: Distinct spellings of the same logical query: whitespace, case of
 #: keywords, and pre-parsed form must all collapse to one canonical key.
@@ -86,3 +87,17 @@ class TestExtractQueryText:
             extract_query_text(b'{"query": 42}')
         with pytest.raises(TypeError):
             extract_query_text(b'{"query": ["FIND", "OUTLIERS"]}')
+
+    @pytest.mark.parametrize(
+        "body", [b'{"query": "\xff"}', b"\xff\xfe\x00"], ids=["utf8", "utf16"]
+    )
+    def test_undecodable_bytes_are_a_body_error(self, body):
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            extract_query_text(body)
+        assert isinstance(excinfo.value, BODY_ERRORS)
+
+    def test_both_front_doors_catch_the_same_errors(self):
+        """Regression: each front door caught its own triple, which missed
+        ``UnicodeDecodeError`` and dropped the connection unanswered."""
+        assert http_module.BODY_ERRORS is BODY_ERRORS
+        assert router_module.BODY_ERRORS is BODY_ERRORS

@@ -23,6 +23,8 @@ from repro.service import (
     make_router_server,
     make_server,
 )
+from repro.service import http as http_module
+from repro.service import router as router_module
 from repro.service.cache import canonical_query_key
 from repro.service.router import HashRing
 
@@ -114,6 +116,18 @@ class TestRouterUnit:
         assert routed.replica_id is None
         assert routed.attempts == 0
         assert b"error" in routed.body
+
+    @pytest.mark.parametrize(
+        "body", [b'{"query": "\xff"}', b"\xff\xfe\x00"], ids=["utf8", "utf16"]
+    )
+    def test_undecodable_body_refused_locally(self, body):
+        """Regression: bytes that do not decode escaped the router's 400
+        path and killed its handler thread."""
+        router = Router(["replica-0"], sleep=_no_sleep)
+        routed = router.route_query(body)
+        assert routed.status == 400
+        assert routed.replica_id is None
+        assert json.loads(routed.body)["error"]["type"] == "UnicodeDecodeError"
 
     def test_invalid_query_refused_locally(self):
         router = Router(["replica-0"], sleep=_no_sleep)
@@ -427,3 +441,43 @@ class TestRouterIntegration:
         assert "X-Repro-Replica" in headers  # proxied, not answered locally
         status, _, _ = request(host, port, "GET", "/nope")
         assert status == 404
+
+    def test_every_local_body_decodes_as_json_dumps_would(self, fleet, monkeypatch):
+        """The router's own bodies — /healthz, /stats, /replicas and its
+        local errors — change bytes under the reply encoder, never what a
+        client decodes from them."""
+        host, port, _, _ = fleet
+        written = []
+        encode = http_module.encode_body
+
+        def recording(payload):
+            body = encode(payload)
+            written.append((payload, body))
+            return body
+
+        monkeypatch.setattr(http_module, "encode_body", recording)
+        monkeypatch.setattr(router_module, "encode_body", recording)
+        requests = [
+            ("GET", "/healthz", None),
+            ("GET", "/stats", None),
+            ("GET", "/replicas", None),
+            ("POST", "/query", b"{not json"),
+            ("POST", "/query", b'{"query": "\xff"}'),
+            ("POST", "/query", json.dumps({"query": "FIND Zoë;"}).encode()),
+            ("GET", "/nope", None),
+        ]
+        statuses = []
+        for method, path, body in requests:
+            connection = http.client.HTTPConnection(host, port, timeout=10.0)
+            try:
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                statuses.append(response.status)
+                response.read()
+            finally:
+                connection.close()
+        assert statuses == [200, 200, 200, 400, 400, 400, 404]
+        assert len(written) == len(requests)
+        for payload, body in written:
+            assert isinstance(body, bytes)
+            assert json.loads(body) == json.loads(json.dumps(payload))
