@@ -119,7 +119,6 @@ def test_worker_pool_scaling(benchmark, bench_network, report):
                 workers=workers,
                 queue_depth=len(workload),
                 cache_max_entries=0,  # measure execution, not memoization
-                collect_stats=False,
             )
             with QueryService(handle, config) as service:
                 qps[workers] = _drive(service, workload)
@@ -176,7 +175,6 @@ def test_backend_scaling(benchmark, bench_network, report, json_report):
             backend=backend,
             queue_depth=len(workload),
             cache_max_entries=0,  # measure execution, not memoization
-            collect_stats=False,
         )
         with QueryService(handle, config) as service:
             if collect:

@@ -18,9 +18,9 @@
 
 from repro.baselines.lof import local_outlier_factor
 from repro.baselines.knn_outlier import knn_distance_scores, top_k_distance_outliers
-from repro.baselines.pathsim import pathsim, pathsim_matrix, pathsim_top_k
-from repro.baselines.simrank import simrank_scores, simrank_similarity
-from repro.baselines.ppr import personalized_pagerank, ppr_similarity
+from repro.baselines.pathsim import pathsim_matrix, pathsim_top_k
+from repro.baselines.simrank import simrank_scores
+from repro.baselines.ppr import personalized_pagerank
 from repro.baselines.factorization import kmeans, nmf
 from repro.baselines.cdoutlier import (
     CommunityDistributionResult,
@@ -31,13 +31,10 @@ __all__ = [
     "local_outlier_factor",
     "knn_distance_scores",
     "top_k_distance_outliers",
-    "pathsim",
     "pathsim_matrix",
     "pathsim_top_k",
     "simrank_scores",
-    "simrank_similarity",
     "personalized_pagerank",
-    "ppr_similarity",
     "nmf",
     "kmeans",
     "community_distribution_outliers",

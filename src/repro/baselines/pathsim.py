@@ -2,9 +2,9 @@
 
 ``PathSim(a, b) = 2·|π_Psym(a, b)| / (|π_Psym(a, a)| + |π_Psym(b, b)|)``
 for a symmetric meta-path ``Psym``.  The paper's Section 5 contrasts it
-with normalized connectivity; we also expose the top-k similarity search
-the original PathSim paper performs, both for tests and as a building
-block for users.
+with normalized connectivity: :func:`pathsim_matrix` scores every pair of
+stacked neighbor vectors, and :func:`pathsim_top_k` is the top-k
+similarity search the original PathSim paper performs.
 """
 
 from __future__ import annotations
@@ -12,37 +12,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.connectivity import connectivity, visibility
+from repro.core.connectivity import visibility
 from repro.exceptions import MeasureError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
-from repro.metapath.materialize import materialize_row, materialize
+from repro.metapath.materialize import materialize
 from repro.metapath.metapath import MetaPath
 
-__all__ = ["pathsim", "pathsim_matrix", "pathsim_top_k"]
-
-
-def pathsim(
-    network: HeterogeneousInformationNetwork,
-    path: MetaPath,
-    a: VertexId,
-    b: VertexId,
-) -> float:
-    """PathSim between ``a`` and ``b`` along feature meta-path ``path``.
-
-    ``path`` is the *feature* meta-path ``P``; the similarity is evaluated
-    along its symmetric closure ``P·P⁻¹`` (equivalently, on the neighbor
-    vectors ``φ_P``).
-    """
-    if a.type != path.source or b.type != path.source:
-        raise MeasureError(
-            f"both vertices must have the meta-path source type {path.source!r}"
-        )
-    phi_a = materialize_row(network, path, a)
-    phi_b = materialize_row(network, path, b)
-    denominator = visibility(phi_a) + visibility(phi_b)
-    if denominator == 0.0:
-        return 0.0
-    return 2.0 * connectivity(phi_a, phi_b) / denominator
+__all__ = ["pathsim_matrix", "pathsim_top_k"]
 
 
 def pathsim_matrix(

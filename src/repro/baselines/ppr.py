@@ -19,7 +19,7 @@ from repro.exceptions import MeasureError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.baselines.simrank import _global_offsets, _union_adjacency
 
-__all__ = ["personalized_pagerank", "ppr_similarity"]
+__all__ = ["personalized_pagerank"]
 
 
 def personalized_pagerank(
@@ -73,18 +73,3 @@ def personalized_pagerank(
             break
         scores = updated
     return scores, offsets
-
-
-def ppr_similarity(
-    network: HeterogeneousInformationNetwork,
-    seed: VertexId,
-    target: VertexId,
-    *,
-    damping: float = 0.85,
-    iterations: int = 50,
-) -> float:
-    """PPR of ``target`` from ``seed`` (convenience accessor)."""
-    scores, offsets = personalized_pagerank(
-        network, seed, damping=damping, iterations=iterations
-    )
-    return float(scores[offsets[target.type] + target.index])

@@ -23,9 +23,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import MeasureError
-from repro.hin.network import HeterogeneousInformationNetwork, VertexId
+from repro.hin.network import HeterogeneousInformationNetwork
 
-__all__ = ["simrank_scores", "simrank_similarity"]
+__all__ = ["simrank_scores"]
 
 
 def _global_offsets(network: HeterogeneousInformationNetwork) -> dict[str, int]:
@@ -93,18 +93,3 @@ def simrank_scores(
         similarity = np.asarray(similarity)
         np.fill_diagonal(similarity, 1.0)
     return similarity, _global_offsets(network)
-
-
-def simrank_similarity(
-    network: HeterogeneousInformationNetwork,
-    a: VertexId,
-    b: VertexId,
-    *,
-    decay: float = 0.8,
-    iterations: int = 8,
-) -> float:
-    """SimRank between two vertices (convenience over :func:`simrank_scores`)."""
-    similarity, offsets = simrank_scores(
-        network, decay=decay, iterations=iterations
-    )
-    return float(similarity[offsets[a.type] + a.index, offsets[b.type] + b.index])

@@ -38,11 +38,13 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from repro.datagen.security import SecurityNetworkGenerator
 from repro.datagen.synthetic import BibliographicNetworkGenerator, hub_ego_corpus
 from repro.engine.advisor import QueryAdvisor
 from repro.engine.detector import OutlierDetector
-from repro.exceptions import ReproError
+from repro.exceptions import ExecutionError, ReproError
 from repro.hin.io import load_json, save_json
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.service.config import (
@@ -377,9 +379,21 @@ def _command_query(args, out) -> int:
     return 0
 
 
+def _latency_line(seconds) -> str:
+    """Count, mean, p50/p90/p99 and max of per-query wall times, in ms."""
+    values = np.asarray(seconds, dtype=float)
+    if values.size == 0:
+        raise ExecutionError("cannot summarize an empty latency sample")
+    p50, p90, p99 = np.percentile(values, (50.0, 90.0, 99.0)) * 1e3
+    return (
+        f"n={values.size}  mean={values.mean() * 1e3:.2f}ms  "
+        f"p50={p50:.2f}ms  p90={p90:.2f}ms  "
+        f"p99={p99:.2f}ms  max={values.max() * 1e3:.2f}ms"
+    )
+
+
 def _command_workload(args, out) -> int:
     from repro.datagen.workloads import generate_query_set
-    from repro.engine.latency import LatencyReport
     from repro.query.templates import QUERY_TEMPLATES
 
     network = _load_network(args.network)
@@ -421,8 +435,8 @@ def _command_workload(args, out) -> int:
         )
         batch = detector.detect_many(queries)
         results, stats = batch
-        report = LatencyReport.from_results(results)
-        print(f"{strategy_name:>9}  {report.describe()}", file=out)
+        latency = _latency_line([result.stats.wall_seconds for result in results])
+        print(f"{strategy_name:>9}  {latency}", file=out)
         print(
             f"{'':>9}  total={stats.wall_seconds * 1e3:.1f}ms  "
             f"index={detector.index_size_bytes() / 1e6:.2f}MB",
@@ -605,6 +619,7 @@ def _command_route(args, out) -> int:
         Router,
         make_router_server,
     )
+    from repro.service.router import MAX_ATTEMPTS
 
     # Replica settings are checked here, once, not by N dying children.
     _service_config(args)
@@ -655,7 +670,7 @@ def _command_route(args, out) -> int:
     print(
         f"routing {args.network} on http://{host}:{port} "
         f"({args.replicas} replicas, {args.backend} backend, "
-        f"{router_config.max_attempts} attempts, "
+        f"{MAX_ATTEMPTS} attempts, "
         f"probe every {router_config.probe_interval_seconds:g}s)",
         file=out,
         flush=True,

@@ -234,10 +234,6 @@ class OutlierResult:
         """Outlier display names in rank order."""
         return [entry.name for entry in self.outliers]
 
-    def score_of(self, vertex: VertexId) -> float:
-        """Ω of a specific candidate vertex (KeyError if not a candidate)."""
-        return self.scores[vertex]
-
     def to_records(self) -> list[dict]:
         """The ranking as plain dictionaries (JSON-ready)."""
         return [

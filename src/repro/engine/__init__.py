@@ -54,7 +54,6 @@ from repro.engine.plan import QueryPlan, explain
 from repro.engine.advisor import QueryAdvisor, Suggestion, interestingness
 from repro.engine.caching import CachingStrategy
 from repro.engine.index_io import load_index, save_index
-from repro.engine.latency import LatencyReport
 from repro.engine.progressive import ProgressiveQueryExecutor, ProgressiveSnapshot
 from repro.engine.detector import OutlierDetector
 
@@ -96,7 +95,6 @@ __all__ = [
     "CachingStrategy",
     "save_index",
     "load_index",
-    "LatencyReport",
     "ProgressiveQueryExecutor",
     "ProgressiveSnapshot",
     "OutlierDetector",

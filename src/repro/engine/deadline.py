@@ -49,11 +49,6 @@ class Deadline:
         self._clock = clock
         self._started = clock()
 
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        """A deadline that never expires."""
-        return cls(None)
-
     def elapsed(self) -> float:
         """Seconds since this deadline started."""
         return self._clock() - self._started

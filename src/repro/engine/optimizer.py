@@ -52,10 +52,6 @@ class WorkloadAnalyzer:
         self._executor = QueryExecutor(BaselineStrategy(network), collect_stats=False)
         self._evaluator = SetEvaluator(self._executor.strategy)
 
-    @property
-    def analyzed_queries(self) -> int:
-        return self._analyzed
-
     def analyze(self, query: str | Query) -> None:
         """Fold one query's candidate-set membership into the tallies.
 

@@ -100,10 +100,6 @@ class ExecutionStats:
         """
         return self.not_indexed_seconds + self.indexed_seconds
 
-    @property
-    def total_seconds(self) -> float:
-        return self.timer.grand_total
-
     # -- aggregation -----------------------------------------------------
     def merge(self, other: "ExecutionStats") -> None:
         """Fold another query's stats into this aggregate."""
@@ -114,14 +110,6 @@ class ExecutionStats:
         self.materialized_blocks += other.materialized_blocks
         self.queries += other.queries
         self.wall_seconds += other.wall_seconds
-
-    @classmethod
-    def aggregate(cls, stats: list["ExecutionStats"]) -> "ExecutionStats":
-        """Combine a list of per-query stats into one (``queries`` = total)."""
-        total = cls(queries=0)
-        for item in stats:
-            total.merge(item)
-        return total
 
     def breakdown(self) -> dict[str, float]:
         """Phase-name → seconds map in paper (Figure 4) order."""
@@ -134,7 +122,7 @@ class ExecutionStats:
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ExecutionStats(queries={self.queries}, "
-            f"total={self.total_seconds * 1e3:.2f} ms, "
+            f"total={sum(self.timer.totals.values()) * 1e3:.2f} ms, "
             f"not_indexed={self.not_indexed_seconds * 1e3:.2f} ms, "
             f"indexed={self.indexed_seconds * 1e3:.2f} ms, "
             f"scoring={self.scoring_seconds * 1e3:.2f} ms)"

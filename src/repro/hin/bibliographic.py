@@ -109,11 +109,6 @@ class BibliographicNetworkBuilder:
     def __init__(self, null_venue_name: str | None = "NULL") -> None:
         self._network = HeterogeneousInformationNetwork(bibliographic_schema())
         self._null_venue_name = null_venue_name
-        self._publication_count = 0
-
-    @property
-    def publication_count(self) -> int:
-        return self._publication_count
 
     def add_publication(self, publication: Publication) -> None:
         """Expand one publication record into P-A, P-V, and P-T links."""
@@ -137,7 +132,6 @@ class BibliographicNetworkBuilder:
         for term_name in publication.term_list():
             term = self._network.add_vertex(TERM, term_name)
             self._network.add_edge(paper, term)
-        self._publication_count += 1
 
     def add_publications(self, publications: Iterable[Publication]) -> None:
         for publication in publications:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 from repro.exceptions import ReproError
 from repro.hin.network import HeterogeneousInformationNetwork
@@ -96,10 +96,6 @@ class KnowledgeGraph:
             self._types[subject] = declared
             return
         self._triples.append(Triple(subject, predicate, object_))
-
-    def add_triples(self, triples: Iterable[tuple[str, str, str]]) -> None:
-        for subject, predicate, object_ in triples:
-            self.add(subject, predicate, object_)
 
     @classmethod
     def from_text(cls, text: str | TextIO, *, default_type: str = "entity") -> "KnowledgeGraph":

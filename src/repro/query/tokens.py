@@ -72,6 +72,10 @@ _SINGLE_CHAR_TOKENS = {
     "}": TokenType.RBRACE,
 }
 
+#: Only ASCII digits make a NUMBER: ``str.isdigit`` also admits characters
+#: such as "²" or "٣" that ``int`` / ``float`` refuse or read as other values.
+_DIGITS = frozenset("0123456789")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -119,15 +123,15 @@ def _read_string(text: str, start: int) -> tuple[str, int]:
 def _read_number(text: str, start: int) -> tuple[str, int]:
     """Read an (unsigned) integer or decimal literal starting at ``start``."""
     position = start
-    while position < len(text) and text[position].isdigit():
+    while position < len(text) and text[position] in _DIGITS:
         position += 1
     if position < len(text) and text[position] == ".":
         # Only consume the dot when a digit follows — otherwise it is the
         # meta-path dot operator (e.g. in "TOP 10.paper" the dot is not ours,
         # though such input will fail to parse later anyway).
-        if position + 1 < len(text) and text[position + 1].isdigit():
+        if position + 1 < len(text) and text[position + 1] in _DIGITS:
             position += 1
-            while position < len(text) and text[position].isdigit():
+            while position < len(text) and text[position] in _DIGITS:
                 position += 1
     return text[start:position], position
 
@@ -155,10 +159,11 @@ def tokenize(text: str) -> list[Token]:
             position = length if newline == -1 else newline + 1
             continue
         if char == '"':
-            value, position = _read_string(text, position)
+            value, end = _read_string(text, position)
             tokens.append(Token(TokenType.STRING, value, position))
+            position = end
             continue
-        if char.isdigit():
+        if char in _DIGITS:
             value, new_position = _read_number(text, position)
             tokens.append(Token(TokenType.NUMBER, value, position))
             position = new_position

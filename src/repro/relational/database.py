@@ -60,9 +60,6 @@ class RelationalDatabase:
             raise RelationalError(f"unknown table {name!r}")
         return table
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     @property
     def table_names(self) -> list[str]:
         return list(self._tables)

@@ -28,8 +28,8 @@ ROADMAP's production north star actually needs:
 * :mod:`repro.service.router` / :mod:`repro.service.probe` /
   :mod:`repro.service.supervisor` — fault-tolerant replica routing: a
   :class:`~repro.service.supervisor.ReplicaSupervisor` keeps N ``repro
-  serve`` replicas alive (staggered restarts, exponential backoff with
-  jitter, crash-loop quarantine) while a consistent-hash
+  serve`` replicas alive (exponential restart backoff with jitter,
+  crash-loop quarantine) while a consistent-hash
   :class:`~repro.service.router.Router` steers canonical query keys onto
   healthy replicas with health probes, per-replica circuit breakers, and
   failover — exposed on the CLI as ``repro route``.

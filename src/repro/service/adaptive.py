@@ -10,8 +10,7 @@ that loop over the serving stack:
 
 1. :class:`WorkloadRecorder` — the *observe* half.  The service appends the
    canonical key of every admitted query to a bounded in-memory log (a
-   deque; old entries fall off), optionally spilling each key to a JSONL
-   file for offline inspection.  Recording is O(1) and never blocks the
+   deque; old entries fall off).  Recording is O(1) and never blocks the
    admission path.
 2. :class:`Reindexer` — the *re-plan + swap* half.  A background thread
    periodically mines the recorder with the same
@@ -30,7 +29,6 @@ indistinguishable from a broken one.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -45,62 +43,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["WorkloadRecorder", "Reindexer"]
 
+#: Admissions the recorder keeps; the re-indexer only ever sees the most
+#: recent ones, which is what makes the loop *adaptive* — old traffic ages
+#: out of the plan.
+ADMISSION_LOG_ENTRIES = 4096
+
 
 class WorkloadRecorder:
-    """Bounded, thread-safe admission log of canonical query keys.
+    """Bounded, thread-safe admission log of canonical query keys."""
 
-    Parameters
-    ----------
-    max_entries:
-        In-memory window size; the re-indexer only ever sees the most
-        recent ``max_entries`` admissions, which is what makes the loop
-        *adaptive* — old traffic ages out of the plan.
-    spill_path:
-        Optional JSONL file; every recorded key is appended as
-        ``{"ts": <unix>, "query": <key>}`` for offline workload analysis.
-        Spill I/O errors are counted, not raised — observability must
-        never fail a query.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_entries: int = 4096,
-        spill_path: str | None = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ServiceError(
-                f"admission log needs at least 1 entry, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.spill_path = spill_path
+    def __init__(self) -> None:
+        self.max_entries = ADMISSION_LOG_ENTRIES
         self._lock = threading.Lock()
-        self._entries: deque[str] = deque(maxlen=max_entries)
+        self._entries: deque[str] = deque(maxlen=self.max_entries)
         self._total = 0
-        self._spill_errors = 0
-        self._spill_file = None
-        if spill_path is not None:
-            try:
-                self._spill_file = open(spill_path, "a", encoding="utf-8")
-            except OSError:
-                self._spill_errors += 1
 
     def record(self, key: str) -> None:
         """Append one admitted query's canonical key (O(1), non-blocking)."""
         with self._lock:
             self._entries.append(key)
             self._total += 1
-            spill = self._spill_file
-        if spill is not None:
-            # File append outside the lock: a slow disk must not serialize
-            # the admission path behind it.
-            try:
-                spill.write(
-                    json.dumps({"ts": time.time(), "query": key}) + "\n"
-                )
-                spill.flush()
-            except (OSError, ValueError):
-                self._spill_errors += 1
 
     def snapshot(self) -> tuple[int, list[str]]:
         """``(total_ever_recorded, current_window)`` — the miner's input."""
@@ -113,18 +75,7 @@ class WorkloadRecorder:
                 "window_entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "total_recorded": self._total,
-                "spill_path": self.spill_path,
-                "spill_errors": self._spill_errors,
             }
-
-    def close(self) -> None:
-        with self._lock:
-            spill, self._spill_file = self._spill_file, None
-        if spill is not None:
-            try:
-                spill.close()
-            except OSError:
-                self._spill_errors += 1
 
 
 class Reindexer:

@@ -36,18 +36,17 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 class _Declared:
     """What a config field says about itself beyond its type and default.
 
-    ``at_least`` / ``at_most`` (inclusive), ``positive`` and ``choices``
-    state the bound (``None`` is admitted where the annotation says so).
-    ``flag`` exposes the field on the CLI under that spelling (``metavar``
-    names its value in ``--help``); ``forward=False`` marks a per-process
-    path that ``repro route`` must not hand to its replicas.
+    ``at_least`` (inclusive), ``positive`` and ``choices`` state the bound
+    (``None`` is admitted where the annotation says so).  ``flag`` exposes
+    the field on the CLI under that spelling (``metavar`` names its value in
+    ``--help``); ``forward=False`` marks a per-process path that ``repro
+    route`` must not hand to its replicas.
     """
 
     help: str
     flag: str | None = None
     metavar: str | None = None
     at_least: float | None = None
-    at_most: float | None = None
     positive: bool = False
     choices: tuple | None = None
     forward: bool = True
@@ -66,13 +65,11 @@ def _check(config) -> None:
             if spec.type.endswith("None"):
                 continue
             raise ServiceError(f"{spec.name} must not be None")
-        low, high = declared.at_least, declared.at_most
+        low = declared.at_least
         if declared.choices is not None:
             holds, bound = value in declared.choices, f"one of {declared.choices}"
         elif declared.positive:
             holds, bound = value > 0, "positive"
-        elif high is not None:
-            holds, bound = low <= value <= high, f"in [{low}, {high}]"
         elif low is not None:
             holds, bound = value >= low, f">= {low}"
         else:
@@ -194,11 +191,6 @@ class ServiceConfig:
         "result cache capacity in entries; 0 disables result caching",
         at_least=0,
     )
-    collect_stats: bool = setting(
-        True,
-        "attach per-phase ExecutionStats to results (the service's own "
-        "counters are always collected)",
-    )
     subpath_cache_mb: float = setting(
         32.0,
         "shared cache of length-2 sub-path products reused across "
@@ -228,19 +220,6 @@ class ServiceConfig:
         metavar="N",
         at_least=1,
     )
-    admission_log_entries: int = setting(
-        4096,
-        "in-memory admission log window the re-indexer mines",
-        at_least=1,
-    )
-    admission_log_path: str | None = setting(
-        None,
-        "JSONL file the admission log spills to for offline workload "
-        "inspection (with --adaptive)",
-        flag="--admission-log",
-        metavar="PATH",
-        forward=False,
-    )
     max_index_mb: float | None = setting(
         None,
         "byte budget of adaptively rebuilt SPM indexes (hottest vertices "
@@ -265,14 +244,6 @@ class ServiceConfig:
         flag="--storage-dir",
         metavar="DIR",
         forward=False,
-    )
-    index_build_block_rows: int = setting(
-        8192,
-        "rows per block of the out-of-core index build (with --storage "
-        "mmap); smaller blocks bound peak RAM tighter",
-        flag="--index-build-block-rows",
-        metavar="N",
-        at_least=1,
     )
     max_build_memory_mb: float | None = setting(
         None,
@@ -301,25 +272,12 @@ class ServiceConfig:
 class RouterConfig:
     """Tuning knobs for the consistent-hash replica router."""
 
-    virtual_nodes: int = setting(
-        64,
-        "virtual nodes per replica on the consistent-hash ring; more smooth "
-        "the key distribution at the cost of memory and lookup time",
-        flag="--virtual-nodes",
-        metavar="N",
-        at_least=1,
-    )
     probe_interval_seconds: float = setting(
         1.0,
         "period of the active /healthz probe sweep; bounds how long a dead "
         "or draining replica keeps receiving fresh keys",
         flag="--probe-interval",
         metavar="SECONDS",
-        positive=True,
-    )
-    probe_timeout_seconds: float = setting(
-        2.0,
-        "socket timeout of one probe request",
         positive=True,
     )
     attempt_timeout_seconds: float = setting(
@@ -329,13 +287,6 @@ class RouterConfig:
         flag="--attempt-timeout",
         metavar="SECONDS",
         positive=True,
-    )
-    max_attempts: int = setting(
-        3,
-        "distinct replicas tried (in ring order) per request before 503",
-        flag="--max-attempts",
-        metavar="N",
-        at_least=1,
     )
     failover_backoff_seconds: float = setting(
         0.02,
@@ -365,8 +316,8 @@ class RouterConfig:
 class SupervisorConfig:
     """Restart policy for supervised ``repro serve`` replica processes.
 
-    The delay before restart ``n`` of one replica is ``base *
-    multiplier**(n - 1)``, capped at the max and jittered.
+    The delay before restart ``n`` of one replica is ``base * 2**(n - 1)``,
+    capped and jittered (see :func:`repro.service.supervisor.restart_delay`).
     """
 
     restart_base_delay_seconds: float = setting(
@@ -376,36 +327,13 @@ class SupervisorConfig:
         metavar="SECONDS",
         at_least=0,
     )
-    restart_multiplier: float = setting(
-        2.0,
-        "growth factor of the restart backoff",
-        at_least=1,
-    )
-    restart_max_delay_seconds: float = setting(
-        15.0,
-        "cap of the restart backoff (not below the base delay)",
-    )
-    restart_jitter_fraction: float = setting(
-        0.2,
-        "uniform jitter on each delay (delay * (1 ± fraction)), so a "
-        "fleet-wide crash does not restart in lockstep",
-        at_least=0,
-        at_most=1,
-    )
     max_restarts_in_window: int = setting(
         5,
-        "restarts tolerated per window before the replica is quarantined "
+        "restarts tolerated per 60 s window before the replica is quarantined "
         "(out of rotation until the router restarts)",
         flag="--max-restarts-in-window",
         metavar="N",
         at_least=0,
-    )
-    restart_window_seconds: float = setting(
-        60.0,
-        "sliding window for the restart budget",
-        flag="--restart-window",
-        metavar="SECONDS",
-        positive=True,
     )
     start_timeout_seconds: float = setting(
         120.0,
@@ -413,19 +341,6 @@ class SupervisorConfig:
         "start-up counts as a failure",
         positive=True,
     )
-    stagger_seconds: float = setting(
-        0.0,
-        "delay between initial replica launches, so N index builds do not "
-        "land on the same cores at once",
-        flag="--stagger",
-        metavar="SECONDS",
-        at_least=0,
-    )
 
     def __post_init__(self) -> None:
         _check(self)
-        if self.restart_max_delay_seconds < self.restart_base_delay_seconds:
-            raise ServiceError(
-                "restart_max_delay_seconds must be >= the base delay, got "
-                f"{self.restart_max_delay_seconds}"
-            )

@@ -115,7 +115,6 @@ class EngineHandle:
         self.executor, self.row_cache = self._generation(
             strategy, index, spm_workload=spm_workload, spm_threshold=spm_threshold
         )
-        self._version = network.version
         #: Counts completed hot-swaps; 0 for the index the handle was born
         #: with.  The process backend reuses the same counter to tag its
         #: worker-segment generations.
@@ -179,11 +178,6 @@ class EngineHandle:
         return self.network.version
 
     @property
-    def stale(self) -> bool:
-        """True once the network mutated after this handle was built."""
-        return self.network.version != self._version
-
-    @property
     def fingerprint(self) -> str:
         """Execution-semantics identity: two handles with equal fingerprints
         and versions return identical results for the same query."""
@@ -244,7 +238,6 @@ class EngineHandle:
         # Atomic publish: one attribute write swaps the whole engine.
         self.executor = executor
         self.row_cache = row_cache
-        self._version = version
         self.index_generation += 1
         self.last_swap_unix = time.time()
         return version

@@ -24,10 +24,13 @@ import json
 import threading
 from typing import TYPE_CHECKING
 
-__all__ = ["HealthProber", "probe_replica", "probe_replica_detail"]
+__all__ = ["HealthProber", "probe_replica_detail"]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.router import ReplicaState, Router
+
+#: Socket timeout of one probe request.
+PROBE_TIMEOUT_SECONDS = 2.0
 
 
 def probe_replica_detail(
@@ -35,7 +38,10 @@ def probe_replica_detail(
 ) -> tuple[str, dict]:
     """One ``/healthz`` round-trip: ``(verdict, payload)``.
 
-    The verdict drives rotation (see :func:`probe_replica`); the payload is
+    The verdict drives rotation: ``"ok"`` (healthy and ready),
+    ``"draining"`` (alive but leaving), ``"unreachable"`` (no answer), or
+    the replica's own status word for anything else (``"closed"``, ...) —
+    anything but ``"ok"`` takes the replica out of rotation.  The payload is
     whatever the replica reported — notably its ``"index"`` metadata block
     (index generation, row coverage, sub-path cache hit rate, last-reindex
     stamp), which the router stores per replica and re-exports from its own
@@ -60,18 +66,6 @@ def probe_replica_detail(
     return f"http-{response.status}", payload
 
 
-def probe_replica(host: str, port: int, *, timeout: float) -> str:
-    """One ``/healthz`` round-trip, reduced to a router verdict string.
-
-    ``"ok"`` (healthy and ready), ``"draining"`` (alive but leaving),
-    ``"unreachable"`` (no answer), or the replica's own status word for
-    anything else (``"closed"``, ...) — anything but ``"ok"`` takes the
-    replica out of rotation.
-    """
-    verdict, _ = probe_replica_detail(host, port, timeout=timeout)
-    return verdict
-
-
 class HealthProber:
     """A background thread sweeping replica ``/healthz`` endpoints.
 
@@ -79,34 +73,17 @@ class HealthProber:
     ----------
     router:
         The router whose replicas are probed; verdicts are applied through
-        :meth:`~repro.service.router.Router.record_probe`.
-    interval_seconds, timeout_seconds:
-        Override the router config's probe settings (tests use tight
-        intervals; production leaves these ``None``).
+        :meth:`~repro.service.router.Router.record_probe`; its config
+        sets the probe interval.
 
     ``probe_once()`` runs one synchronous sweep — tests drive it directly
     instead of sleeping through intervals, and ``start()``/``stop()``
     manage the background loop for real deployments.
     """
 
-    def __init__(
-        self,
-        router: "Router",
-        *,
-        interval_seconds: float | None = None,
-        timeout_seconds: float | None = None,
-    ) -> None:
+    def __init__(self, router: "Router") -> None:
         self.router = router
-        self.interval_seconds = (
-            interval_seconds
-            if interval_seconds is not None
-            else router.config.probe_interval_seconds
-        )
-        self.timeout_seconds = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else router.config.probe_timeout_seconds
-        )
+        self.interval_seconds = router.config.probe_interval_seconds
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: Completed sweeps (observable progress for tests and /stats).
@@ -126,7 +103,7 @@ class HealthProber:
             if host is None or port is None:
                 continue
             verdict, payload = probe_replica_detail(
-                host, port, timeout=self.timeout_seconds
+                host, port, timeout=PROBE_TIMEOUT_SECONDS
             )
             index_info = payload.get("index")
             self.router.record_probe(

@@ -78,6 +78,13 @@ __all__ = [
 ]
 
 
+#: Ring positions per replica; more smooth the key distribution at the cost
+#: of memory and lookup time.
+VIRTUAL_NODES = 64
+#: Distinct replicas tried (in ring order) per request before a 503.
+MAX_ATTEMPTS = 3
+
+
 def _ring_hash(value: str) -> int:
     """Stable 64-bit ring position for a key or virtual node.
 
@@ -92,64 +99,34 @@ def _ring_hash(value: str) -> int:
 class HashRing:
     """A consistent-hash ring over replica ids with virtual nodes.
 
-    Each replica owns ``virtual_nodes`` pseudo-random ring positions;
+    Each replica owns :data:`VIRTUAL_NODES` pseudo-random ring positions;
     a key belongs to the first position at or after its own hash
-    (wrapping).  Removing a replica reassigns only *its* positions — every
-    other replica's key range is untouched, which is the whole point:
-    replica death must not scatter the fleet's warm caches.
+    (wrapping).  A ring without some replica differs only in *its*
+    positions — every other replica's key range is untouched, which is the
+    whole point: replica death must not scatter the fleet's warm caches.
 
     The ring hashes stable replica **ids** (``replica-0``), never
     addresses: a replica respawned on a new port keeps exactly its old key
     range.
     """
 
-    def __init__(
-        self, nodes: Iterable[str] = (), *, virtual_nodes: int = 64
-    ) -> None:
-        if virtual_nodes < 1:
-            raise ServiceError(
-                f"virtual_nodes must be >= 1, got {virtual_nodes}"
-            )
-        self.virtual_nodes = virtual_nodes
+    def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._hashes: list[int] = []
         self._owners: list[str] = []
         self._nodes: set[str] = set()
         for node in nodes:
             self.add(node)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self._nodes)
-
     def add(self, node: str) -> None:
         """Place ``node``'s virtual nodes on the ring (idempotent)."""
         if node in self._nodes:
             return
         self._nodes.add(node)
-        for vnode in range(self.virtual_nodes):
+        for vnode in range(VIRTUAL_NODES):
             position = _ring_hash(f"{node}#{vnode}")
             index = bisect.bisect(self._hashes, position)
             self._hashes.insert(index, position)
             self._owners.insert(index, node)
-
-    def remove(self, node: str) -> None:
-        """Remove ``node``'s virtual nodes (idempotent)."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        keep = [
-            (position, owner)
-            for position, owner in zip(self._hashes, self._owners)
-            if owner != node
-        ]
-        self._hashes = [position for position, _ in keep]
-        self._owners = [owner for _, owner in keep]
 
     def owner(self, key: str) -> str | None:
         """The replica owning ``key``, or ``None`` on an empty ring."""
@@ -307,7 +284,7 @@ class Router:
             raise ServiceError("the router needs at least one replica id")
         if len(set(ids)) != len(ids):
             raise ServiceError(f"duplicate replica ids: {ids}")
-        self.ring = HashRing(ids, virtual_nodes=self.config.virtual_nodes)
+        self.ring = HashRing(ids)
         self._lock = threading.Lock()
         self.replicas: dict[str, ReplicaState] = {
             replica_id: ReplicaState(replica_id, self._fresh_breaker(replica_id))
@@ -431,13 +408,13 @@ class Router:
     ) -> RoutedResponse:
         """Send one request to ``key``'s replica, failing over along the ring.
 
-        Tries up to ``config.max_attempts`` distinct healthy candidates in
+        Tries up to :data:`MAX_ATTEMPTS` distinct healthy candidates in
         ring order.  Raises
         :class:`~repro.exceptions.NoReplicasAvailableError` when none
         could answer — with a retry hint derived from the soonest breaker
         half-open time among the key's candidates.
         """
-        ordered = self.ring.candidates(key, count=self.config.max_attempts)
+        ordered = self.ring.candidates(key, count=MAX_ATTEMPTS)
         candidates = self._usable(ordered)
         attempts = 0
         last_error: ReplicaUnavailableError | None = None
@@ -595,14 +572,6 @@ class Router:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def healthy_count(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for state in self.replicas.values()
-                if state.healthy and not state.quarantined
-            )
-
     def stats(self) -> dict:
         """JSON-safe router counters plus per-replica snapshots."""
         with self._lock:
@@ -625,7 +594,7 @@ class Router:
                     for row in per_replica
                     if row["healthy"] and not row["quarantined"]
                 ),
-                "virtual_nodes": self.config.virtual_nodes,
+                "virtual_nodes": VIRTUAL_NODES,
                 **counters,
             },
             "per_replica": per_replica,
@@ -683,7 +652,7 @@ class _RouterHandler(JSONRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         router = self.server.router
         if self.path == "/healthz":
-            healthy = router.healthy_count()
+            healthy = router.stats()["router"]["healthy"]
             total = len(router.replicas)
             status = "ok" if healthy == total else (
                 "degraded" if healthy else "unavailable"

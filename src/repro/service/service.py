@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.results import OutlierResult
-from repro.engine.index import MetaPathIndex, build_pm_index
+from repro.engine.index import DEFAULT_BUILD_BLOCK_ROWS, MetaPathIndex, build_pm_index
 from repro.engine.strategies import strategy_name
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.storage import MmapArrayStore
@@ -111,10 +111,7 @@ class QueryService:
         self.reindexer: Reindexer | None = None
         if self.config.adaptive:
             handle.require_spm("adaptive re-indexing")
-            self.recorder = WorkloadRecorder(
-                max_entries=self.config.admission_log_entries,
-                spill_path=self.config.admission_log_path,
-            )
+            self.recorder = WorkloadRecorder()
         self.backend: ExecutionBackend = make_backend(
             handle,
             backend=self.config.backend,
@@ -166,7 +163,8 @@ class QueryService:
         :func:`repro.engine.index_io.load_index`) so the handle serves
         it instead of rebuilding in RAM.  Without one, ``storage="mmap"``
         with the ``pm`` strategy builds the full index out-of-core, in
-        ``config.index_build_block_rows`` row blocks, and serves it through
+        :data:`~repro.engine.index.DEFAULT_BUILD_BLOCK_ROWS` row blocks
+        (fewer under ``config.max_build_memory_mb``), and serves it through
         read-only file-backed views (under ``<storage_dir>/pm-index``, or a
         private temp dir) — the path that keeps million-vertex networks off
         the RAM budget entirely.
@@ -177,7 +175,7 @@ class QueryService:
             directory = config.storage_dir
             index = build_pm_index(
                 network,
-                block_rows=config.index_build_block_rows,
+                block_rows=DEFAULT_BUILD_BLOCK_ROWS,
                 max_build_memory_mb=config.max_build_memory_mb,
                 store=MmapArrayStore(
                     Path(directory) / "pm-index" if directory else None
@@ -191,7 +189,6 @@ class QueryService:
             index=index,
             resilience=resilience,
             row_cache_rows=row_cache_rows,
-            collect_stats=config.collect_stats,
         )
         return cls(handle, config)
 
@@ -432,8 +429,6 @@ class QueryService:
         if self.reindexer is not None:
             self.reindexer.stop()
         self.backend.close(drain=drain)
-        if self.recorder is not None:
-            self.recorder.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -9,7 +9,7 @@ the (ephemeral) port, and then watches the processes:
   exponential backoff with seeded jitter, so a fleet-wide crash does not
   restart in lockstep;
 * a replica that keeps crashing burns through its per-replica restart
-  budget (``max_restarts_in_window`` within ``restart_window_seconds``)
+  budget (``max_restarts_in_window`` within :data:`RESTART_WINDOW_SECONDS`)
   and is **quarantined**: taken out of rotation permanently instead of
   fork-bombing the host;
 * every address change flows to the router through the ``on_up`` /
@@ -41,30 +41,37 @@ __all__ = ["ReplicaSupervisor", "restart_delay", "BANNER_PATTERN"]
 #: The serving banner both ``repro serve`` and fake test replicas print.
 BANNER_PATTERN = re.compile(r"http://([\d.]+):(\d+)")
 
+#: Growth factor of the restart backoff.
+RESTART_MULTIPLIER = 2.0
+#: Cap of the restart backoff; a larger base delay is its own cap.
+RESTART_MAX_DELAY_SECONDS = 15.0
+#: Uniform jitter on each delay (``delay * (1 ± fraction)``), so a
+#: fleet-wide crash does not restart in lockstep.
+RESTART_JITTER_FRACTION = 0.2
+#: Sliding window of the per-replica restart budget.
+RESTART_WINDOW_SECONDS = 60.0
+
 
 def restart_delay(
     restart_number: int, config: SupervisorConfig, rng: random.Random
 ) -> float:
     """Backoff before restart number ``restart_number`` (1-based) of a replica.
 
-    ``base * multiplier**(n-1)``, capped at the max, then jittered by
-    ``±jitter_fraction`` from the supervisor's seeded RNG — deterministic
-    under test, de-synchronized in production.
+    ``base * RESTART_MULTIPLIER**(n-1)``, capped at
+    ``max(RESTART_MAX_DELAY_SECONDS, base)``, then jittered by
+    ``±RESTART_JITTER_FRACTION`` from the supervisor's seeded RNG —
+    deterministic under test, de-synchronized in production.
     """
     if restart_number < 1:
         raise ServiceError(
             f"restart_number must be >= 1, got {restart_number}"
         )
+    base = config.restart_base_delay_seconds
     delay = min(
-        config.restart_base_delay_seconds
-        * config.restart_multiplier ** (restart_number - 1),
-        config.restart_max_delay_seconds,
+        base * RESTART_MULTIPLIER ** (restart_number - 1),
+        max(RESTART_MAX_DELAY_SECONDS, base),
     )
-    if config.restart_jitter_fraction:
-        delay *= 1.0 + rng.uniform(
-            -config.restart_jitter_fraction, config.restart_jitter_fraction
-        )
-    return delay
+    return delay * (1.0 + rng.uniform(-RESTART_JITTER_FRACTION, RESTART_JITTER_FRACTION))
 
 
 @dataclass
@@ -112,8 +119,8 @@ class ReplicaSupervisor:
         Environment for the children (default: inherit).
     seed:
         Seed for the jitter RNG (deterministic backoff in tests).
-    clock, sleep:
-        Injectable time sources.
+    clock:
+        Injectable time source.
     """
 
     def __init__(
@@ -126,7 +133,6 @@ class ReplicaSupervisor:
         env: Mapping[str, str] | None = None,
         seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if not commands:
             raise ServiceError("the supervisor needs at least one replica")
@@ -136,7 +142,6 @@ class ReplicaSupervisor:
         self._env = dict(env) if env is not None else None
         self._rng = random.Random(seed)
         self._clock = clock
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._stopping = False
         self._stop = threading.Event()
@@ -185,16 +190,14 @@ class ReplicaSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Launch every replica (staggered), await banners, start the monitor.
+        """Launch every replica, await banners, start the monitor.
 
         Raises :class:`~repro.exceptions.ServiceError` — after terminating
         anything already launched — when any replica fails to produce its
         banner within ``start_timeout_seconds``.
         """
         try:
-            for position, replica in enumerate(self.replicas.values()):
-                if position and self.config.stagger_seconds:
-                    self._sleep(self.config.stagger_seconds)
+            for replica in self.replicas.values():
                 self._launch(replica)
             deadline = time.monotonic() + self.config.start_timeout_seconds
             for replica in self.replicas.values():
@@ -321,9 +324,8 @@ class ReplicaSupervisor:
             # restart (or quarantine on a blown budget).
             replica.exit_code = exit_code
             now = self._clock()
-            window = self.config.restart_window_seconds
             while replica.restart_times and (
-                now - replica.restart_times[0] > window
+                now - replica.restart_times[0] > RESTART_WINDOW_SECONDS
             ):
                 replica.restart_times.popleft()
             if len(replica.restart_times) >= self.config.max_restarts_in_window:

@@ -61,7 +61,3 @@ class PhaseTimer:
     def reset(self) -> None:
         self.totals.clear()
         self.counts.clear()
-
-    @property
-    def grand_total(self) -> float:
-        return sum(self.totals.values())

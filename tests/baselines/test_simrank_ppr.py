@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ppr import personalized_pagerank, ppr_similarity
-from repro.baselines.simrank import simrank_scores, simrank_similarity
+from repro.baselines.ppr import personalized_pagerank
+from repro.baselines.simrank import simrank_scores
 from repro.exceptions import MeasureError
 from repro.hin.network import VertexId
+
+
+def simrank_between(network, a, b, **options):
+    similarity, offsets = simrank_scores(network, **options)
+    return similarity[offsets[a.type] + a.index, offsets[b.type] + b.index]
+
+
+def ppr_of(network, seed, target):
+    scores, offsets = personalized_pagerank(network, seed)
+    return scores[offsets[target.type] + target.index]
 
 
 class TestSimRank:
@@ -27,8 +37,8 @@ class TestSimRank:
         zoe = figure1.find_vertex("author", "Zoe")
         liam = figure1.find_vertex("author", "Liam")
         lonely = figure1.add_vertex("author", "Lonely")
-        close = simrank_similarity(figure1, zoe, liam)
-        far = simrank_similarity(figure1, zoe, lonely)
+        close = simrank_between(figure1, zoe, liam)
+        far = simrank_between(figure1, zoe, lonely)
         assert close > far == 0.0
 
     def test_parameter_validation(self, figure1):
@@ -40,22 +50,23 @@ class TestSimRank:
     def test_convergence_with_more_iterations(self, figure1):
         zoe = figure1.find_vertex("author", "Zoe")
         liam = figure1.find_vertex("author", "Liam")
-        short = simrank_similarity(figure1, zoe, liam, iterations=6)
-        long = simrank_similarity(figure1, zoe, liam, iterations=12)
+        short = simrank_between(figure1, zoe, liam, iterations=6)
+        long = simrank_between(figure1, zoe, liam, iterations=12)
         assert abs(long - short) < 0.05
 
     def test_paper_section52_visibility_bias(self, figure2):
         """SimRank assigns Jim~Mary higher similarity than PathSim does
         relative to equal-visibility pairs — the §5.2 contrast is that
         PathSim penalizes visibility mismatch more."""
-        from repro.baselines.pathsim import pathsim
+        from repro.baselines.pathsim import pathsim_matrix
+        from repro.metapath.materialize import materialize
         from repro.metapath.metapath import MetaPath
 
         jim = figure2.find_vertex("author", "Jim")
         mary = figure2.find_vertex("author", "Mary")
         path = MetaPath.parse("author.paper.venue")
-        ps = pathsim(figure2, path, jim, mary)
-        sr = simrank_similarity(figure2, jim, mary)
+        ps = pathsim_matrix(materialize(figure2, path))[jim.index, mary.index]
+        sr = simrank_between(figure2, jim, mary)
         # Jim and Mary have identical venue *profiles* up to scale (4,2,6)
         # vs (2,1,3): SimRank (structure-normalized) should not rate them
         # lower than PathSim, which divides by the mismatched visibilities.
@@ -81,12 +92,12 @@ class TestPersonalizedPageRank:
         zoe = figure1.find_vertex("author", "Zoe")
         liam = figure1.find_vertex("author", "Liam")
         ava = figure1.find_vertex("author", "Ava")
-        assert ppr_similarity(figure1, zoe, liam) > ppr_similarity(figure1, zoe, ava)
+        assert ppr_of(figure1, zoe, liam) > ppr_of(figure1, zoe, ava)
 
     def test_disconnected_vertex_gets_zero(self, figure1):
         lonely = figure1.add_vertex("author", "Lonely")
         zoe = figure1.find_vertex("author", "Zoe")
-        assert ppr_similarity(figure1, zoe, lonely) == 0.0
+        assert ppr_of(figure1, zoe, lonely) == 0.0
 
     def test_dangling_mass_conserved(self, figure1):
         """A seed with no edges keeps all mass on itself."""
@@ -107,6 +118,6 @@ class TestPersonalizedPageRank:
         general (different normalizations)."""
         jim = figure2.find_vertex("author", "Jim")
         mary = figure2.find_vertex("author", "Mary")
-        forward = ppr_similarity(figure2, jim, mary)
-        backward = ppr_similarity(figure2, mary, jim)
+        forward = ppr_of(figure2, jim, mary)
+        backward = ppr_of(figure2, mary, jim)
         assert forward > 0 and backward > 0

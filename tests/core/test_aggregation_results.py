@@ -75,7 +75,7 @@ class TestOutlierResult:
     def test_full_score_map_retained(self):
         result = _make_result({"A": 3.0, "B": 1.0, "C": 2.0}, top_k=1)
         assert result.candidate_count == 3
-        assert result.score_of(VertexId("author", 0)) == 3.0
+        assert result.scores[VertexId("author", 0)] == 3.0
 
     def test_ties_break_by_name(self):
         result = _make_result({"Zed": 1.0, "Amy": 1.0})
@@ -84,7 +84,7 @@ class TestOutlierResult:
     def test_score_of_non_candidate_raises(self):
         result = _make_result({"A": 1.0})
         with pytest.raises(KeyError):
-            result.score_of(VertexId("author", 99))
+            result.scores[VertexId("author", 99)]
 
     def test_to_table_contains_all_rows(self):
         result = _make_result({"A": 3.0, "B": 1.0})

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -163,8 +164,14 @@ class TestCliFormats:
             ]
         )
         assert code == 0
-        assert "baseline" in output
-        assert "p99=" in output
+        # The latency line's layout is the command's contract.
+        number = r"\d+\.\d\dms"
+        assert re.search(
+            rf"^ baseline  n=10  mean={number}  p50={number}  p90={number}  "
+            rf"p99={number}  max={number}$",
+            output,
+            re.MULTILINE,
+        )
         assert "index=" in output
 
     def test_html_format_writes_file(self, corpus_path, tmp_path):

@@ -105,8 +105,13 @@ def test_same_refusal(figure1, case, entry):
     if entry == "analyze" and case.analyzer_tolerates:
         analyzer = WorkloadAnalyzer(figure1)
         analyzer.analyze(case.query)
-        assert analyzer.analyzed_queries == 1
         assert analyzer.relative_frequencies() == {}
+        # Tolerated, not refused: the entry counts towards the window.
+        analyzer.analyze(
+            'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
+            "JUDGED BY author.paper.venue TOP 3;"
+        )
+        assert set(analyzer.relative_frequencies().values()) == {0.5}
         return
     with pytest.raises(case.expected, match=case.match) as caught:
         enter(figure1, case)

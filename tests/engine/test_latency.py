@@ -1,68 +1,63 @@
-"""Tests for :mod:`repro.engine.latency`."""
+"""Tests for the latency line ``repro workload`` prints per strategy."""
 
+import io
+import re
+
+import numpy as np
 import pytest
 
+from repro.cli import _latency_line, main
 from repro.engine.detector import OutlierDetector
-from repro.engine.latency import LatencyReport
 from repro.exceptions import ExecutionError
+from repro.hin.io import save_json
+
+QUERY = (
+    'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
+    "JUDGED BY author.paper.venue TOP 3;"
+)
+
+
+def milliseconds(line: str) -> dict[str, float]:
+    return {key: float(value) for key, value in re.findall(r"(\w+)=([\d.]+)ms", line)}
 
 
 class TestFromSeconds:
     def test_basic_statistics(self):
-        report = LatencyReport.from_seconds([0.001] * 99 + [0.1])
-        assert report.count == 100
-        assert report.p50 == pytest.approx(0.001)
-        assert report.maximum == pytest.approx(0.1)
-        assert report.mean == pytest.approx((99 * 0.001 + 0.1) / 100)
+        line = _latency_line([0.001] * 99 + [0.1])
+        assert line.startswith("n=100  mean=1.99ms  p50=1.00ms  ")
+        assert line.endswith("  max=100.00ms")
 
     def test_percentiles_ordered(self):
-        import numpy as np
-
         rng = np.random.default_rng(0)
-        report = LatencyReport.from_seconds(rng.exponential(0.01, size=500))
-        assert report.p50 <= report.p90 <= report.p99 <= report.maximum
+        values = milliseconds(_latency_line(rng.exponential(0.01, size=500)))
+        assert values["p50"] <= values["p90"] <= values["p99"] <= values["max"]
 
     def test_single_sample(self):
-        report = LatencyReport.from_seconds([0.5])
-        assert report.count == 1
-        assert report.p50 == report.p99 == report.maximum == 0.5
+        assert set(milliseconds(_latency_line([0.5])).values()) == {500.0}
 
     def test_empty_rejected(self):
         with pytest.raises(ExecutionError, match="empty"):
-            LatencyReport.from_seconds([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ExecutionError, match="non-negative"):
-            LatencyReport.from_seconds([0.1, -0.1])
+            _latency_line([])
 
     def test_describe_renders_milliseconds(self):
-        text = LatencyReport.from_seconds([0.002]).describe()
-        assert "p99=2.00ms" in text
-        assert "n=1" in text
+        assert _latency_line([0.002]) == (
+            "n=1  mean=2.00ms  p50=2.00ms  p90=2.00ms  p99=2.00ms  max=2.00ms"
+        )
 
 
 class TestFromResults:
     def test_from_executed_workload(self, figure1):
-        detector = OutlierDetector(figure1)
-        query = (
-            'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
-            "JUDGED BY author.paper.venue TOP 3;"
-        )
-        results, __ = detector.detect_many([query] * 5)
-        report = LatencyReport.from_results(results)
-        assert report.count == 5
-        assert report.mean > 0
+        results, __ = OutlierDetector(figure1).detect_many([QUERY] * 5)
+        line = _latency_line([result.stats.wall_seconds for result in results])
+        assert line.startswith("n=5  ")
+        assert milliseconds(line)["mean"] > 0
 
-    def test_stats_required(self, figure1):
-        detector = OutlierDetector(figure1, collect_stats=False)
-        query = (
-            'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
-            "JUDGED BY author.paper.venue TOP 3;"
-        )
-        results, __ = detector.detect_many([query])
-        with pytest.raises(ExecutionError, match="collect_stats"):
-            LatencyReport.from_results(results)
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(ExecutionError):
-            LatencyReport.from_results([])
+    def test_empty_results_rejected(self, figure1, tmp_path):
+        """A workload whose every query fails has no latency to report."""
+        save_json(figure1, str(tmp_path / "net.json"))
+        (tmp_path / "dead.sql").write_text(QUERY.replace("Zoe", "Ghost"))
+        out = io.StringIO()
+        argv = ["workload", "--network", str(tmp_path / "net.json"),
+                "--queries-file", str(tmp_path / "dead.sql")]  # fmt: skip
+        assert main(argv, out=out) == 1
+        assert "error: cannot summarize an empty latency sample" in out.getvalue()

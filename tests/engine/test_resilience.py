@@ -82,7 +82,7 @@ def make_policy(**kwargs) -> ResiliencePolicy:
 # ----------------------------------------------------------------------
 class TestDeadline:
     def test_unlimited_never_expires(self):
-        deadline = Deadline.unlimited()
+        deadline = Deadline(None)
         assert not deadline.expired
         deadline.check("anything")  # does not raise
 
@@ -103,7 +103,7 @@ class TestDeadline:
         assert second < first
 
     def test_scope_installs_and_restores(self):
-        deadline = Deadline.unlimited()
+        deadline = Deadline(None)
         assert current_deadline() is None
         with deadline_scope(deadline):
             assert current_deadline() is deadline
@@ -111,7 +111,7 @@ class TestDeadline:
         assert current_deadline() is None
 
     def test_nested_scopes(self):
-        outer, inner = Deadline.unlimited(), Deadline.unlimited()
+        outer, inner = Deadline(None), Deadline(None)
         with deadline_scope(outer):
             with deadline_scope(inner):
                 assert current_deadline() is inner

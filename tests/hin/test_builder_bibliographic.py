@@ -117,7 +117,7 @@ class TestBibliographicNetworkBuilder:
         builder.add_publications(
             [Publication("p1", ["A"], "V"), Publication("p2", ["B"], "V")]
         )
-        assert builder.publication_count == 2
+        assert builder.build().num_vertices("paper") == 2
 
     def test_shared_authors_across_publications(self):
         builder = BibliographicNetworkBuilder()

@@ -25,20 +25,22 @@ class TestSanitize:
             sanitize_identifier("!!!")
 
 
+MOVIE_TRIPLES = (
+    ("Tom", "type", "person"),
+    ("Ann", "type", "person"),
+    ("Heat", "type", "movie"),
+    ("Tom", "acted in", "Heat"),
+    ("Ann", "acted in", "Heat"),
+    ("Ann", "directed", "Heat"),
+)
+
+
 class TestKnowledgeGraph:
     @pytest.fixture()
     def small_kg(self):
         kg = KnowledgeGraph()
-        kg.add_triples(
-            [
-                ("Tom", "type", "person"),
-                ("Ann", "type", "person"),
-                ("Heat", "type", "movie"),
-                ("Tom", "acted in", "Heat"),
-                ("Ann", "acted in", "Heat"),
-                ("Ann", "directed", "Heat"),
-            ]
-        )
+        for triple in MOVIE_TRIPLES:
+            kg.add(*triple)
         return kg
 
     def test_type_declarations_not_data_triples(self, small_kg):
@@ -82,16 +84,8 @@ class TestReifiedConversion:
     @pytest.fixture()
     def network(self):
         kg = KnowledgeGraph()
-        kg.add_triples(
-            [
-                ("Tom", "type", "person"),
-                ("Ann", "type", "person"),
-                ("Heat", "type", "movie"),
-                ("Tom", "acted in", "Heat"),
-                ("Ann", "acted in", "Heat"),
-                ("Ann", "directed", "Heat"),
-            ]
-        )
+        for triple in MOVIE_TRIPLES:
+            kg.add(*triple)
         return kg.to_hin()
 
     def test_predicates_become_vertex_types(self, network):

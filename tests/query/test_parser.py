@@ -124,6 +124,13 @@ class TestClauseStructure:
                 "JUDGED BY author.paper.venue TOP 2.5;"
             )
 
+    @pytest.mark.parametrize("tail", [" TOP ²;", " TOP ٣;", ":1.5² TOP 2;"])
+    def test_non_ascii_digit_rejected(self, tail):
+        """Only ASCII 0-9 make a number: "²" escaped int() / float() as a
+        bare ValueError, and "٣" was read as TOP 3."""
+        with pytest.raises(QuerySyntaxError, match="unexpected character"):
+            parse_query("FIND OUTLIERS FROM author JUDGED BY author.paper.venue" + tail)
+
     def test_compared_without_to_rejected(self):
         with pytest.raises(QuerySyntaxError, match="TO"):
             parse_query(

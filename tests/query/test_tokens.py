@@ -62,6 +62,11 @@ class TestStrings:
         token = tokenize('"a.b{c}"')[0]
         assert token.value == "a.b{c}"
 
+    def test_string_position_is_its_opening_quote(self):
+        assert tokenize('"ab"')[0].position == 0
+        text = 'author{"Zoe"}'
+        assert tokenize(text)[2].position == text.index('"')
+
 
 class TestNumbers:
     def test_integer(self):

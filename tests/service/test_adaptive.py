@@ -3,8 +3,8 @@
 Four contracts, mirroring the module's two halves plus the swap machinery
 they drive:
 
-* :class:`TestWorkloadRecorder` — the bounded admission log: window
-  semantics, JSONL spill, and spill errors counted rather than raised.
+* :class:`TestWorkloadRecorder` — the bounded admission log's window
+  semantics.
 * :class:`TestReindexerControlLoop` — every skip reason is observable and
   the watermark advances so identical traffic never re-triggers a build.
 * :class:`TestHotSwap` — the acceptance criterion on both backends:
@@ -32,6 +32,7 @@ from repro.service import (
     ServiceConfig,
     WorkloadRecorder,
 )
+from repro.service import adaptive as adaptive_module
 
 QUERY_A = (
     'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
@@ -66,12 +67,9 @@ def _adaptive_config(**overrides):
 # WorkloadRecorder
 # ----------------------------------------------------------------------
 class TestWorkloadRecorder:
-    def test_rejects_empty_window(self):
-        with pytest.raises(ServiceError):
-            WorkloadRecorder(max_entries=0)
-
-    def test_window_is_bounded_but_total_is_not(self):
-        recorder = WorkloadRecorder(max_entries=3)
+    def test_window_is_bounded_but_total_is_not(self, monkeypatch):
+        monkeypatch.setattr(adaptive_module, "ADMISSION_LOG_ENTRIES", 3)
+        recorder = WorkloadRecorder()
         for position in range(7):
             recorder.record(f"q{position}")
         total, window = recorder.snapshot()
@@ -80,28 +78,6 @@ class TestWorkloadRecorder:
         stats = recorder.stats()
         assert stats["window_entries"] == 3
         assert stats["total_recorded"] == 7
-
-    def test_spills_jsonl(self, tmp_path):
-        spill = tmp_path / "admissions.jsonl"
-        recorder = WorkloadRecorder(max_entries=8, spill_path=str(spill))
-        recorder.record("q-one")
-        recorder.record("q-two")
-        recorder.close()
-        lines = spill.read_text().splitlines()
-        assert [json.loads(line)["query"] for line in lines] == [
-            "q-one",
-            "q-two",
-        ]
-        assert all("ts" in json.loads(line) for line in lines)
-
-    def test_spill_errors_counted_not_raised(self, tmp_path):
-        missing_dir = tmp_path / "does" / "not" / "exist" / "log.jsonl"
-        recorder = WorkloadRecorder(max_entries=8, spill_path=str(missing_dir))
-        recorder.record("q-one")  # must not raise
-        assert recorder.stats()["spill_errors"] >= 1
-        total, window = recorder.snapshot()
-        assert total == 1 and window == ["q-one"]
-        recorder.close()
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +210,7 @@ class TestConfigValidation:
             {"subpath_cache_mb": -1.0},
             {"reindex_interval_seconds": 0.0},
             {"reindex_min_queries": 0},
-            {"admission_log_entries": 0},
+            {"queue_depth": -1},
             {"max_index_mb": 0.0},
             {"max_index_mb": -4.0},
         ],

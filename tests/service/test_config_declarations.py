@@ -31,11 +31,11 @@ COMMANDS = {
 #: `route` deliberately starts two workers per replica, not four.
 ROUTE_OVERRIDES = {"workers": 2}
 
-# The flag spellings `--help` printed before the flags were generated; a
-# rename or a dropped flag must fail here, loudly.
+# Every flag spelling `--help` prints; a rename or a dropped flag must fail
+# here, loudly.
 SERVE_FLAGS = {
-    "--adaptive", "--admission-log", "--backend", "--cache-ttl", "--host",
-    "--index-build-block-rows", "--max-build-memory-mb", "--max-index-mb",
+    "--adaptive", "--backend", "--cache-ttl", "--host",
+    "--max-build-memory-mb", "--max-index-mb",
     "--max-requests", "--measure", "--network", "--port", "--queue-depth",
     "--reindex-interval", "--reindex-min-queries", "--row-cache-rows",
     "--storage", "--storage-dir", "--strategy", "--subpath-cache-mb",
@@ -43,13 +43,13 @@ SERVE_FLAGS = {
 }  # fmt: skip
 ROUTE_FLAGS = {
     "--attempt-timeout", "--backend", "--breaker-reset", "--breaker-threshold",
-    "--cache-ttl", "--host", "--index-build-block-rows", "--max-attempts",
+    "--cache-ttl", "--host",
     "--max-build-memory-mb", "--max-requests", "--max-restarts-in-window",
     "--measure", "--network", "--port", "--probe-interval", "--queue-depth",
-    "--replicas", "--restart-base-delay", "--restart-window", "--stagger",
-    "--storage", "--strategy", "--virtual-nodes", "--workers",
+    "--replicas", "--restart-base-delay",
+    "--storage", "--strategy", "--workers",
 }  # fmt: skip
-PATH_FLAGS = {"--storage-dir", "--admission-log"}
+PATH_FLAGS = {"--storage-dir"}
 
 
 def settings_of(command):
@@ -80,7 +80,7 @@ class TestParity:
                 expected = ROUTE_OVERRIDES.get(spec.name, expected)
             assert getattr(args, dest) == expected, spec.name
             checked += 1
-        assert checked == {"serve": 15, "route": 23}[command]
+        assert checked == {"serve": 13, "route": 18}[command]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_of_range_names_the_same_field_on_both_paths(self, command):
@@ -124,6 +124,7 @@ class TestSurfaceFreeze:
             build_parser().parse_args([command, "--help"])
         printed = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.M))
         assert frozen <= printed, sorted(frozen - printed)
+        assert len(printed) == {"serve": 20, "route": 26}[command]
 
     def test_route_takes_every_serve_flag_but_the_paths(self, capsys):
         printed = {}
@@ -210,7 +211,6 @@ def doc_row(spec, declared) -> str:
 STORAGE_FIELDS = (
     "storage",
     "storage_dir",
-    "index_build_block_rows",
     "max_build_memory_mb",
 )
 

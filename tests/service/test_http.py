@@ -183,6 +183,15 @@ class TestQueryEndpoint:
         assert status == 400
         assert payload["error"]["type"] == "QuerySyntaxError"
 
+    def test_non_ascii_digit_400(self, served):
+        """Regression: "TOP ²" reached ``int()`` unguarded, killed the
+        handler thread, and the client saw the connection drop."""
+        host, port, _ = served
+        body = {"query": QUERY.replace("TOP 3", "TOP ²")}
+        status, _, payload = request(host, port, "POST", "/query", body=body)
+        assert status == 400
+        assert payload["error"]["type"] == "QuerySyntaxError"
+
     def test_unservable_query_422(self, served):
         host, port, _ = served
         ghost = QUERY.replace("Zoe", "Ghost")

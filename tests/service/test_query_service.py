@@ -329,9 +329,9 @@ class TestStats:
 class TestMmapTier:
     def test_from_network_builds_the_pm_index_out_of_core(self, ego_corpus, tmp_path):
         """``storage="mmap"`` is a tier of the library, not of the CLI: the
-        served PM index lives in file-backed views (built in
-        ``index_build_block_rows`` blocks under ``storage_dir``) and scores
-        exactly as the in-RAM build does."""
+        served PM index lives in file-backed views (built in row blocks
+        under ``storage_dir``) and scores exactly as the in-RAM build does."""
+        from repro.engine.index import DEFAULT_BUILD_BLOCK_ROWS, _effective_block_rows
         from repro.hin.storage import is_store_backed
 
         query = (
@@ -345,12 +345,16 @@ class TestMmapTier:
             assert not any(
                 is_store_backed(ram_index.full_matrix(path)) for path in ram_index.paths
             )
+        # A 1 MB build budget splits the denser products into several blocks.
         config = ServiceConfig(
             workers=1,
             storage="mmap",
             storage_dir=str(tmp_path),
-            index_build_block_rows=7,
+            max_build_memory_mb=1.0,
         )
+        term = (network.adjacency("paper", "term"), network.adjacency("term", "paper"))
+        rows_per_block = _effective_block_rows(*term, DEFAULT_BUILD_BLOCK_ROWS, 1.0)
+        assert rows_per_block < term[0].shape[0]
         mmap_network = network.copy_with_storage("mmap")
         with QueryService.from_network(mmap_network, config) as service:
             index = service.handle._concrete_strategy().index

@@ -215,6 +215,4 @@ class TestServiceConfigStorage:
         with pytest.raises(ServiceError):
             ServiceConfig(storage="tape")
         with pytest.raises(ServiceError):
-            ServiceConfig(index_build_block_rows=0)
-        with pytest.raises(ServiceError):
             ServiceConfig(max_build_memory_mb=-1.0)

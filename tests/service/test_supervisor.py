@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import ReplicaSupervisor, SupervisorConfig
+from repro.service import supervisor as supervisor_module
 from repro.service.supervisor import BANNER_PATTERN, restart_delay
 
 
@@ -55,12 +56,11 @@ class Recorder:
 
 
 class TestRestartDelay:
-    CONFIG = SupervisorConfig(
-        restart_base_delay_seconds=0.5,
-        restart_multiplier=2.0,
-        restart_max_delay_seconds=4.0,
-        restart_jitter_fraction=0.2,
-    )
+    CONFIG = SupervisorConfig(restart_base_delay_seconds=0.5)
+
+    @pytest.fixture(autouse=True)
+    def _cap(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "RESTART_MAX_DELAY_SECONDS", 4.0)
 
     def test_exponential_growth_within_jitter_bounds(self):
         rng = random.Random(7)
@@ -73,15 +73,13 @@ class TestRestartDelay:
         second = [restart_delay(n, self.CONFIG, random.Random(3)) for n in (1, 2)]
         assert first == second
 
-    def test_no_jitter_is_exact(self):
-        config = SupervisorConfig(
-            restart_base_delay_seconds=0.5,
-            restart_multiplier=2.0,
-            restart_max_delay_seconds=4.0,
-            restart_jitter_fraction=0.0,
-        )
+    def test_no_jitter_is_exact(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "RESTART_JITTER_FRACTION", 0.0)
         rng = random.Random(0)
-        assert restart_delay(3, config, rng) == pytest.approx(2.0)
+        assert restart_delay(3, self.CONFIG, rng) == pytest.approx(2.0)
+        # A base delay above the cap is its own cap, not an error.
+        large = SupervisorConfig(restart_base_delay_seconds=30.0)
+        assert restart_delay(3, large, rng) == pytest.approx(30.0)
 
     def test_restart_number_validation(self):
         with pytest.raises(ServiceError):
@@ -145,12 +143,7 @@ class TestSupervision:
     def test_crashing_replica_restarts_then_quarantines(self):
         recorder = Recorder()
         config = SupervisorConfig(
-            restart_base_delay_seconds=0.01,
-            restart_multiplier=1.0,
-            restart_max_delay_seconds=0.05,
-            restart_jitter_fraction=0.0,
-            max_restarts_in_window=2,
-            restart_window_seconds=60.0,
+            restart_base_delay_seconds=0.01, max_restarts_in_window=2
         )
         supervisor = ReplicaSupervisor(
             {"replica-0": fake_replica(lifetime=0.0)},
@@ -181,11 +174,7 @@ class TestSupervision:
         re-admit the replica with a fresh breaker."""
         recorder = Recorder()
         config = SupervisorConfig(
-            restart_base_delay_seconds=0.01,
-            restart_multiplier=1.0,
-            restart_jitter_fraction=0.0,
-            max_restarts_in_window=10,
-            restart_window_seconds=60.0,
+            restart_base_delay_seconds=0.01, max_restarts_in_window=10
         )
         supervisor = ReplicaSupervisor(
             {"replica-0": fake_replica(lifetime=0.3)},

@@ -78,7 +78,7 @@ def test_documented_entry_points_exist():
         register_measure,
     )
     from repro.datagen import hub_ego_corpus  # noqa: F401
-    from repro.engine import CachingStrategy, LatencyReport  # noqa: F401
+    from repro.engine import CachingStrategy  # noqa: F401
     from repro.hin import from_networkx, slice_by_attribute  # noqa: F401
     from repro.kg import KnowledgeGraph  # noqa: F401
     from repro.relational import database_to_hin  # noqa: F401
