@@ -29,6 +29,9 @@ With ``--storage mmap`` the server keeps adjacency, index and (on the
 process backend) its worker segments in file-backed array stores under a
 ``--storage-dir``; after shutdown that directory must hold nothing but the
 published ``pm-index/`` — no worker store, no uncommitted array file.
+With ``--backend process`` one worker (its pid read from ``/stats``) is
+SIGKILLed between waves 2 and 3: the pool must be back to four live
+workers within 30 s with ``restarts >= 1``, and no request may get a 5xx.
 With ``--backend process`` on the RAM tier, ``/stats`` must name a worker
 segment directory under ``/dev/shm`` (the temp dir on a host without one),
 and after shutdown no ``repro-serve-<server pid>-*`` entry may remain
@@ -70,8 +73,13 @@ DISTINCT_QUERIES = [
 INVALID_QUERY = (
     "FIND OUTLIERS FROM author.venue JUDGED BY author.paper.venue TOP 3;"
 )
-#: 50 queries + one /stats probe per wave; the server stops itself after.
-TOTAL_REQUESTS = WAVES * (QUERIES_PER_WAVE + 1)
+#: The process backend's worker kill comes after this wave.
+KILL_AFTER_WAVE = 2
+#: /stats polls allowed for the pool to heal after the kill (30 s).
+RECOVERY_POLLS = 120
+#: 50 queries + one /stats probe per wave + the recovery polls (the unused
+#: ones are spent on /healthz at the end); the server stops itself after.
+TOTAL_REQUESTS = WAVES * (QUERIES_PER_WAVE + 1) + RECOVERY_POLLS
 
 
 def request(host: str, port: int, method: str, path: str, body=None):
@@ -83,6 +91,24 @@ def request(host: str, port: int, method: str, path: str, body=None):
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def kill_a_worker(host: str, port: int, stats: dict, failures: list) -> int:
+    """SIGKILL one live worker named in ``stats``; poll ``/stats`` until
+    the pool is back to four live workers.  Returns the polls made."""
+    victim = next(row["pid"] for row in stats["backend"]["per_worker"] if row["alive"])
+    os.kill(victim, signal.SIGKILL)
+    for polls in range(1, RECOVERY_POLLS + 1):
+        status, stats = request(host, port, "GET", "/stats")
+        backend = stats.get("backend", {})
+        if status == 200 and backend["live_workers"] == 4 and sum(
+            row["restarts"] for row in backend["per_worker"]
+        ) >= 1:
+            print(f"killed worker {victim}: pool healed after {polls} polls")
+            return polls
+        time.sleep(0.25)
+    failures.append(f"pool not back to 4 live workers with a restart: {stats}")
+    return polls
 
 
 def main() -> int:
@@ -161,6 +187,7 @@ def main() -> int:
                 return request(host, port, "POST", "/query", {"query": query})
 
             bad_statuses: list[int] = []
+            polls = 0
             hit_rates: list[float] = []
             failures = []
             pinned_before = fingerprint_before = None
@@ -207,7 +234,14 @@ def main() -> int:
                         f"wave {wave + 1}/{WAVES}: "
                         f"cache hit rate {hit_rates[-1]:.2f}"
                     )
+                    if args.backend == "process" and wave + 1 == KILL_AFTER_WAVE:
+                        polls = kill_a_worker(host, port, stats, failures)
 
+            if not args.adaptive:
+                # Spend the recovery polls the kill did not use, so the
+                # server's request budget ends exactly here.
+                for _ in range(RECOVERY_POLLS - polls):
+                    request(host, port, "GET", "/healthz")
             if args.adaptive:
                 # Wait for a re-index cycle to land on live traffic.
                 index_meta = {}

@@ -13,12 +13,16 @@ the actual *execution* of an admitted query to an
   :class:`~repro.hin.storage.MmapArrayStore` directory, the worker
   segment: under ``/dev/shm`` on the RAM tier (a tmpfs, so the store is
   shared memory), under ``storage_dir`` on the mmap tier.  Each worker
-  opens it — fingerprint re-checked, zero-copy read-only views — and
+  attaches it — fingerprint re-checked, zero-copy read-only views — and
   rebuilds an equivalent engine handle, so N workers cost one copy of the
-  index plus per-worker interpreter overhead.  Worker crashes are detected
-  via process sentinels; outstanding queries of a dead worker are
-  resubmitted once (queries are read-only, so the retry is safe) and the
-  worker is respawned.
+  index plus per-worker interpreter overhead.  Each worker has one duplex
+  pipe whose ends have one holder each, so end-of-file is death both
+  ways: the parent's one watcher thread reads every reply and treats a
+  pipe's end-of-file as that worker's death (its outstanding queries are
+  resubmitted once — queries are read-only, so the retry is safe — and it
+  is respawned), and a worker whose server dies reads end-of-file and
+  exits.  Start-up is the attach of index generation 0 and a hot-swap the
+  attach of generation N; both wait on one barrier.
 
 Both backends speak the same tiny contract — ``submit(canonical_text) ->
 Future[OutlierResult]`` — and produce byte-identical
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import shutil
 import tempfile
 import threading
@@ -328,97 +333,71 @@ def export_segment(arrays: dict, directory: "str | os.PathLike") -> _StoreSegmen
     return _StoreSegment(arrays, directory)
 
 
-def _attach(spec: dict, segment: str) -> EngineHandle:
+def _attach(spec: bytes, segment: str) -> EngineHandle:
     """Worker side of :func:`export_segment`: an engine over the store's views."""
-    return EngineHandle.from_shared(spec, MmapArrayStore.open(segment).arrays())
+    return EngineHandle.from_shared(
+        pickle.loads(spec), MmapArrayStore.open(segment).arrays()
+    )
 
 
 def _service_worker_main(
-    worker_id: int,
-    spec: dict,
+    connection,
+    generation: int,
+    spec: bytes,
     segment: str,
     timeout_seconds: float | None,
-    task_queue,
-    result_connection,
 ) -> None:
-    """Worker process body: attach shared index, serve queries until told to stop.
+    """Worker process body: attach ``generation``, then serve until told to stop.
 
-    Spawn-safe: everything arrives pickled through the process arguments;
-    the CSR buffers arrive as the ``segment`` store directory and are
-    mapped zero-copy.  Every task produces exactly one
-    reply — ``("result", ...)`` with the lossless wire dict, or
-    ``("error", ...)`` with a typed error description.
+    Spawn-safe: the CSR buffers arrive as the ``segment`` store directory,
+    mapped zero-copy, and the spec as pickled bytes that the attach itself
+    unpickles, so a spec that cannot be rebuilt is an attach failure.
 
-    Results travel over a **per-worker pipe**, not a shared queue, and that
-    is load-bearing: a shared ``multiprocessing.Queue`` guards its pipe
-    with a cross-process write lock, and a worker SIGKILLed between its
-    pipe write and the lock release leaves that lock held forever — every
-    other worker (and every future replacement) would then hang on its next
-    reply.  With one single-writer pipe per worker, a killed worker can
-    tear only its own stream, which the parent observes as a clean
-    ``EOFError`` on that pipe alone.
+    The duplex pipe is the worker's one channel and each end has one
+    holder, so end-of-file is death both ways: the parent reads it when this
+    worker dies (a torn frame included), and this worker reads it, and
+    exits, when its server dies.  In: ``("swap", generation, spec,
+    segment)``, ``("task", task_id, text)``, ``("stop",)``.  Out:
+    ``("attached", generation)``, ``("attach-error", generation, text)`` as
+    the last message, and per task ``("result", task_id, result)`` or
+    ``("error", task_id, type_name, message, extras)``.  Start-up attaches
+    the spawn generation and a hot-swap generation N; the loop is serial, so
+    a swap lands *between* queries and no query sees a half-swapped engine.
     """
+    message = ("swap", generation, spec, segment)
     try:
-        handle = _attach(spec, segment)
-    except BaseException as error:  # noqa: BLE001 - startup failure report
-        try:
-            result_connection.send(
-                ("startup-error", worker_id, type(error).__name__, str(error))
-            )
-        finally:
-            return
-    result_connection.send(("ready", worker_id, os.getpid()))
-    while True:
-        message = task_queue.get()
-        if message[0] == "stop":
-            break
-        if message[0] == "swap":
-            # Index hot-swap: attach the new segment generation and rebuild
-            # the handle; the old one's views unmap once it is dropped.  The
-            # loop is serial, so a swap is always processed *between*
-            # queries — no query ever observes a half-swapped engine, which
-            # is the torn-index guarantee the chaos tests pin.
-            _, generation, new_spec, new_segment = message
-            try:
-                new_handle = _attach(new_spec, new_segment)
-            except BaseException as error:  # noqa: BLE001 - reported, then die
+        while message[0] != "stop":
+            if message[0] == "swap":
+                _, generation, spec, segment = message
                 try:
-                    result_connection.send(
-                        (
-                            "swap-error",
-                            worker_id,
-                            generation,
-                            type(error).__name__,
-                            str(error),
-                        )
+                    handle = _attach(spec, segment)
+                except BaseException as error:  # noqa: BLE001 - reported, then exit
+                    connection.send(
+                        ("attach-error", generation, f"{type(error).__name__}: {error}")
                     )
-                except (OSError, ValueError):
-                    pass
-                # Suicide on a failed swap: the monitor respawns this slot
-                # against the *new* spec/segment, so the fleet still
-                # converges on the new generation.
-                break
-            handle = new_handle
-            result_connection.send(("swapped", worker_id, generation))
-            continue
-        _, task_id, query_text = message
-        try:
-            deadline = (
-                Deadline(timeout_seconds) if timeout_seconds is not None else None
-            )
-            result = handle.execute(query_text, deadline=deadline)
-        except BaseException as error:  # noqa: BLE001 - shipped to parent
-            extras = {
-                attr: getattr(error, attr)
-                for attr in _ERROR_EXTRAS
-                if getattr(error, attr, None) is not None
-            }
-            result_connection.send(
-                ("error", worker_id, task_id, type(error).__name__, str(error), extras)
-            )
-        else:
-            # Pickled as columns plus the k ranked records (``__getstate__``).
-            result_connection.send(("result", worker_id, task_id, result))
+                    return
+                connection.send(("attached", generation))
+            else:
+                _, task_id, query_text = message
+                deadline = (
+                    Deadline(timeout_seconds) if timeout_seconds is not None else None
+                )
+                try:
+                    result = handle.execute(query_text, deadline=deadline)
+                except BaseException as error:  # noqa: BLE001 - shipped to parent
+                    extras = {
+                        attr: getattr(error, attr)
+                        for attr in _ERROR_EXTRAS
+                        if getattr(error, attr, None) is not None
+                    }
+                    reply = ("error", task_id, type(error).__name__, str(error), extras)
+                else:
+                    # Pickled as columns plus the k ranked records.
+                    reply = ("result", task_id, result)
+                connection.send(reply)
+            message = connection.recv()
+    except (EOFError, OSError):
+        return  # the server is gone
 
 
 @dataclass
@@ -426,7 +405,6 @@ class _Task:
     task_id: int
     query_text: str
     future: "Future[OutlierResult]"
-    worker_id: int = -1
     retried: bool = False
 
 
@@ -434,17 +412,37 @@ class _Task:
 class _WorkerSlot:
     worker_id: int
     process: "multiprocessing.process.BaseProcess | None" = None
-    queue: "object | None" = None
-    reader: "object | None" = None  # parent end of the worker's result pipe
+    #: Parent end of the worker's pipe; ``None`` once the worker is dead
+    #: and not replaced (restart budget spent, or the backend closed).
+    connection: "object | None" = None
+    #: One sender per pipe at a time; the watcher closes a dead pipe under
+    #: it too, so no send races the close.
+    send_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: The current process has attached at least once.
     ready: bool = False
-    dead: bool = False
-    restarts: int = 0
-    #: Index generation this worker's engine was built from; the swap
-    #: barrier waits until every live slot reaches the target generation.
+    #: Index generation the worker's engine was built from (the spawn
+    #: generation until its first attach).
     generation: int = 0
+    restarts: int = 0
     completed: int = 0
     failed: int = 0
+    last_error: str | None = None
     outstanding: dict[int, _Task] = field(default_factory=dict)
+
+
+def _send(slot: _WorkerSlot, connection, message: tuple) -> None:
+    """Send outside the backend lock.  A dead worker's pipe refuses the
+    message; its end-of-file re-routes whatever the worker held."""
+    with slot.send_lock:
+        try:
+            connection.send(message)
+        except (OSError, ValueError):
+            pass
+
+
+def _send_all(sends: list) -> None:
+    for slot, connection, message in sends:
+        _send(slot, connection, message)
 
 
 class ProcessBackend(ExecutionBackend):
@@ -463,8 +461,8 @@ class ProcessBackend(ExecutionBackend):
         Per-request cooperative deadline, enforced inside each worker with
         the same machinery the thread backend uses.
     start_timeout_seconds:
-        How long to wait for all workers' ready handshakes before treating
-        start-up as failed (segment is unlinked on that path).
+        How long to wait for every worker to attach generation 0 before
+        treating start-up as failed (segment is unlinked on that path).
     max_restarts:
         Crash-replacement budget **per worker slot**; beyond it the slot is
         retired (prevents a crash-looping query from forking forever).
@@ -491,106 +489,97 @@ class ProcessBackend(ExecutionBackend):
         self._segment_dir = segment_dir or segment_parent()
         self._ctx = multiprocessing.get_context("spawn")
         spec, arrays = handle.export_shared()
+        self._spec = pickle.dumps(spec)
         self._segment = export_segment(arrays, self._segment_dir)
-        self._spec = spec
+        self._generation = 0
         self._lock = threading.Lock()
+        #: Notified on every attach, attach failure and death.
+        self._attach_changed = threading.Condition(self._lock)
         self._accepting = True
         self._closed = False
-        self._stop = threading.Event()
         self._next_task_id = 0
         self._tasks: dict[int, _Task] = {}
-        self._startup_errors: list[str] = []
-        self._generation = 0
-        self._swap_errors: list[str] = []
-        # Old segments a timed-out swap could not safely remove yet; they
-        # are removed at close() so no generation outlives the service.
+        #: ``(generation, text)`` of every failed attach.
+        self._attach_errors: list[tuple[int, str]] = []
+        # Old segments a failed swap could not safely remove yet; they are
+        # removed at close() so no generation outlives the service.
         self._retired_segments: list = []
         self._slots = [_WorkerSlot(worker_id=i) for i in range(workers)]
-        self._collector = None
+        self._watcher = threading.Thread(
+            target=self._watch, name="repro-serve-watcher", daemon=True
+        )
         try:
             for slot in self._slots:
                 self._spawn(slot)
-            self._collector = threading.Thread(
-                target=self._collect, name="repro-serve-collector", daemon=True
+            self._watcher.start()
+            self._await_attach(
+                0, start_timeout_seconds, "process backend failed to start"
             )
-            self._collector.start()
-            self._await_ready(start_timeout_seconds)
-            self._monitor = threading.Thread(
-                target=self._monitor_loop, name="repro-serve-monitor", daemon=True
-            )
-            self._monitor.start()
         except BaseException:
             # Start-up failed: tear down whatever came up and never leak
             # the worker segment.
-            self._stop.set()
-            for slot in self._slots:
-                if slot.process is not None and slot.process.is_alive():
-                    slot.process.terminate()
-            for slot in self._slots:
-                if slot.process is not None:
-                    slot.process.join(timeout=5.0)
-            if self._collector is not None:
-                self._collector.join(timeout=5.0)
-            for slot in self._slots:
-                if slot.reader is not None:
-                    slot.reader.close()
-            self._segment.release()
+            self._teardown()
             raise
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, slot: _WorkerSlot) -> None:
-        # Fresh task queue and result pipe per (re)spawn: anything a dead
-        # worker left queued or half-written dies with its channels.  The
-        # spec/segment read here are the *current* ones (swapped under the
-        # lock by refresh_engine), so a crash replacement mid-swap attaches
-        # the new generation directly — never the torn old one.
-        slot.queue = self._ctx.Queue()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        slot.ready = False
-        slot.generation = self._generation
-        slot.process = self._ctx.Process(
+        # A fresh pipe per (re)spawn: anything a dead worker left
+        # half-written dies with its pipe.  The spec/segment read here are
+        # the *current* ones (published under the lock by refresh_engine),
+        # so a replacement mid-swap attaches the new generation directly.
+        connection, child = self._ctx.Pipe()
+        process = self._ctx.Process(
             target=_service_worker_main,
             args=(
-                slot.worker_id,
+                child,
+                self._generation,
                 self._spec,
                 self._segment.directory,
                 self._timeout_seconds,
-                slot.queue,
-                writer,
             ),
             name=f"repro-serve-worker-{slot.worker_id}",
             daemon=True,
         )
-        slot.process.start()
-        # The child holds its own duplicate now; closing the parent's copy
-        # makes the worker's death observable as EOF on ``reader``.
-        writer.close()
-        slot.reader = reader
+        try:
+            process.start()
+        finally:
+            # The worker holds the only other end now: end-of-file on
+            # ``connection`` is its death.
+            child.close()
+        slot.process, slot.connection = process, connection
+        slot.ready, slot.generation = False, self._generation
 
-    def _await_ready(self, timeout: float) -> None:
+    def _await_attach(self, generation: int, timeout: float, failing: str) -> None:
+        """The one barrier, for start-up (generation 0) and hot-swap (N).
+
+        Returns once every live worker has attached ``generation`` (or the
+        backend closed); raises :class:`ServiceError` prefixed ``failing``
+        on any attach failure of that generation, or at the timeout.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if all(slot.ready for slot in self._slots):
-                    return
-                errors = list(self._startup_errors)
-                dead = [
+        with self._attach_changed:
+            while not self._closed:
+                errors = [text for at, text in self._attach_errors if at == generation]
+                if errors:
+                    raise ServiceError(
+                        f"{failing}: index generation {generation} failed to "
+                        f"attach: {'; '.join(errors)}"
+                    )
+                lagging = [
                     slot.worker_id
                     for slot in self._slots
-                    if not slot.ready
-                    and slot.process is not None
-                    and not slot.process.is_alive()
+                    if slot.connection is not None
+                    and not (slot.ready and slot.generation >= generation)
                 ]
-            if errors or dead:
-                detail = "; ".join(errors) if errors else f"workers {dead} died"
-                raise ServiceError(
-                    f"process backend failed to start: {detail}"
-                )
-            if time.monotonic() > deadline:
-                raise ServiceError(
-                    f"process backend workers not ready within {timeout:.0f}s"
-                )
-            time.sleep(0.01)
+                if not lagging:
+                    return
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ServiceError(
+                        f"{failing}: workers {lagging} did not attach index "
+                        f"generation {generation} within {timeout:.0f}s"
+                    )
+                self._attach_changed.wait(remaining)
 
     # -- submission ----------------------------------------------------
     def submit(self, query_text: str) -> "Future[OutlierResult]":
@@ -602,89 +591,64 @@ class ProcessBackend(ExecutionBackend):
                 )
             slot = self._pick_slot_locked()
             if slot is None:
-                raise ServiceError(
+                # A server-side fault (HTTP 500), so a router fails over.
+                raise WorkerCrashedError(
                     "no live worker processes (all crashed past their "
                     "restart budget); restart the service"
                 )
-            task = _Task(self._next_task_id, query_text, future, slot.worker_id)
+            task = _Task(self._next_task_id, query_text, future)
             self._next_task_id += 1
             self._tasks[task.task_id] = task
             slot.outstanding[task.task_id] = task
-            target_queue = slot.queue
-        target_queue.put(("task", task.task_id, query_text))
+            connection = slot.connection
+        _send(slot, connection, ("task", task.task_id, query_text))
         return future
+
+    def _pipes_locked(self) -> list:
+        """``(slot, connection)`` of every live worker (caller holds the lock)."""
+        return [
+            (slot, slot.connection)
+            for slot in self._slots
+            if slot.connection is not None
+        ]
 
     def _pick_slot_locked(self) -> _WorkerSlot | None:
         """Least-loaded live worker (caller holds the lock)."""
-        live = [
-            slot
-            for slot in self._slots
-            if not slot.dead
-            and slot.process is not None
-            and slot.process.is_alive()
-        ]
-        if not live:
-            return None
-        return min(live, key=lambda slot: len(slot.outstanding))
+        live = [slot for slot, _ in self._pipes_locked()]
+        return min(live, key=lambda slot: len(slot.outstanding), default=None)
 
-    # -- result collection ---------------------------------------------
-    def _collect(self) -> None:
-        while not self._stop.is_set():
+    # -- the watcher ---------------------------------------------------
+    def _watch(self) -> None:
+        """Read every worker's replies; end-of-file on a pipe is its death.
+
+        The watcher never sends: a worker blocked writing a large reply
+        waits on this thread, so a blocking send here could deadlock.
+        """
+        while True:
             with self._lock:
-                readers = [
-                    slot.reader for slot in self._slots if slot.reader is not None
-                ]
-            if not readers:
-                self._stop.wait(0.05)
-                continue
-            try:
-                readable = connection_wait(readers, timeout=0.1)
-            except OSError:  # a reader closed mid-wait (shutdown race)
-                continue
-            for reader in readable:
+                slots = {connection: slot for slot, connection in self._pipes_locked()}
+            if not slots:
+                return  # every worker stopped or retired; none can respawn
+            for connection in connection_wait(list(slots)):
+                slot = slots[connection]
                 try:
-                    message = reader.recv()
+                    message = connection.recv()
                 except (EOFError, OSError):
-                    # The worker died (possibly mid-send: a torn frame ends
-                    # in EOF because its pipe has no other writer).  Retire
-                    # this pipe; the monitor handles the respawn.
-                    with self._lock:
-                        for slot in self._slots:
-                            if slot.reader is reader:
-                                slot.reader = None
-                    reader.close()
+                    self._on_death(slot)
                     continue
-                kind = message[0]
-                if kind == "ready":
-                    _, worker_id, _pid = message
+                if message[0] == "attached":
                     with self._lock:
-                        self._slots[worker_id].ready = True
-                elif kind == "startup-error":
-                    _, worker_id, type_name, text = message
-                    with self._lock:
-                        self._startup_errors.append(
-                            f"worker {worker_id}: {type_name}: {text}"
-                        )
-                elif kind == "swapped":
-                    _, worker_id, generation = message
-                    with self._lock:
-                        slot = self._slots[worker_id]
-                        slot.generation = max(slot.generation, generation)
-                elif kind == "swap-error":
-                    _, worker_id, generation, type_name, text = message
-                    with self._lock:
-                        self._swap_errors.append(
-                            f"worker {worker_id} (generation {generation}): "
-                            f"{type_name}: {text}"
-                        )
-                elif kind in ("result", "error"):
-                    self._deliver(message)
+                        slot.ready, slot.generation = True, message[1]
+                        self._attach_changed.notify_all()
+                elif message[0] == "attach-error":
+                    self._on_death(slot, message[1:])
+                else:
+                    self._deliver(slot, message)
 
-    def _deliver(self, message: tuple) -> None:
-        kind, worker_id, task_id = message[0], message[1], message[2]
+    def _deliver(self, slot: _WorkerSlot, message: tuple) -> None:
+        kind, task_id = message[0], message[1]
         with self._lock:
             task = self._tasks.pop(task_id, None)
-            slot = self._slots[worker_id]
             slot.outstanding.pop(task_id, None)
             if task is None:
                 return  # resolved by a crash-retry race; first answer stands
@@ -693,55 +657,44 @@ class ProcessBackend(ExecutionBackend):
             else:
                 slot.failed += 1
         if kind == "result":
-            _resolve(task.future, result=message[3])
+            _resolve(task.future, result=message[2])
         else:
-            _resolve(
-                task.future, error=_rebuild_error(message[3], message[4], message[5])
-            )
+            _resolve(task.future, error=_rebuild_error(*message[2:]))
 
-    # -- crash detection -----------------------------------------------
-    def _monitor_loop(self) -> None:
-        while not self._stop.is_set():
-            crashed: list[_WorkerSlot] = []
-            with self._lock:
-                if self._closed:
-                    return
-                for slot in self._slots:
-                    if (
-                        not slot.dead
-                        and slot.process is not None
-                        and not slot.process.is_alive()
-                    ):
-                        crashed.append(slot)
-            for slot in crashed:
-                self._replace(slot)
-            self._stop.wait(0.05)
+    def _on_death(
+        self, slot: _WorkerSlot, failure: tuple[int, str] | None = None
+    ) -> None:
+        """Respawn a dead worker and re-route its outstanding queries.
 
-    def _replace(self, slot: _WorkerSlot) -> None:
-        """Respawn a crashed worker and re-route its outstanding queries."""
+        Called at end-of-file, once every reply the worker sent has been
+        delivered, or at ``attach-error``, its last message.  A death before
+        the first attach fails the spawn generation's attach.
+        """
         failures: list[tuple[_Task, str]] = []
-        routed: list[tuple[object, _Task]] = []
+        routed: list[tuple[_WorkerSlot, object, tuple]] = []
         with self._lock:
-            if self._closed or slot.dead:
-                return
+            with slot.send_lock:
+                slot.connection.close()
+            slot.connection = None
             slot.process.join(timeout=1.0)  # reap the corpse
+            if failure is None and not slot.ready:
+                code = slot.process.exitcode
+                failure = (slot.generation, f"died before attaching (exit code {code})")
+            if failure is not None:
+                generation, text = failure
+                slot.last_error = f"generation {generation}: {text}"
+                self._attach_errors.append(
+                    (generation, f"worker {slot.worker_id}: {text}")
+                )
+            slot.ready = False
+            self._attach_changed.notify_all()
+            if self._closed:
+                return
             orphans = list(slot.outstanding.values())
             slot.outstanding.clear()
-            slot.ready = False
             slot.restarts += 1
-            if slot.reader is not None:
-                # Retire the dead worker's result pipe (the collector sees
-                # the close as EOF/OSError and moves on); the replacement
-                # gets a fresh one from _spawn.
-                slot.reader.close()
-                slot.reader = None
-            if slot.restarts > self._max_restarts:
-                slot.dead = True
-                slot.process = None
-                slot.queue = None
-            else:
+            if slot.restarts <= self._max_restarts:
                 self._spawn(slot)
-            retry: list[_Task] = []
             for task in orphans:
                 if task.retried:
                     # Second crash while holding the same query: stop
@@ -754,10 +707,8 @@ class ProcessBackend(ExecutionBackend):
                             f"query (worker {slot.worker_id})",
                         )
                     )
-                else:
-                    task.retried = True
-                    retry.append(task)
-            for task in retry:
+                    continue
+                task.retried = True
                 target = self._pick_slot_locked()
                 if target is None:
                     self._tasks.pop(task.task_id, None)
@@ -765,125 +716,96 @@ class ProcessBackend(ExecutionBackend):
                         (task, "all worker processes are gone; cannot retry")
                     )
                     continue
-                task.worker_id = target.worker_id
                 target.outstanding[task.task_id] = task
-                routed.append((target.queue, task))
+                routed.append(
+                    (target, target.connection, ("task", task.task_id, task.query_text))
+                )
         # Resolve outside the lock: done-callbacks run synchronously and
         # may re-enter the service layer (admission release, stats).
         for task, reason in failures:
             _resolve(task.future, error=WorkerCrashedError(reason))
-        for target_queue, task in routed:
-            target_queue.put(("task", task.task_id, task.query_text))
+        if routed:
+            # Off the watcher: a send can block on a busy worker.
+            threading.Thread(target=_send_all, args=(routed,), daemon=True).start()
 
     # -- index hot-swap ------------------------------------------------
     def refresh_engine(self, *, timeout_seconds: float = 60.0) -> None:
         """Roll the workers onto the parent handle's current engine.
 
-        The process-backend half of the hot-swap protocol:
+        The process-backend half of the hot-swap protocol, the attach of
+        generation N:
 
         1. Export the (already swapped) parent engine into a **fresh**
            worker segment — the old one keeps serving untouched.
         2. Under the lock, publish the new spec/segment/generation (crash
-           replacements from here on attach the new generation) and
-           broadcast a ``swap`` message to every live worker's task queue.
-        3. Wait until no live slot is below the target generation.  A
-           worker adopts by ack (``swapped``), or by dying and being
-           respawned against the new spec — either way the barrier clears.
-        4. Only then remove the old segment.  On timeout the old segment is
+           replacements from here on attach the new generation) and send
+           a ``swap`` message down every live worker's pipe.
+        3. Wait on the attach barrier start-up waits on.  A worker adopts
+           by attaching, or by dying and being respawned onto the new
+           generation; any attach failure of N raises.
+        4. Only then remove the old segment.  On failure the old segment is
            retired instead (removed at :meth:`close`), never yanked from
            under a worker that may still be serving from it.
         """
         spec, arrays = self.handle.export_shared()
+        spec = pickle.dumps(spec)
         new_segment = export_segment(arrays, self._segment_dir)
         with self._lock:
-            if self._closed or not self._accepting:
+            if not self._accepting:
                 new_segment.release()
                 raise ServiceClosedError(
                     "the query service has been shut down; cannot swap index"
                 )
             old_segment = self._segment
-            self._spec = spec
-            self._segment = new_segment
+            self._spec, self._segment = spec, new_segment
             self._generation += 1
             target = self._generation
-            queues = [
-                slot.queue
-                for slot in self._slots
-                if not slot.dead
-                and slot.process is not None
-                and slot.process.is_alive()
-            ]
-        for queue in queues:
-            try:
-                queue.put(("swap", target, spec, new_segment.directory))
-            except (OSError, ValueError):
-                pass  # a worker died mid-broadcast: its respawn adopts anyway
-        deadline = time.monotonic() + timeout_seconds
-        while True:
+            swap = ("swap", target, spec, new_segment.directory)
+            sends = [(slot, pipe, swap) for slot, pipe in self._pipes_locked()]
+        _send_all(sends)
+        try:
+            self._await_attach(target, timeout_seconds, "index hot-swap failed")
+        except ServiceError:
             with self._lock:
-                if self._closed:
+                if not self._closed:  # else close() already removed them
                     self._retired_segments.append(old_segment)
-                    return
-                lagging = [
-                    slot.worker_id
-                    for slot in self._slots
-                    if not slot.dead
-                    and slot.process is not None
-                    and slot.generation < target
-                ]
-            if not lagging:
-                break
-            if time.monotonic() > deadline:
-                self._retired_segments.append(old_segment)
-                raise ServiceError(
-                    f"workers {lagging} did not adopt index generation "
-                    f"{target} within {timeout_seconds:.0f}s; old segment "
-                    "retired for cleanup at shutdown"
-                )
-            time.sleep(0.01)
+                    raise
+            old_segment.release()
+            raise
         old_segment.release()
 
     # -- introspection -------------------------------------------------
     def live_workers(self) -> int:
         with self._lock:
-            return sum(
-                1
-                for slot in self._slots
-                if not slot.dead
-                and slot.process is not None
-                and slot.process.is_alive()
-            )
+            return len(self._pipes_locked())
 
     def stats(self) -> dict:
         with self._lock:
             per_worker = [
                 {
                     "worker": slot.worker_id,
-                    "pid": slot.process.pid if slot.process is not None else None,
-                    "alive": bool(
-                        slot.process is not None and slot.process.is_alive()
-                    ),
+                    "pid": slot.process.pid if slot.connection is not None else None,
+                    "alive": slot.connection is not None,
                     "ready": slot.ready,
                     "outstanding": len(slot.outstanding),
                     "completed": slot.completed,
                     "failed": slot.failed,
                     "restarts": slot.restarts,
                     "generation": slot.generation,
+                    "last_error": slot.last_error,
                 }
                 for slot in self._slots
             ]
-            generation = self._generation
-            swap_errors = len(self._swap_errors)
-        return {
-            "backend": self.name,
-            "configured_workers": len(self._slots),
-            "live_workers": self.live_workers(),
-            "segment": self._segment.directory,
-            "segment_bytes": self._segment.total_bytes,
-            "index_generation": generation,
-            "swap_errors": swap_errors,
-            "per_worker": per_worker,
-        }
+            return {
+                "backend": self.name,
+                "configured_workers": len(self._slots),
+                "live_workers": sum(row["alive"] for row in per_worker),
+                "segment": self._segment.directory,
+                "segment_bytes": self._segment.total_bytes,
+                "index_generation": self._generation,
+                "swap_errors": sum(gen >= 1 for gen, _ in self._attach_errors),
+                "per_worker": per_worker,
+            }
 
     # -- shutdown ------------------------------------------------------
     def close(self, *, drain: bool = True) -> None:
@@ -898,7 +820,6 @@ class ProcessBackend(ExecutionBackend):
             # errors) instead of hanging this join forever.
             futures_wait([task.future for task in outstanding])
         with self._lock:
-            self._closed = True
             abandoned = list(self._tasks.values())
             self._tasks.clear()
             for slot in self._slots:
@@ -911,30 +832,25 @@ class ProcessBackend(ExecutionBackend):
                         "the query service shut down before this request ran"
                     ),
                 )
-        for slot in self._slots:
-            if slot.queue is not None and slot.process is not None:
-                try:
-                    slot.queue.put(("stop",))
-                except (OSError, ValueError):
-                    pass
-        for slot in self._slots:
-            if slot.process is not None:
+        self._teardown()
+
+    def _teardown(self) -> None:
+        """Stop every worker, then the watcher (it returns once every pipe
+        has read end-of-file), then remove every segment generation."""
+        with self._lock:
+            self._closed = True
+            self._attach_changed.notify_all()
+            live = self._pipes_locked()
+        _send_all([(slot, connection, ("stop",)) for slot, connection in live])
+        for slot, connection in live:
+            slot.process.join(timeout=5.0)
+            if slot.process.is_alive():
+                slot.process.terminate()
                 slot.process.join(timeout=5.0)
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join(timeout=5.0)
-        self._stop.set()
-        self._collector.join(timeout=5.0)
-        self._monitor.join(timeout=5.0)
-        for slot in self._slots:
-            if slot.queue is not None:
-                slot.queue.close()
-                slot.queue.cancel_join_thread()
-            if slot.reader is not None:
-                slot.reader.close()
-                slot.reader = None
-        # Last: remove the segment — including any segment a timed-out
-        # swap had to retire.
+            if self._watcher.ident is None:  # never started: nobody reads EOF
+                connection.close()
+        if self._watcher.ident is not None:
+            self._watcher.join(timeout=5.0)
         self._segment.release()
         for segment in self._retired_segments:
             segment.release()

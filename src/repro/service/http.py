@@ -14,6 +14,8 @@ Endpoints::
                           pulls the replica from rotation before its
                           queue empties and the socket dies)
                        -> 503 {"status": "closed"} after shutdown
+                       -> 503 {"status": "no-workers"} once every process
+                          worker is retired past its restart budget
     GET  /stats        -> 200 the QueryService.stats() snapshot
     GET  /schema       -> 200 vertex and edge types of the served network
 
@@ -189,6 +191,10 @@ class _Handler(JSONRequestHandler):
                 status_code, status = 503, "closed"
             elif service.draining:
                 status_code, status = 503, "draining"
+            elif service.backend.live_workers() == 0:
+                # Every process worker is retired: /query can only answer
+                # 500, so leave rotation like a dead replica.
+                status_code, status = 503, "no-workers"
             else:
                 status_code, status = 200, "ok"
             payload = {
@@ -263,8 +269,8 @@ class _Handler(JSONRequestHandler):
             self._error(504, error)
             return
         except WorkerCrashedError as error:
-            # The query's worker process died (twice): a server-side fault,
-            # not a client error.
+            # The query's worker process died (twice), or none is left: a
+            # server-side fault, not a client error.
             self._error(500, error)
             return
         except QueryError as error:

@@ -12,6 +12,7 @@ from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import ServiceOverloadedError, WorkerCrashedError
 from repro.service import QueryService, ServiceConfig, make_server
 from repro.service import http as http_module
+from tests.service.test_worker_lifecycle import retired_backend
 
 QUERY = (
     'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
@@ -222,6 +223,24 @@ class TestQueryEndpoint:
         )
         assert status == 503
         assert payload["error"]["type"] == "ServiceClosedError"
+
+
+class TestRetiredWorkers:
+    def test_no_live_worker_is_500_and_not_ready(self, figure1):
+        """Every process worker retired: a query is a server-side fault
+        (500, so a router fails over, not a 422) and /healthz leaves
+        rotation (503 "no-workers")."""
+        with serving(figure1) as (host, port, service):
+            service.backend.close()
+            service.backend = retired_backend(service.handle)
+            status, _, payload = request(
+                host, port, "POST", "/query", {"query": QUERY}
+            )
+            assert status == 500
+            assert payload["error"]["type"] == "WorkerCrashedError"
+            status, _, payload = request(host, port, "GET", "/healthz")
+            assert (status, payload["status"]) == (503, "no-workers")
+            assert payload["live_workers"] == 0
 
 
 class TestMaxRequests:

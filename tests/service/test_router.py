@@ -27,6 +27,7 @@ from repro.service import http as http_module
 from repro.service import router as router_module
 from repro.service.cache import canonical_query_key
 from repro.service.router import HashRing
+from tests.service.test_worker_lifecycle import retired_backend
 
 QUERY = (
     'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
@@ -360,6 +361,23 @@ class TestRouterIntegration:
         )
         assert status == 200
         assert headers["X-Repro-Replica"] == other
+
+    def test_replica_without_workers_fails_over(self, fleet):
+        """A replica whose process workers are all retired answers 500 and
+        probes "no-workers", so the router routes around it."""
+        host, port, router, replicas = fleet
+        owner = router.ring.owner(canonical_query_key(QUERY))
+        other = next(rid for rid in replicas if rid != owner)
+        service = replicas[owner].service
+        service.backend.close()
+        service.backend = retired_backend(service.handle)
+        status, headers, _ = request(
+            host, port, "POST", "/query", body={"query": QUERY}
+        )
+        assert status == 200
+        assert headers["X-Repro-Replica"] == other
+        assert router.stats()["router"]["failovers"] >= 1
+        assert HealthProber(router).probe_once()[owner] == "no-workers"
 
     def test_injected_connect_fault_fails_over(self, fleet):
         host, port, router, _ = fleet
