@@ -215,7 +215,7 @@ class CachingStrategy(MaterializationStrategy):
     Paths the inner strategy already answers by a single gather
     (:meth:`~MaterializationStrategy.answers_by_lookup` — PM up to length
     2) bypass the cache entirely: they go straight to the inner strategy
-    and touch neither the rows nor the counters.
+    (rows and supports alike) and touch neither the rows nor the counters.
 
     :meth:`visibilities` keeps ``‖φ_path(v)‖²`` — a scalar no query changes
     — in one array per path under the same lock and version check, so
@@ -282,6 +282,11 @@ class CachingStrategy(MaterializationStrategy):
         if self.inner.answers_by_lookup(path):
             return self.inner.neighbor_matrix(path, vertex_indices, stats)
         return super().neighbor_matrix(path, vertex_indices, stats)
+
+    def neighbor_support(self, path, vertex_index, stats=None) -> np.ndarray:
+        if self.inner.answers_by_lookup(path):
+            return self.inner.neighbor_support(path, vertex_index, stats)
+        return super().neighbor_support(path, vertex_index, stats)
 
     def _materialize_block(self, path, vertex_indices, stats) -> sparse.csr_matrix:
         """One block in request order: gather hits, bulk-compute misses.

@@ -117,9 +117,9 @@ class SetEvaluator:
             if len(chain.types) == 1:
                 members = np.array([anchor.index], dtype=np.int64)
             else:
-                path = MetaPath(chain.types)
-                row = self.strategy.neighbor_row(path, anchor.index, self.stats)
-                members = np.sort(row.indices.astype(np.int64))
+                members = self.strategy.neighbor_support(
+                    MetaPath(chain.types), anchor.index, self.stats
+                )
         else:
             members = self._evaluate_unanchored(chain.types)
         if chain.where is not None:

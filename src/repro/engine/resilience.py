@@ -515,6 +515,10 @@ class FallbackStrategy(_CoverageStrategy):
         call = super().neighbor_matrix
         return self._demoting("neighbor_matrix", call, path, vertex_indices, stats)
 
+    def neighbor_support(self, path, vertex_index, stats=None):
+        call = super().neighbor_support
+        return self._demoting("neighbor_support", call, path, vertex_index, stats)
+
     def connectivity_sums(self, path, candidates, reference, stats=None):
         call = super().connectivity_sums
         args = (path, candidates, reference, stats)

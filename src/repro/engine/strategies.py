@@ -244,6 +244,18 @@ class MaterializationStrategy(abc.ABC):
         """``φ_path(vertex)`` as a 1 x n CSR row: the one-row block."""
         return self.neighbor_matrix(path, [vertex_index], stats)
 
+    def neighbor_support(
+        self,
+        path: MetaPath,
+        vertex_index: int,
+        stats: ExecutionStats | None = None,
+    ) -> np.ndarray:
+        """The columns where ``φ_path(vertex)`` is non-zero, as a sorted
+        ``int64`` array: an anchored chain's members.  Read off
+        :meth:`neighbor_row` unless the strategy holds the row whole."""
+        row = self.neighbor_row(path, vertex_index, stats)
+        return np.sort(row.indices.astype(np.int64))
+
     def _materialize_block(
         self,
         path: MetaPath,
@@ -430,6 +442,12 @@ class _CoverageStrategy(MaterializationStrategy):
             self.subpath_cache.put(segment, version, matrix)
         return matrix
 
+    @staticmethod
+    def _missing(rung: Rung, segment: MetaPath) -> ExecutionError:
+        return ExecutionError(
+            f"{rung.name.upper()} index is missing the matrix for {segment}"
+        )
+
     def _expand(
         self, rung: Rung, block: sparse.csr_matrix, segment: MetaPath
     ) -> sparse.csr_matrix:
@@ -440,9 +458,7 @@ class _CoverageStrategy(MaterializationStrategy):
             faultinject.check("matrix_multiply")
             return block @ matrix
         if rung.requires_full_index:
-            raise ExecutionError(
-                f"{rung.name.upper()} index is missing the matrix for {segment}"
-            )
+            raise self._missing(rung, segment)
         if self.subpath_cache is not None:
             return block @ self._segment_product(segment)
         return (
@@ -499,6 +515,48 @@ class _CoverageStrategy(MaterializationStrategy):
         if not coverage.any():
             return 0
         return int(np.count_nonzero(coverage[block.indices]))
+
+    def neighbor_support(self, path, vertex_index, stats=None) -> np.ndarray:
+        """A path :meth:`answers_by_lookup` names is read as one slice of
+        the row stored whole — the full matrix of a length-2 path, the
+        adjacency of one hop — through its ``indptr``, with no row object.
+        The row route's checks, fault point, deadline check and counters
+        come in its order; every other path takes that route."""
+        if path.length == 0 or not self.answers_by_lookup(path):
+            return super().neighbor_support(path, vertex_index, stats)
+        self._checked_indices(path, [vertex_index])
+        check_deadline("neighbor-block materialization")
+        path.validate(self.network.schema)
+        rung = self.rung  # once: a concurrent demotion never mixes two indexes
+        rung.check_fresh(self.network)
+        started = time.perf_counter()
+        if path.length == 1:
+            matrix = self.network.adjacency(path.source, path.target)
+        else:
+            matrix = rung.index.full_matrix(path)
+            if matrix is None:
+                raise self._missing(rung, path)
+            faultinject.check("matrix_multiply")
+            if vertex_index >= matrix.shape[0]:  # a stale-tolerated index
+                raise ExecutionError(
+                    f"gather_rows: no stored row for some vertex of {path}"
+                )
+        # Stored rows hold neither duplicates nor zeros (edge counts are
+        # positive, products sum them), so the slice is the row's support.
+        start, stop = matrix.indptr[vertex_index], matrix.indptr[vertex_index + 1]
+        support = np.sort(matrix.indices[start:stop].astype(np.int64))
+        if stats is not None:
+            # The row route's one-row block: a stored length-2 row is one
+            # indexed fetch, one hop one traversed row, and the time is
+            # split between the two phases by those counts.
+            indexed = int(path.length == 2)
+            elapsed = time.perf_counter() - started
+            stats.materialized_blocks += 1
+            stats.indexed_vectors += indexed
+            stats.traversed_vectors += 1 - indexed
+            stats.timer.add(PHASE_INDEXED, elapsed * indexed)
+            stats.timer.add(PHASE_NOT_INDEXED, elapsed * (1 - indexed))
+        return support
 
     def _materialize_block(self, path, vertex_indices, stats):
         path.validate(self.network.schema)

@@ -69,7 +69,8 @@ def _row_edges(matrix: sparse.csr_matrix, rows: np.ndarray, counts: np.ndarray):
 
 def _push(hops, size, starts, on_hop):
     """``1ᵀ_starts · A₁⋯A_L`` and, per hop, the frontier it was pushed from
-    (``None`` from the first hop on that was swept whole)."""
+    (``None`` from the first hop on that was swept whole).  A swept hop
+    multiplies by its transpose, formed here when the hop holds none."""
     vector = np.bincount(starts, minlength=size).astype(np.float64)
     frontiers = []
     swept = False
@@ -81,7 +82,7 @@ def _push(hops, size, starts, on_hop):
         on_hop(np.count_nonzero(vector))
         frontiers.append(None if swept else frontier)
         if swept:
-            vector = transposed @ vector
+            vector = (matrix.T if transposed is None else transposed) @ vector
             continue
         edges = _row_edges(matrix, frontier, counts)
         vector = np.bincount(
@@ -97,19 +98,20 @@ def _adjacency_hop(network, left, right):
     # A symmetric relation stores its transpose as the reverse adjacency.
     if network.schema.is_symmetric(left, right):
         return matrix, network.adjacency(right, left)
-    return matrix, matrix.T
+    return matrix, None
 
 
 def _hops(network, path, stored):
     """``(matrix, transpose)`` per hop: one over each length-2 segment
     ``stored`` holds a matrix ``M`` for, two adjacency hops over any other,
-    one over the odd tail."""
+    one over the odd tail.  The transpose is ``None`` unless the network
+    stores it: a hop that is only pushed never needs one."""
     segments, tail = decompose_length2(path)
     hops = []
     for segment in segments:
         matrix = stored(segment)
         if matrix is not None:
-            hops.append((matrix, matrix.T))
+            hops.append((matrix, None))
             continue
         first, middle, last = segment.types
         hops.append(_adjacency_hop(network, first, middle))

@@ -7,6 +7,8 @@ well-formed queries — a property the test suite checks with hypothesis.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from repro.query.ast import (
     AttributeComparison,
     BooleanCondition,
@@ -30,9 +32,14 @@ def _quote(name: str) -> str:
 
 
 def _format_number(value: float) -> str:
+    """``value`` in positional notation — the only one the tokenizer reads —
+    with the shortest digits that re-parse to the same float."""
     if value == int(value):
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    # Only magnitudes below 1e-4 repr in exponent form here: every float
+    # from 2**53 up is integral.
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 def format_condition(condition: Condition) -> str:

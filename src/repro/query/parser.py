@@ -24,6 +24,8 @@ order), matching the SQL-ish reading of the paper's examples.
 
 from __future__ import annotations
 
+import math
+
 from repro.exceptions import QuerySyntaxError
 from repro.query.ast import (
     DEFAULT_TOP_K,
@@ -103,6 +105,18 @@ class _Parser:
             )
         return self.advance()
 
+    def expect_number(self, description: str) -> float:
+        """The next token as a numeric literal, which must be finite: a
+        value ``float`` reads as infinity has no canonical text."""
+        number = self.expect(TokenType.NUMBER, description)
+        value = float(number.value)
+        if not math.isfinite(value):
+            raise QuerySyntaxError(
+                f"numeric literal out of range ({len(number.value)} characters)",
+                position=number.position,
+            )
+        return value
+
     # -- grammar productions --------------------------------------------
     def parse_query(self) -> Query:
         self.expect_keyword("FIND")
@@ -134,7 +148,13 @@ class _Parser:
                     f"TOP expects an integer, got {number.value!r}",
                     position=number.position,
                 )
-            top_k = int(number.value)
+            try:
+                top_k = int(number.value)
+            except ValueError:  # beyond the interpreter's integer digit limit
+                raise QuerySyntaxError(
+                    f"TOP integer too long ({len(number.value)} digits)",
+                    position=number.position,
+                ) from None
             if top_k <= 0:
                 raise QuerySyntaxError(
                     f"TOP expects a positive integer, got {top_k}",
@@ -246,13 +266,12 @@ class _Parser:
             self.expect(TokenType.RPAREN, "a closing parenthesis")
             operator_token = self.expect(TokenType.COMPARE, "a comparison operator")
             operator = _NORMALIZED_COMPARE.get(operator_token.value, operator_token.value)
-            number = self.expect(TokenType.NUMBER, "a numeric literal")
             return Comparison(
                 function=function,
                 alias=alias,
                 steps=tuple(steps),
                 operator=operator,
-                value=float(number.value),
+                value=self.expect_number("a numeric literal"),
             )
         if self.current.type is TokenType.IDENT:
             alias = self.advance().value
@@ -268,8 +287,7 @@ class _Parser:
                         position=operator_token.position,
                     )
             else:
-                number = self.expect(TokenType.NUMBER, "a numeric or string literal")
-                value = float(number.value)
+                value = self.expect_number("a numeric or string literal")
             return AttributeComparison(
                 alias=alias, attribute=attribute, operator=operator, value=value
             )
@@ -292,12 +310,12 @@ class _Parser:
         weight = 1.0
         if self.current.type is TokenType.COLON:
             self.advance()
-            number = self.expect(TokenType.NUMBER, "a numeric weight after ':'")
-            weight = float(number.value)
+            position = self.current.position
+            weight = self.expect_number("a numeric weight after ':'")
             if weight <= 0:
                 raise QuerySyntaxError(
                     f"feature weight must be positive, got {weight}",
-                    position=number.position,
+                    position=position,
                 )
         return FeaturePath(types=tuple(types), weight=weight)
 

@@ -24,8 +24,11 @@ the actual *execution* of an admitted query to an
   exits.  Start-up is the attach of index generation 0 and a hot-swap the
   attach of generation N; both wait on one barrier.
 
-Both backends speak the same tiny contract — ``submit(canonical_text) ->
-Future[OutlierResult]`` — and produce byte-identical
+Both backends speak the same tiny contract — ``submit(canonical_text,
+query=None) -> Future[OutlierResult]``, where ``query`` is the text's
+parsed AST when the caller holds one: threads execute it, so a request is
+parsed once; process workers are sent the text and parse it there — and
+produce byte-identical
 ``OutlierResult.to_dict()`` payloads: the process backend pickles a result
 as its columns and ranked records (no ``stats``), exactly what the lossless
 wire form the HTTP frontend uses is encoded from.
@@ -56,6 +59,7 @@ from repro.exceptions import (
     WorkerCrashedError,
 )
 from repro.hin.storage import MmapArrayStore
+from repro.query.ast import Query
 from repro.service.handle import EngineHandle
 
 __all__ = [
@@ -100,7 +104,9 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def submit(self, query_text: str) -> "Future[OutlierResult]":
+    def submit(
+        self, query_text: str, query: Query | None = None
+    ) -> "Future[OutlierResult]":
         raise NotImplementedError
 
     def refresh_engine(self) -> None:
@@ -151,7 +157,9 @@ class ThreadBackend(ExecutionBackend):
         self._failed = 0
         self._closed = False
 
-    def submit(self, query_text: str) -> "Future[OutlierResult]":
+    def submit(
+        self, query_text: str, query: Query | None = None
+    ) -> "Future[OutlierResult]":
         future: "Future[OutlierResult]" = Future()
         with self._lock:
             if self._closed:
@@ -160,7 +168,10 @@ class ThreadBackend(ExecutionBackend):
                 )
             self._outstanding.add(future)
         try:
-            self._pool.submit(self._run, query_text, future)
+            # The engine executes the caller's AST as is: no second parse.
+            self._pool.submit(
+                self._run, query_text if query is None else query, future
+            )
         except RuntimeError as error:
             # Lost the race with close(): the pool refused the task after
             # shutdown began.  Surface the same typed error submit-on-closed
@@ -172,7 +183,7 @@ class ThreadBackend(ExecutionBackend):
             ) from error
         return future
 
-    def _run(self, query_text: str, future: "Future[OutlierResult]") -> None:
+    def _run(self, query: str | Query, future: "Future[OutlierResult]") -> None:
         # A future cancelled by a non-drain close never starts executing.
         if not future.set_running_or_notify_cancel():
             with self._lock:
@@ -184,7 +195,7 @@ class ThreadBackend(ExecutionBackend):
                 if self._timeout_seconds is not None
                 else None
             )
-            result = self.handle.execute(query_text, deadline=deadline)
+            result = self.handle.execute(query, deadline=deadline)
         except BaseException as error:  # noqa: BLE001 - forwarded to waiters
             with self._lock:
                 self._failed += 1
@@ -582,7 +593,10 @@ class ProcessBackend(ExecutionBackend):
                 self._attach_changed.wait(remaining)
 
     # -- submission ----------------------------------------------------
-    def submit(self, query_text: str) -> "Future[OutlierResult]":
+    def submit(
+        self, query_text: str, query: Query | None = None
+    ) -> "Future[OutlierResult]":
+        # Workers are sent the text, never ``query``: each parses it once.
         future: "Future[OutlierResult]" = Future()
         with self._lock:
             if not self._accepting:

@@ -11,7 +11,9 @@ so the canonicalization lives here, once, and the regression test in
 Canonicalization reuses the query language round-trip
 (:func:`~repro.query.parser.parse_query` →
 :func:`~repro.query.formatter.format_query`), the same normal form the
-formatter's property tests guarantee re-parses identically.
+formatter's property tests guarantee re-parses identically.  A request's
+text is parsed once, by :func:`query_ast`: the service keys its caches with
+that AST's canonical text and hands the AST itself to a thread backend.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.query.ast import Query
 from repro.query.formatter import format_query
 from repro.query.parser import parse_query
 
-__all__ = ["BODY_ERRORS", "canonical_query_key", "extract_query_text"]
+__all__ = ["BODY_ERRORS", "canonical_query_key", "extract_query_text", "query_ast"]
 
 #: Everything :func:`extract_query_text` raises for a malformed body.  Both
 #: front doors catch exactly this and answer 400; an exception outside it
@@ -30,17 +32,24 @@ __all__ = ["BODY_ERRORS", "canonical_query_key", "extract_query_text"]
 BODY_ERRORS = (ValueError, KeyError, TypeError)
 
 
+def query_ast(query: str | Query) -> Query:
+    """``query`` as an AST: parsed when given text, else itself.
+
+    Raises :class:`~repro.exceptions.QueryError` for malformed text — the
+    service surfaces that as a client error *before* spending an admission
+    slot.
+    """
+    return parse_query(query) if isinstance(query, str) else query
+
+
 def canonical_query_key(query: str | Query) -> str:
     """One canonical text per query meaning.
 
     Parses (when given text) and re-formats, so all textual spellings of
     the same query share a cache slot.  Raises
-    :class:`~repro.exceptions.QueryError` for malformed queries — the
-    service surfaces that as a client error *before* spending an admission
-    slot.
+    :class:`~repro.exceptions.QueryError` for malformed queries.
     """
-    ast = parse_query(query) if isinstance(query, str) else query
-    return format_query(ast)
+    return format_query(query_ast(query))
 
 
 def extract_query_text(body: bytes) -> str:

@@ -23,12 +23,14 @@ frontend in :mod:`repro.service.http` is a thin JSON adapter over exactly
 this API.
 
 Backend-agnosticism: the service layer never touches threads or processes
-directly.  It admits a request, hands the canonical query text to the
-backend, and finishes the request from the backend future's done-callback
-— the same code path releases the admission slot whether the query
-succeeded, failed, timed out, was cancelled by a non-drain close, or died
-with a crashed worker process.  That single-exit design is what makes
-``close()`` drain-correct: no path can strand an admission slot.
+directly.  It admits a request, hands the canonical query text and its
+parsed AST to the backend (threads execute the AST; process workers are
+sent the text and parse it once), and finishes the request from the
+backend future's done-callback — the same code path releases the
+admission slot whether the query succeeded, failed, timed out, was
+cancelled by a non-drain close, or died with a crashed worker process.
+That single-exit design is what makes ``close()`` drain-correct: no path
+can strand an admission slot.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from repro.service.backends import (
 from repro.service.cache import ResultCache, canonical_query_key
 from repro.service.config import ServiceConfig
 from repro.service.handle import EngineHandle
+from repro.service.keys import query_ast
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.resilience import ResiliencePolicy
@@ -200,14 +203,16 @@ class QueryService:
 
         Order of gates, cheapest first:
 
-        1. **Canonicalize** — malformed queries raise
-           :class:`~repro.exceptions.QueryError` here, costing nothing.
+        1. **Parse and canonicalize** — the one parse of the request;
+           malformed queries raise :class:`~repro.exceptions.QueryError`
+           here, costing nothing.  The AST's canonical text keys the cache.
         2. **Cache** — a fresh same-version entry resolves immediately.
         3. **Coalesce** — an identical in-flight query shares its future.
         4. **Admit** — claim a bounded slot or shed with
            :class:`~repro.exceptions.ServiceOverloadedError`.
         """
-        key = canonical_query_key(query)
+        ast = query_ast(query)
+        key = canonical_query_key(ast)
         # Feed the adaptive workload log before any other gate: cache hits
         # and coalesced submissions are *demand* too — a vertex served
         # entirely from the result cache today still deserves index rows
@@ -245,7 +250,7 @@ class QueryService:
         # takes ours) — calling across while holding either would deadlock.
         started = time.monotonic()
         try:
-            backend_future = self.backend.submit(key)
+            backend_future = self.backend.submit(key, ast)
         except BaseException as error:
             # The backend refused (closed race, all workers dead): undo the
             # admission, fail coalesced waiters, surface to this caller.

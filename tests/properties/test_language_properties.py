@@ -1,7 +1,12 @@
 """Property-based tests for the query language: format ∘ parse round-trips."""
 
+from decimal import Decimal
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.exceptions import QuerySyntaxError
 
 from repro.query.ast import (
     AttributeComparison,
@@ -149,6 +154,54 @@ class TestRoundTrips:
         once = format_query(query)
         twice = format_query(parse_query(once))
         assert once == twice
+
+
+# ----------------------------------------------------------------------
+# Numeric literals as text
+# ----------------------------------------------------------------------
+#: Unsigned literals the tokenizer reads, from the plain to the absurd:
+#: tiny fractions (down past float underflow), integers past both float
+#: overflow and the interpreter's 4,300-digit limit, and the exact decimal
+#: expansion of any finite float (what an exponent-form ``repr`` stands for).
+numeric_literals = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.tuples(st.integers(0, 400), st.integers(1, 10**9)).map(
+        lambda t: "0." + "0" * t[0] + str(t[1])
+    ),
+    st.tuples(st.integers(1, 9), st.integers(0, 5000), st.booleans()).map(
+        lambda t: str(t[0]) + "9" * t[1] + (".5" if t[2] else "")
+    ),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
+        lambda value: format(Decimal(value), "f")
+    ),
+)
+
+LITERAL_SLOTS = [
+    "FIND OUTLIERS FROM author JUDGED BY author.paper.venue: {} TOP 3;",
+    "FIND OUTLIERS FROM author AS a WHERE COUNT(a.paper) > {} "
+    "JUDGED BY author.paper.venue;",
+    "FIND OUTLIERS FROM author AS a WHERE PATHS(a.paper.venue) <= {} "
+    "JUDGED BY author.paper.venue;",
+    "FIND OUTLIERS FROM author AS a WHERE a.h_index != {} "
+    "JUDGED BY author.paper.venue;",
+    "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP {};",
+]
+
+
+class TestNumericLiterals:
+    @pytest.mark.parametrize(
+        "template", LITERAL_SLOTS, ids=["weight", "count", "paths", "attribute", "top"]
+    )
+    @given(literal=numeric_literals)
+    @settings(max_examples=100)
+    def test_only_syntax_errors_and_a_canonical_fixed_point(self, template, literal):
+        try:
+            query = parse_query(template.format(literal))
+        except QuerySyntaxError:
+            return
+        rendered = format_query(query)
+        assert parse_query(rendered) == query
+        assert format_query(parse_query(rendered)) == rendered
 
 
 class TestMetaPathAlgebraProperties:

@@ -110,6 +110,29 @@ class TestConditionFormatting:
         ).where
         assert format_condition(condition) == "PATHS(A.paper) >= 2.5"
 
+    @pytest.mark.parametrize(
+        "literal", ["0.00000015", "0.00001", "0.000099", "0." + "0" * 300 + "5"]
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "FIND OUTLIERS FROM author JUDGED BY author.paper.venue: {} TOP 3;",
+            "FIND OUTLIERS FROM author AS a WHERE COUNT(a.paper) > {} "
+            "JUDGED BY author.paper.venue;",
+            "FIND OUTLIERS FROM author AS a WHERE PATHS(a.paper.venue) <= {} "
+            "JUDGED BY author.paper.venue;",
+            "FIND OUTLIERS FROM author AS a WHERE a.h_index >= {} "
+            "JUDGED BY author.paper.venue;",
+        ],
+        ids=["weight", "count", "paths", "attribute"],
+    )
+    def test_values_below_1e_4_render_positionally(self, template, literal):
+        """Regression: ``repr`` wrote ``1.5e-07``, which the tokenizer
+        cannot read, so a valid query's canonical text was refused."""
+        rendered = round_trip_query(template.format(literal))
+        assert "e-" not in rendered
+        assert format_query(parse_query(rendered)) == rendered
+
 
 class TestTemplates:
     def test_three_templates_in_paper_order(self):

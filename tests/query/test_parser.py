@@ -131,6 +131,37 @@ class TestClauseStructure:
         with pytest.raises(QuerySyntaxError, match="unexpected character"):
             parse_query("FIND OUTLIERS FROM author JUDGED BY author.paper.venue" + tail)
 
+    @pytest.mark.parametrize(
+        "tail",
+        [": " + "9" * 400 + " TOP 2;", ": 1" + "0" * 309 + ".5;"],
+        ids=["weight-integer", "weight-decimal"],
+    )
+    def test_overflowing_weight_rejected(self, tail):
+        """Regression: float() read the literal as inf, and formatting the
+        query's canonical key raised a bare OverflowError."""
+        text = "FIND OUTLIERS FROM author JUDGED BY author.paper.venue" + tail
+        with pytest.raises(QuerySyntaxError, match="out of range") as error:
+            parse_query(text)
+        assert error.value.position == text.index(": ") + 2
+
+    def test_overflowing_threshold_rejected(self):
+        text = (
+            "FIND OUTLIERS FROM author AS a WHERE COUNT(a.paper) > "
+            + "9" * 400
+            + " OR a.h >= 1 JUDGED BY author.paper.venue;"
+        )
+        with pytest.raises(QuerySyntaxError, match="out of range"):
+            parse_query(text)
+        with pytest.raises(QuerySyntaxError, match="out of range"):
+            parse_query(text.replace("COUNT(a.paper) > ", "a.h < "))
+
+    def test_top_beyond_the_digit_limit_rejected(self):
+        """Regression: int() raised a bare ValueError past 4,300 digits."""
+        text = "FIND OUTLIERS FROM author JUDGED BY author.paper.venue TOP "
+        with pytest.raises(QuerySyntaxError, match="too long") as error:
+            parse_query(text + "9" * 5000 + ";")
+        assert error.value.position == len(text)
+
     def test_compared_without_to_rejected(self):
         with pytest.raises(QuerySyntaxError, match="TO"):
             parse_query(

@@ -193,6 +193,34 @@ class TestQueryEndpoint:
         assert status == 400
         assert payload["error"]["type"] == "QuerySyntaxError"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("venue TOP 3", "venue : " + "9" * 400 + " TOP 3"),
+            ("TOP 3", "TOP " + "9" * 5000),
+        ],
+        ids=["inf-weight", "top-digit-limit"],
+    )
+    def test_overflowing_literal_400(self, served, old, new):
+        """Regression: an infinite weight raised OverflowError while the
+        key was formatted, and a 5,000-digit TOP a ValueError; neither was
+        a QueryError, so the connection dropped unanswered."""
+        host, port, _ = served
+        body = {"query": QUERY.replace(old, new)}
+        status, _, payload = request(host, port, "POST", "/query", body=body)
+        assert status == 400
+        assert payload["error"]["type"] == "QuerySyntaxError"
+
+    def test_weight_below_1e_4_is_answered(self, served):
+        """Regression: the canonical text spelled 0.00000015 as 1.5e-07,
+        and the re-parse of that text answered 400 about a '-' the client
+        never sent."""
+        host, port, _ = served
+        body = {"query": FEATURES_QUERY.replace(": 2.0", ": 0.00000015")}
+        status, _, payload = request(host, port, "POST", "/query", body=body)
+        assert status == 200
+        assert len(payload["result"]["outliers"]) == 3
+
     def test_unservable_query_422(self, served):
         host, port, _ = served
         ghost = QUERY.replace("Zoe", "Ghost")

@@ -50,6 +50,12 @@ QUERY_GRID = [
     "FIND OUTLIERS FROM author "
     "JUDGED BY author.paper.venue : 2.0, author.paper.author TOP 3;",
 ]
+#: Threads run the parsed AST, workers re-parse the canonical text: a weight
+#: whose shortest ``repr`` is exponent form must survive both.
+TINY_WEIGHT_QUERY = (
+    "FIND OUTLIERS FROM author "
+    "JUDGED BY author.paper.venue : 0.00000015, author.paper.author TOP 3;"
+)
 
 
 def _service(network, backend, *, workers=2, measure=None, **config_kwargs):
@@ -88,7 +94,9 @@ class TestByteEquality:
             with QueryService.from_network(
                 figure1, config, strategy=strategy
             ) as service:
-                results = service.execute_many(QUERY_GRID, timeout=60.0)
+                results = service.execute_many(
+                    QUERY_GRID + [TINY_WEIGHT_QUERY], timeout=60.0
+                )
             payloads[backend] = _wire(results)
         assert payloads["thread"] == payloads["process"]
 

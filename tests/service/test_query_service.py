@@ -16,7 +16,9 @@ from repro.exceptions import (
     ServiceOverloadedError,
 )
 from repro.faultinject import FaultRule
+from repro.query.parser import parse_query
 from repro.service import EngineHandle, QueryService, ServiceConfig
+from repro.service.keys import canonical_query_key
 
 QUERY = (
     'FIND OUTLIERS FROM author{"Zoe"}.paper.author '
@@ -224,6 +226,62 @@ class TestCoalescing:
         finally:
             gated.gate.set()
             service.close()
+
+
+class TestParseOnce:
+    """The thread backend executes the AST the service parsed: one parse
+    per request, counted where the serving benchmark's tracer counts it."""
+
+    SPELLED = QUERY.replace("FIND OUTLIERS FROM", "find  outliers\tfrom")
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        import repro.engine.executor as executor_module
+        import repro.service.keys as keys_module
+
+        calls = []
+        real = keys_module.parse_query
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(keys_module, "parse_query", counting)
+        monkeypatch.setattr(executor_module, "parse_query", counting)
+        return calls
+
+    def test_a_thread_submit_parses_once(self, figure1, parses):
+        config = ServiceConfig(workers=1, cache_max_entries=0)
+        with QueryService.from_network(figure1, config, strategy="pm") as service:
+            result = service.execute(self.SPELLED, timeout=30.0)
+        assert parses == [self.SPELLED]
+        canonical = canonical_query_key(parse_query(self.SPELLED))
+        expected = EngineHandle(figure1, strategy="pm").execute(canonical)
+        assert result.to_dict() == expected.to_dict()
+
+    def test_coalesced_submissions_share_the_first_ast(self, figure1, parses):
+        executed = []
+
+        class Recording(GatedHandle):
+            def execute(self, query, *, deadline=None):
+                executed.append(query)
+                return super().execute(query, deadline=deadline)
+
+        gated = Recording(EngineHandle(figure1, strategy="baseline"))
+        service = QueryService(gated, ServiceConfig(workers=1))
+        try:
+            first = service.submit(QUERY)
+            assert gated.started.wait(10.0)
+            assert service.submit(self.SPELLED) is first
+            gated.gate.set()
+            assert len(service.result(first, timeout=10.0)) == 3
+        finally:
+            gated.gate.set()
+            service.close()
+        # Each submission parses its own text to find its key; the engine
+        # runs once, on the first submitter's AST.
+        assert parses == [QUERY, self.SPELLED]
+        assert executed == [parse_query(QUERY)]
 
 
 class TestOverload:

@@ -144,6 +144,26 @@ class TestRouterUnit:
         assert routed.replica_id is None
         assert json.loads(routed.body)["error"]["type"] == "QuerySyntaxError"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("venue TOP 3", "venue : " + "9" * 400 + " TOP 3"),
+            ("TOP 3", "TOP " + "9" * 5000),
+        ],
+        ids=["inf-weight", "top-digit-limit"],
+    )
+    def test_overflowing_literal_refused_locally(self, old, new):
+        """Regression: an OverflowError (infinite weight) or ValueError
+        (TOP past the digit limit) escaped the router's 400 path and killed
+        its handler thread."""
+        router = Router(["replica-0"], sleep=_no_sleep)
+        routed = router.route_query(
+            json.dumps({"query": QUERY.replace(old, new)}).encode()
+        )
+        assert routed.status == 400
+        assert routed.replica_id is None
+        assert json.loads(routed.body)["error"]["type"] == "QuerySyntaxError"
+
     def test_no_addressed_replicas_is_unroutable(self):
         config = RouterConfig(probe_interval_seconds=0.25)
         router = Router(["replica-0"], config, sleep=_no_sleep)
