@@ -10,7 +10,7 @@ Each entry point runs as a subprocess with a temporary ``sitecustomize.py``
 first on ``PYTHONPATH``.  Through ``sys.setprofile`` and
 ``threading.setprofile`` it records the first call of every code object
 under ``src/repro`` and appends it to one file per process id, so spawned
-workers and ``repro serve`` replicas are recorded too.  Children that set
+workers and ``repro serve`` subprocesses are recorded too.  Children that set
 their own ``PYTHONPATH`` (the e2e corpus and oracle helpers) are not.
 
 The records are matched against an ``ast`` walk of ``src/repro``; a
@@ -61,14 +61,15 @@ def entry_points(tmp: Path) -> list[tuple[str, list[str], str]]:
              ("thread", "ram", "--adaptive"), ("process", "mmap", "--adaptive"))
     runs = [[py, "scripts/serve_smoke.py", "--backend", backend, "--storage", storage, *extra]
             for backend, storage, *extra in serve]
-    runs += [[py, "scripts/route_smoke.py"], [py, "scripts/zoo_smoke.py"],
-             cli + ["zoo", "--quick"]]
+    runs += [[py, "scripts/zoo_smoke.py"], cli + ["zoo", "--quick"]]
     runs += [[py, str(path.relative_to(ROOT))] for path in sorted(ROOT.glob("examples/*.py"))]
     net = ["--network", str(tmp / "ego.json")]
     for preset in ("bibliographic", "security", "ego"):
         runs.append(cli + ["generate", "--preset", preset, "--out", str(tmp / f"{preset}.json")])
     runs += [cli + ["query", *net, QUERY, "--stats", "--distribution"],
              cli + ["query", *net, QUERY, "--format", "json"],
+             # The degradation ladder: PM refused by the memory budget.
+             cli + ["query", *net, QUERY, "--timeout", "30", "--max-memory-mb", "1e-3"],
              cli + ["workload", *net, "--count", "5"],
              cli + ["explain", *net, QUERY], cli + ["suggest", *net, QUERY],
              cli + ["schema", *net], cli + ["stats", *net], cli + ["shell", *net]]

@@ -9,7 +9,6 @@ Subcommands::
     repro schema   --network corpus.json
     repro shell    --network corpus.json
     repro serve    --network corpus.json --port 8080 --workers 8
-    repro route    --network corpus.json --replicas 3 --port 8080
     repro zoo      [--scenario NAME] [--detector NAME] [--quick] [--out FILE]
 
 ``repro zoo`` runs the detector-zoo evaluation grid — NetOut and every
@@ -19,11 +18,6 @@ precision@k, and average precision per cell (see ``docs/detector_zoo.md``).
 ``repro serve`` runs the concurrent query service of
 :mod:`repro.service` behind a stdlib JSON/HTTP frontend — see
 ``docs/service.md`` for endpoints and tuning.
-
-``repro route`` runs a supervised fleet of ``repro serve`` replicas
-behind a consistent-hash router with health probes, per-replica circuit
-breakers, and failover — the fault-tolerant serving tier (see
-``docs/service.md``, "Replica routing & failover").
 
 ``repro shell`` is a small REPL: enter queries terminated by ``;`` and use
 dot-commands (``.help``, ``.schema``, ``.strategy pm``, ``.measure cossim``,
@@ -47,13 +41,7 @@ from repro.engine.detector import OutlierDetector
 from repro.exceptions import ExecutionError, ReproError
 from repro.hin.io import load_json, save_json
 from repro.hin.network import HeterogeneousInformationNetwork
-from repro.service.config import (
-    RouterConfig,
-    ServiceConfig,
-    SupervisorConfig,
-    add_settings,
-    settings_from_args,
-)
+from repro.service.config import ServiceConfig, add_settings, settings_from_args
 from repro.viz import score_distribution
 
 __all__ = ["main", "build_parser"]
@@ -79,18 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True, help="output JSON path")
 
-    def add_network_and_query(sub, with_query=True) -> list:
+    def add_network_and_query(sub, with_query=True) -> None:
         sub.add_argument("--network", required=True, help="network JSON path")
         if with_query:
             sub.add_argument("query", help="outlier query text")
-        return [
-            sub.add_argument(
-                "--strategy", choices=("baseline", "pm", "spm"), default="pm"
-            ),
-            sub.add_argument(
-                "--measure", default="netout", help="outlierness measure name"
-            ),
-        ]
+        sub.add_argument("--strategy", choices=("baseline", "pm", "spm"), default="pm")
+        sub.add_argument("--measure", default="netout", help="outlierness measure name")
 
     def add_resilience_flags(sub):
         sub.add_argument(
@@ -178,71 +160,33 @@ def build_parser() -> argparse.ArgumentParser:
     shell = commands.add_parser("shell", help="interactive query shell")
     add_network_and_query(shell, with_query=False)
 
-    def add_replica_flags(sub, *, forwarded_only=False, **defaults) -> list:
-        """Everything that configures one serving process.
-
-        ``serve`` takes these for itself; ``route`` takes them (minus the
-        per-process paths) for its replicas and replays the returned
-        actions into each replica's argv, so the two cannot drift.
-        """
-        return [
-            *add_network_and_query(sub, with_query=False),
-            sub.add_argument(
-                "--row-cache-rows",
-                type=int,
-                default=4096,
-                metavar="N",
-                help="shared LRU row cache capacity in (meta-path, vertex) "
-                "rows; 0 disables it",
-            ),
-            *add_settings(
-                sub, ServiceConfig, forwarded_only=forwarded_only, **defaults
-            ),
-        ]
-
-    def add_listener_flags(sub):
-        sub.add_argument("--host", default="127.0.0.1")
-        sub.add_argument(
-            "--port",
-            type=int,
-            default=8080,
-            help="listen port (0 binds an ephemeral port and prints it)",
-        )
-        sub.add_argument(
-            "--max-requests",
-            type=int,
-            default=None,
-            metavar="N",
-            help="exit after answering N HTTP requests (smoke tests)",
-        )
-
     serve = commands.add_parser(
         "serve", help="run the concurrent query service (JSON over HTTP)"
     )
-    add_replica_flags(serve)
-    add_listener_flags(serve)
-
-    route = commands.add_parser(
-        "route",
-        help="run supervised serve replicas behind a consistent-hash router",
-    )
-    route.add_argument(
-        "--replicas",
+    add_network_and_query(serve, with_query=False)
+    serve.add_argument(
+        "--row-cache-rows",
         type=int,
-        default=2,
+        default=4096,
         metavar="N",
-        help="number of supervised `repro serve` replica processes",
+        help="shared LRU row cache capacity in (meta-path, vertex) rows; "
+        "0 disables it",
     )
-    replicas = route.add_argument_group(
-        "per-replica settings (every non-path `repro serve` flag)"
+    add_settings(serve, ServiceConfig)
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument(
+        "--port",
+        type=int,
+        default=8080,
+        help="listen port (0 binds an ephemeral port and prints it)",
     )
-    # Two workers per replica by default: a fleet multiplies them.
-    route.set_defaults(
-        replica_flags=add_replica_flags(replicas, forwarded_only=True, workers=2)
+    serve.add_argument(
+        "--max-requests",
+        type=int,
+        default=None,
+        metavar="N",
+        help="exit after answering N HTTP requests (smoke tests)",
     )
-    add_settings(route.add_argument_group("router"), RouterConfig)
-    add_settings(route.add_argument_group("supervisor"), SupervisorConfig)
-    add_listener_flags(route)
 
     zoo = commands.add_parser(
         "zoo",
@@ -504,7 +448,7 @@ def _command_schema(args, out) -> int:
 
 
 def _service_config(args):
-    """The :class:`ServiceConfig` a parsed ``serve`` / ``route`` line describes."""
+    """The :class:`ServiceConfig` a parsed ``serve`` line describes."""
     config = settings_from_args(ServiceConfig, args)
     if config.cache_ttl_seconds == 0:
         # `--cache-ttl 0` switches the result cache off outright instead of
@@ -513,19 +457,6 @@ def _service_config(args):
             config, cache_ttl_seconds=None, cache_max_entries=0
         )
     return config
-
-
-def _replica_argv(args) -> list[str]:
-    """The per-replica flags ``route`` parsed, spelled back out for ``serve``."""
-    argv: list[str] = []
-    for action in args.replica_flags:
-        flag, value = action.option_strings[0], getattr(args, action.dest)
-        if action.nargs == 0:  # a switch such as --adaptive
-            if value:
-                argv.append(flag)
-        elif value is not None:
-            argv += [flag, str(value)]
-    return argv
 
 
 def _command_serve(args, out) -> int:
@@ -556,9 +487,9 @@ def _command_serve(args, out) -> int:
     )
     # SIGTERM (systemd/container stop) takes the same clean path as
     # max-requests self-shutdown and Ctrl-C — but drain-aware: the service
-    # flips to draining first, so /healthz answers 503 "draining" and the
-    # replica router pulls this replica from rotation, then the socket
-    # stays up until in-flight queries finish (bounded) before shutdown.
+    # flips to draining first, so /healthz answers 503 "draining" and a
+    # load balancer stops sending new queries, then the socket stays up
+    # until in-flight queries finish (bounded) before shutdown.
     # Signals only deliver to the main thread; when serve runs embedded on
     # another thread (tests), skip installation.
     def _drain_then_shutdown() -> None:
@@ -601,90 +532,6 @@ def _command_serve(args, out) -> int:
         service.close(drain=True)
         print(
             f"served {server.served_count} requests; shut down cleanly",
-            file=out,
-            flush=True,
-        )
-    return 0
-
-
-def _command_route(args, out) -> int:
-    import os
-    import signal
-    import threading
-
-    import repro
-    from repro.service import (
-        HealthProber,
-        ReplicaSupervisor,
-        Router,
-        make_router_server,
-    )
-    from repro.service.router import MAX_ATTEMPTS
-
-    # Replica settings are checked here, once, not by N dying children.
-    _service_config(args)
-    router_config = settings_from_args(RouterConfig, args)
-    supervisor_config = settings_from_args(SupervisorConfig, args)
-    if not Path(args.network).exists():
-        raise ReproError(f"network file not found: {args.network}")
-
-    # Replica children run `python -m repro`; make sure they can import it
-    # even when the router itself was started with PYTHONPATH tricks.
-    package_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else package_root
-    )
-
-    commands = ReplicaSupervisor.serve_commands(
-        sys.executable, args.network, args.replicas, serve_args=_replica_argv(args)
-    )
-    router = Router(list(commands), router_config)
-    supervisor = ReplicaSupervisor(
-        commands,
-        supervisor_config,
-        on_up=router.set_replica_address,
-        on_down=router.mark_replica_down,
-        env=env,
-    )
-    supervisor.start()
-    prober = HealthProber(router)
-    prober.start()
-    server = make_router_server(
-        router,
-        host=args.host,
-        port=args.port,
-        supervisor=supervisor,
-        max_requests=args.max_requests,
-    )
-    if threading.current_thread() is threading.main_thread():
-        signal.signal(
-            signal.SIGTERM,
-            lambda signum, frame: threading.Thread(
-                target=server.shutdown, daemon=True
-            ).start(),
-        )
-    host, port = server.server_address[:2]
-    print(
-        f"routing {args.network} on http://{host}:{port} "
-        f"({args.replicas} replicas, {args.backend} backend, "
-        f"{MAX_ATTEMPTS} attempts, "
-        f"probe every {router_config.probe_interval_seconds:g}s)",
-        file=out,
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.server_close()
-        prober.stop()
-        supervisor.stop()
-        print(
-            f"routed {server.served_count} requests; shut down cleanly",
             file=out,
             flush=True,
         )
@@ -863,7 +710,6 @@ def main(argv: list[str] | None = None, *, out=None, stdin=None) -> int:
         "stats": lambda: _command_stats(args, out),
         "shell": lambda: _command_shell(args, out, stdin),
         "serve": lambda: _command_serve(args, out),
-        "route": lambda: _command_route(args, out),
         "zoo": lambda: _command_zoo(args, out),
     }
     try:

@@ -167,18 +167,6 @@ class CircuitBreaker:
                 )
             self.state = self.HALF_OPEN
 
-    def seconds_until_half_open(self) -> float:
-        """Time until an open breaker permits its half-open trial call.
-
-        ``0.0`` when the breaker is closed, already half-open, or its reset
-        window has elapsed — i.e. whenever a call would be allowed right
-        now.  The replica router aggregates this across candidates into the
-        ``Retry-After`` hint of its all-replicas-down 503 response.
-        """
-        if self.state != self.OPEN or self._opened_at is None:
-            return 0.0
-        return max(0.0, self.reset_seconds - (self._clock() - self._opened_at))
-
     def record_success(self) -> None:
         self.consecutive_failures = 0
         self.state = self.CLOSED

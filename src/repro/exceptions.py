@@ -29,8 +29,6 @@ __all__ = [
     "ServiceOverloadedError",
     "ServiceClosedError",
     "WorkerCrashedError",
-    "ReplicaUnavailableError",
-    "NoReplicasAvailableError",
     "DegradedResultWarning",
 ]
 
@@ -244,52 +242,6 @@ class WorkerCrashedError(ServiceError):
     this error surfaces only when the retry *also* lost its worker —
     evidence the query itself is killing workers, not a transient fault.
     """
-
-
-class ReplicaUnavailableError(ServiceError):
-    """One replica failed to answer a routed request.
-
-    Raised (and caught) inside the replica router's failover loop for the
-    failures that justify trying the next replica on the hash ring:
-    connection refused, a timeout, a torn response, or a 5xx status.  It
-    feeds the replica's circuit breaker; client errors (4xx) and admission
-    sheds (429) do **not** raise this — they are the replica answering
-    correctly, and pass through to the client instead.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        replica_id: str | None = None,
-        status: int | None = None,
-    ):
-        super().__init__(message)
-        self.replica_id = replica_id
-        self.status = status
-
-
-class NoReplicasAvailableError(ServiceError):
-    """Every candidate replica for a request is down, draining, or open.
-
-    The router's graceful-degradation terminal state: rather than hanging
-    or retrying forever, the request fails fast with this typed error.
-    ``retry_after_seconds`` is derived from the soonest circuit-breaker
-    half-open time among the request's candidates (floored at the health
-    probe interval), so the HTTP frontend can attach an honest
-    ``Retry-After`` hint to its 503 response.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        retry_after_seconds: float | None = None,
-        attempted: int | None = None,
-    ):
-        super().__init__(message)
-        self.retry_after_seconds = retry_after_seconds
-        self.attempted = attempted
 
 
 class DegradedResultWarning(UserWarning):

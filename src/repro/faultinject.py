@@ -50,20 +50,12 @@ __all__ = [
 #: The instrumented seams, in the order a query traverses them.  The
 #: ``service.enqueue`` point sits in the service layer's admission path so
 #: the harness can simulate queue stalls and verify load-shedding behavior.
-#: The ``router.*`` points sit in the replica router's HTTP client
-#: (:mod:`repro.service.router`), one per phase of a proxied request —
-#: ``connect`` (connection refused / replica gone), ``send`` (request lost
-#: mid-write), and ``recv`` (mid-body disconnect, or slow-response latency
-#: via :attr:`FaultRule.delay_seconds`).
 FAULT_POINTS = (
     "index_build",
     "cache_read",
     "matrix_multiply",
     "io",
     "service.enqueue",
-    "router.connect",
-    "router.send",
-    "router.recv",
     "subpath.get",
     "subpath.put",
 )
@@ -95,8 +87,8 @@ class FaultRule:
     delay_seconds:
         When set, a firing rule *delays* the call (through the injector's
         injectable ``sleep``) instead of raising — latency injection for
-        slow-dependency scenarios (e.g. a replica answering just past the
-        router's per-attempt timeout).  A delayed call then proceeds
+        slow-dependency scenarios (e.g. a matrix product that runs past a
+        query's deadline).  A delayed call then proceeds
         normally; combine two rules (one delaying, one raising) to model a
         slow *and* failing dependency.
     """

@@ -11,16 +11,23 @@ Conventions for the networkx side:
   ``vertex_type`` and ``name`` attributes (plus any HIN vertex attributes);
 * parallel-edge multiplicity is carried in an edge ``count`` attribute
   (summed when exporting to a plain ``Graph``).
+
+``networkx`` is an optional dependency (the ``interop`` extra): each
+function imports it when called, so importing :mod:`repro` never pays for
+it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import NetworkError, SchemaError
 from repro.hin.edges import canonical_edges
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.schema import NetworkSchema
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_networkx", "from_networkx", "infer_schema_from_networkx"]
 
@@ -31,6 +38,8 @@ def to_networkx(network: HeterogeneousInformationNetwork) -> nx.Graph:
     Each symmetric relation is exported once; multiplicities land in the
     ``count`` edge attribute.
     """
+    import networkx as nx
+
     schema = network.schema
     directed = [
         str(et)

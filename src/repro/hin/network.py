@@ -465,9 +465,7 @@ class HeterogeneousInformationNetwork:
         default), the reverse direction is recorded as well so that both
         adjacency matrices stay transposes of one another.
         """
-        self._check_edges(
-            u.type, v.type, (u.index, u.index), (v.index, v.index), (count, count)
-        )
+        self._check_edges(u.type, v.type, (u.index, u.index), (v.index, v.index), count)
         self._buffer_for(EdgeType(u.type, v.type)).add(u.index, v.index, count)
         # Mirror into the reverse adjacency only for symmetric relations —
         # a directed relation (symmetric=False) stays one-way even when its
@@ -517,7 +515,7 @@ class HeterogeneousInformationNetwork:
             target_type,
             _span(sources, (0, -1)),
             _span(targets, (0, -1)),
-            _span(counts, (1.0, 1.0)),
+            counts,
         )
         if self._schema.is_symmetric(source_type, target_type):
             if source_type == target_type:
@@ -624,23 +622,33 @@ class HeterogeneousInformationNetwork:
         target_type: str,
         sources: tuple[int, int],
         targets: tuple[int, int],
-        counts: tuple[float, float],
+        counts: "np.ndarray | float",
     ) -> None:
         """Every check an edge insertion must pass, scalar or array.
 
-        ``sources`` / ``targets`` / ``counts`` are the ``(lowest, highest)``
-        values of the batch (a scalar is its own extremes), which is all the
-        range checks need; NaN fails both comparisons on counts.
+        ``sources`` / ``targets`` are the ``(lowest, highest)`` indices of
+        the batch (a scalar is its own extremes), which is all the range
+        checks need.  ``counts`` is the batch's count array, or the one
+        count.  A count is a number of parallel edges: a positive finite
+        integer (NaN fails both range comparisons), which is what keeps
+        path counts exact and every strategy's scores byte-identical.  The
+        integer test is one vectorised remainder over the batch.
         """
         self._check_index_span(source_type, *sources)
         self._check_index_span(target_type, *targets)
         if self._frozen:
             raise NetworkError(_FROZEN_MESSAGE)
-        low, high = counts
+        low, high = (counts, counts) if np.isscalar(counts) else _span(counts, (1, 1))
         if not (0 < low and high < math.inf):
             raise NetworkError(
                 "edge count must be positive and finite, "
                 f"got {high if 0 < low else low}"
+            )
+        fractions = counts % 1
+        if np.count_nonzero(fractions):
+            raise NetworkError(
+                "edge count must be a whole number of parallel edges, "
+                f"got {np.extract(fractions != 0, counts)[0]}"
             )
         if not self._schema.has_edge_type(source_type, target_type):
             raise NetworkError(

@@ -18,21 +18,12 @@ ROADMAP's production north star actually needs:
   ``submit()`` futures, ``execute()`` sync calls, ``stats()`` snapshots.
 * :mod:`repro.service.http` — a JSON/HTTP frontend on the stdlib HTTP
   server, its bodies encoded by ``orjson`` (the serving layer's one
-  dependency beyond numpy/scipy/networkx), exposed on the CLI as
-  ``repro serve``.
+  dependency beyond numpy/scipy), exposed on the CLI as ``repro serve``.
 * :mod:`repro.service.adaptive` — workload-adaptive online indexing: a
   :class:`~repro.service.adaptive.WorkloadRecorder` logs admitted queries
   and a background :class:`~repro.service.adaptive.Reindexer` re-plans the
   SPM index around observed hot vertices, hot-swapping it atomically (with
   a shared length-2 sub-path product cache accelerating all strategies).
-* :mod:`repro.service.router` / :mod:`repro.service.probe` /
-  :mod:`repro.service.supervisor` — fault-tolerant replica routing: a
-  :class:`~repro.service.supervisor.ReplicaSupervisor` keeps N ``repro
-  serve`` replicas alive (exponential restart backoff with jitter,
-  crash-loop quarantine) while a consistent-hash
-  :class:`~repro.service.router.Router` steers canonical query keys onto
-  healthy replicas with health probes, per-replica circuit breakers, and
-  failover — exposed on the CLI as ``repro route``.
 
 Quickstart
 ----------
@@ -53,46 +44,25 @@ from repro.service.admission import AdmissionController
 from repro.service.backends import ProcessBackend, ThreadBackend, make_backend
 from repro.service.cache import ResultCache, canonical_query_key
 from repro.service.keys import extract_query_text
-from repro.service.config import (
-    RouterConfig,
-    ServiceConfig,
-    SupervisorConfig,
-    auto_worker_count,
-)
+from repro.service.config import ServiceConfig, auto_worker_count
 from repro.service.handle import EngineHandle
 from repro.service.http import ServiceHTTPServer, make_server
-from repro.service.probe import HealthProber
-from repro.service.router import (
-    HashRing,
-    Router,
-    RouterHTTPServer,
-    make_router_server,
-)
 from repro.service.service import QueryService
-from repro.service.supervisor import ReplicaSupervisor
 
 __all__ = [
     "AdmissionController",
     "EngineHandle",
-    "HashRing",
-    "HealthProber",
     "ProcessBackend",
     "QueryService",
     "Reindexer",
-    "ReplicaSupervisor",
     "ResultCache",
-    "Router",
-    "RouterConfig",
-    "RouterHTTPServer",
     "ServiceConfig",
     "ServiceHTTPServer",
-    "SupervisorConfig",
     "ThreadBackend",
     "WorkloadRecorder",
     "auto_worker_count",
     "canonical_query_key",
     "extract_query_text",
     "make_backend",
-    "make_router_server",
     "make_server",
 ]

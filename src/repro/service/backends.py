@@ -605,7 +605,7 @@ class ProcessBackend(ExecutionBackend):
                 )
             slot = self._pick_slot_locked()
             if slot is None:
-                # A server-side fault (HTTP 500), so a router fails over.
+                # A server-side fault (HTTP 500), not a client error.
                 raise WorkerCrashedError(
                     "no live worker processes (all crashed past their "
                     "restart budget); restart the service"

@@ -11,8 +11,7 @@ Canonicalization is the shared :func:`repro.service.keys.canonical_query_key`
 (re-exported here for compatibility): the query language round-trip
 (:func:`~repro.query.parser.parse_query` →
 :func:`~repro.query.formatter.format_query`), the same normal form the
-formatter's property tests guarantee re-parses identically and the replica
-router hashes for placement.
+formatter's property tests guarantee re-parses identically.
 
 Entries carry the engine's network **version**; a lookup against a newer
 version drops the entry (explicit invalidation also exists for operators).

@@ -1,9 +1,7 @@
 """Tuning knobs for the concurrent query service, each declared once.
 
 One :class:`ServiceConfig` describes a ``repro serve`` deployment (execution
-backend, worker count, admission queue, time budget, caches, storage tier);
-:class:`RouterConfig` and :class:`SupervisorConfig` do the same for the
-fleet ``repro route`` runs.
+backend, worker count, admission queue, time budget, caches, storage tier).
 
 Every field is a :func:`setting`: its default, its bound, its ``--flag``
 spelling (when the CLI exposes it) and its one description live in the
@@ -22,8 +20,6 @@ from repro.exceptions import ServiceError
 
 __all__ = [
     "ServiceConfig",
-    "RouterConfig",
-    "SupervisorConfig",
     "add_settings",
     "auto_worker_count",
     "settings_from_args",
@@ -39,8 +35,7 @@ class _Declared:
     ``at_least`` (inclusive), ``positive`` and ``choices`` state the bound
     (``None`` is admitted where the annotation says so).  ``flag`` exposes
     the field on the CLI under that spelling (``metavar`` names its value in
-    ``--help``); ``forward=False`` marks a per-process path that ``repro
-    route`` must not hand to its replicas.
+    ``--help``).
     """
 
     help: str
@@ -49,7 +44,6 @@ class _Declared:
     at_least: float | None = None
     positive: bool = False
     choices: tuple | None = None
-    forward: bool = True
 
 
 def setting(default, help, **declared):  # noqa: A002 - argparse's word for it
@@ -78,24 +72,17 @@ def _check(config) -> None:
             raise ServiceError(f"{spec.name} must be {bound}, got {value!r}")
 
 
-def _flagged(config_class, forwarded_only: bool = False):
+def _flagged(config_class):
     """``(field, its declaration, argparse dest)`` per setting the CLI exposes."""
     for spec in fields(config_class):
         declared = spec.metadata["declared"]
-        if declared.flag and (declared.forward or not forwarded_only):
+        if declared.flag:
             yield spec, declared, declared.flag.lstrip("-").replace("-", "_")
 
 
-def add_settings(
-    parser, config_class, *, forwarded_only: bool = False, **defaults
-) -> list:
-    """Add one ``--flag`` per exposed setting of ``config_class``.
-
-    ``defaults`` overrides field defaults for this parser only and
-    ``forwarded_only`` leaves out the per-process paths; returns the actions.
-    """
-    actions = []
-    for spec, declared, dest in _flagged(config_class, forwarded_only):
+def add_settings(parser, config_class) -> None:
+    """Add one ``--flag`` per exposed setting of ``config_class``."""
+    for spec, declared, dest in _flagged(config_class):
         if spec.type == "bool":
             kind = {"action": "store_true"}
         else:
@@ -104,16 +91,9 @@ def add_settings(
                 "choices": declared.choices,
                 "metavar": declared.metavar,
             }
-        actions.append(
-            parser.add_argument(
-                declared.flag,
-                dest=dest,
-                default=defaults.get(spec.name, spec.default),
-                help=declared.help,
-                **kind,
-            )
+        parser.add_argument(
+            declared.flag, dest=dest, default=spec.default, help=declared.help, **kind
         )
-    return actions
 
 
 def settings_from_args(config_class, args):
@@ -243,7 +223,6 @@ class ServiceConfig:
         "segments (a private temp dir when omitted)",
         flag="--storage-dir",
         metavar="DIR",
-        forward=False,
     )
     max_build_memory_mb: float | None = setting(
         None,
@@ -266,81 +245,3 @@ class ServiceConfig:
     def capacity(self) -> int:
         """Maximum concurrently admitted requests (executing + queued)."""
         return self.workers + self.queue_depth
-
-
-@dataclass(frozen=True)
-class RouterConfig:
-    """Tuning knobs for the consistent-hash replica router."""
-
-    probe_interval_seconds: float = setting(
-        1.0,
-        "period of the active /healthz probe sweep; bounds how long a dead "
-        "or draining replica keeps receiving fresh keys",
-        flag="--probe-interval",
-        metavar="SECONDS",
-        positive=True,
-    )
-    attempt_timeout_seconds: float = setting(
-        30.0,
-        "per-attempt connect/read timeout toward a replica; an overrun "
-        "counts as that replica failing and triggers failover",
-        flag="--attempt-timeout",
-        metavar="SECONDS",
-        positive=True,
-    )
-    failover_backoff_seconds: float = setting(
-        0.02,
-        "pause between failover attempts of one request",
-        at_least=0,
-    )
-    breaker_threshold: int = setting(
-        3,
-        "consecutive failures opening a replica's circuit breaker",
-        flag="--breaker-threshold",
-        metavar="N",
-        at_least=1,
-    )
-    breaker_reset_seconds: float = setting(
-        5.0,
-        "open-breaker cool-down before a half-open trial",
-        flag="--breaker-reset",
-        metavar="SECONDS",
-        positive=True,
-    )
-
-    def __post_init__(self) -> None:
-        _check(self)
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Restart policy for supervised ``repro serve`` replica processes.
-
-    The delay before restart ``n`` of one replica is ``base * 2**(n - 1)``,
-    capped and jittered (see :func:`repro.service.supervisor.restart_delay`).
-    """
-
-    restart_base_delay_seconds: float = setting(
-        0.5,
-        "first restart backoff (multiplied per consecutive restart)",
-        flag="--restart-base-delay",
-        metavar="SECONDS",
-        at_least=0,
-    )
-    max_restarts_in_window: int = setting(
-        5,
-        "restarts tolerated per 60 s window before the replica is quarantined "
-        "(out of rotation until the router restarts)",
-        flag="--max-restarts-in-window",
-        metavar="N",
-        at_least=0,
-    )
-    start_timeout_seconds: float = setting(
-        120.0,
-        "how long one replica may take to print its serving banner before "
-        "start-up counts as a failure",
-        positive=True,
-    )
-
-    def __post_init__(self) -> None:
-        _check(self)

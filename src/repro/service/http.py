@@ -10,9 +10,9 @@ Endpoints::
                        -> 504 per-request deadline exceeded
     GET  /healthz      -> 200 {"status": "ok", ...} while serving
                        -> 503 {"status": "draining"} once a graceful drain
-                          has begun (readiness gate: the replica router
-                          pulls the replica from rotation before its
-                          queue empties and the socket dies)
+                          has begun (readiness gate: a load balancer stops
+                          sending new queries before the queue empties and
+                          the socket dies)
                        -> 503 {"status": "closed"} after shutdown
                        -> 503 {"status": "no-workers"} once every process
                           worker is retired past its restart budget
@@ -25,7 +25,7 @@ service's worker pool, and overload surfaces as fast typed 429s rather than
 connection pileups.
 
 Bodies are encoded by ``orjson``, the one runtime dependency the serving
-layer adds to numpy/scipy/networkx.  A venue-wide reply carries ~2,000
+layer adds to numpy/scipy.  A venue-wide reply carries ~2,000
 doubles, and the stdlib encoder spent a third of such a request formatting
 them; orjson encodes the same replies ~9x faster.  The bytes are compact
 (no spaces after separators) and non-ASCII text is raw UTF-8 rather than
@@ -54,13 +54,7 @@ from repro.exceptions import (
 from repro.service.keys import BODY_ERRORS, extract_query_text
 from repro.service.service import QueryService
 
-__all__ = [
-    "CountingHTTPServer",
-    "JSONRequestHandler",
-    "ServiceHTTPServer",
-    "encode_body",
-    "make_server",
-]
+__all__ = ["ServiceHTTPServer", "encode_body", "make_server"]
 
 #: Cap on accepted request bodies; an outlier query is a few hundred bytes,
 #: so anything beyond this is a client error, not a query.
@@ -80,23 +74,22 @@ class _OrjsonEncoder(json.JSONEncoder):
 
 
 def encode_body(payload: dict) -> bytes:
-    """The UTF-8 JSON body both front doors send for ``payload``."""
+    """The UTF-8 JSON body the server sends for ``payload``."""
     return json.dumps(payload, cls=_OrjsonEncoder)
 
 
-class CountingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server that counts the requests it has answered.
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server bound to one :class:`QueryService`.
 
     ``served_count`` tracks completed HTTP requests; when ``max_requests``
     is set (smoke tests), the server shuts itself down after that many.
-    The replica frontend below and the router's
-    (:class:`repro.service.router.RouterHTTPServer`) are both this.
     """
 
     daemon_threads = True
 
-    def __init__(self, address, handler, *, max_requests: int | None = None):
-        super().__init__(address, handler)
+    def __init__(self, address, service: QueryService, *, max_requests=None):
+        super().__init__(address, _Handler)
+        self.service = service
         self.max_requests = max_requests
         self.served_count = 0
         self._count_lock = threading.Lock()
@@ -115,10 +108,10 @@ class CountingHTTPServer(ThreadingHTTPServer):
             threading.Thread(target=self.shutdown, daemon=True).start()
 
 
-class JSONRequestHandler(BaseHTTPRequestHandler):
-    """Plumbing both frontends share: replies, error envelope, body cap."""
+class _Handler(BaseHTTPRequestHandler):
+    """Routes the four endpoints; all bodies are JSON documents."""
 
-    server: CountingHTTPServer
+    server: ServiceHTTPServer
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -149,51 +142,50 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _not_found(self) -> None:
+        # Any body the request declared is left unread, so the connection
+        # cannot carry another request: "Connection: close" ends it.
         self._send_json(
-            404, {"error": {"type": "NotFound", "message": self.path}}
+            404,
+            {"error": {"type": "NotFound", "message": self.path}},
+            headers={"Connection": "close"},
         )
 
     def _read_body(self) -> bytes | None:
-        """The request body — or ``None``, having answered 400, when its
-        declared length is malformed or over :data:`MAX_BODY_BYTES`."""
+        """The request body — or ``None``, having answered 400 and closed
+        the connection, when its declared length is malformed or over
+        :data:`MAX_BODY_BYTES` (the body stays unread)."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            self._error(400, ValueError("invalid or oversized request body"))
+            self._error(
+                400,
+                ValueError("invalid or oversized request body"),
+                headers={"Connection": "close"},
+            )
             return None
         return self.rfile.read(length)
 
-
-class ServiceHTTPServer(CountingHTTPServer):
-    """A :class:`CountingHTTPServer` bound to one :class:`QueryService`."""
-
-    def __init__(self, address, service: QueryService, *, max_requests=None):
-        super().__init__(address, _Handler, max_requests=max_requests)
-        self.service = service
-
-
-class _Handler(JSONRequestHandler):
-    """Routes the four endpoints; all bodies are JSON documents."""
-
-    server: ServiceHTTPServer
-
     # -- GET -------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        # A body no endpoint reads is still consumed, or the next request
+        # on a keep-alive connection would be parsed from its bytes.
+        if self._read_body() is None:
+            return
         service = self.server.service
         if self.path == "/healthz":
             # Liveness vs readiness: the process is alive (we are
             # answering), but a draining or closed service must not
-            # receive new queries — 503 tells the router to remove this
-            # replica from rotation while its queue finishes.
+            # receive new queries — 503 tells a load balancer to stop
+            # sending them while the queue finishes.
             if service.closed:
                 status_code, status = 503, "closed"
             elif service.draining:
                 status_code, status = 503, "draining"
             elif service.backend.live_workers() == 0:
                 # Every process worker is retired: /query can only answer
-                # 500, so leave rotation like a dead replica.
+                # 500, so report not ready.
                 status_code, status = 503, "no-workers"
             else:
                 status_code, status = 200, "ok"
@@ -204,8 +196,8 @@ class _Handler(JSONRequestHandler):
                 "backend": service.config.backend,
                 "workers": service.config.workers,
                 "live_workers": service.backend.live_workers(),
-                # Index metadata rides the health probe so the router can
-                # surface per-replica index freshness without extra calls.
+                # Index metadata rides the health probe, so one call shows
+                # index freshness too.
                 "index": service.handle.index_metadata(),
             }
             if service.reindexer is not None:

@@ -403,9 +403,9 @@ class QueryService:
     def begin_drain(self) -> None:
         """Stop accepting new requests; keep answering health checks.
 
-        The liveness/readiness split a replica router needs: after this
+        The liveness/readiness split a load balancer needs: after this
         call ``/healthz`` reports ``503 {"status": "draining"}`` (the
-        router removes the replica from rotation), :meth:`submit` raises
+        balancer stops sending new queries), :meth:`submit` raises
         :class:`~repro.exceptions.ServiceClosedError`, but in-flight
         requests keep executing and the HTTP socket stays up until
         :meth:`close` — so the queue drains *visibly* instead of the
@@ -469,8 +469,8 @@ class QueryService:
             "network_version": self.handle.version,
             "index_size_bytes": self.handle.index_size_bytes(),
             # Index metadata (version, row coverage, sub-path cache hit
-            # rate, last-reindex stamp): the observability surface the
-            # router's probe and /stats consumers read.
+            # rate, last-reindex stamp): the observability surface /stats
+            # consumers read.
             "index": self.handle.index_metadata(),
         }
         if self.handle.subpath_cache is not None:

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import re
+import socket
 import threading
 from contextlib import contextmanager
 
@@ -79,7 +81,7 @@ class TestGetEndpoints:
     def test_healthz_draining_readiness(self, served):
         """Liveness vs readiness: once a drain begins the process still
         answers (alive) but reports 503 draining and sheds new queries —
-        the router's cue to pull the replica before its socket dies."""
+        a load balancer's cue to stop sending before the socket dies."""
         host, port, service = served
         service.begin_drain()
         status, _, payload = request(host, port, "GET", "/healthz")
@@ -253,11 +255,72 @@ class TestQueryEndpoint:
         assert payload["error"]["type"] == "ServiceClosedError"
 
 
+def exchange(host, port, raw: bytes) -> list[int]:
+    """Send ``raw`` on one socket, half-close it, and return the status of
+    every response the server wrote before it closed the connection."""
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return [int(code) for code in re.findall(rb"HTTP/1\.1 (\d{3}) ", received)]
+
+
+class TestUnreadBodyClosesTheConnection:
+    """Regression: a reply sent without reading the declared body left the
+    body on a keep-alive socket, where it was parsed as the next request."""
+
+    def test_post_to_unknown_path_closes(self, served):
+        host, port, _ = served
+        raw = (
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n"
+            b'{"query": "x"}'
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        # Unfixed, the server answered 404, then 400 "Bad request syntax"
+        # for the body glued to the GET line.
+        assert exchange(host, port, raw) == [404]
+        assert request(host, port, "GET", "/healthz")[0] == 200
+
+    def test_refused_length_does_not_smuggle_the_next_request(self, served):
+        host, port, _ = served
+        raw = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 2000000\r\n\r\n"
+            b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        # Unfixed, the server answered 400, then the smuggled GET with 200.
+        assert exchange(host, port, raw) == [400]
+
+    def test_get_body_is_consumed_not_parsed_as_a_request(self, served):
+        host, port, _ = served
+        raw = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 14\r\n\r\n"
+            b'{"query": "x"}'
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        # Unfixed, the server answered 200, then 400 for the body glued to
+        # the GET line.
+        assert exchange(host, port, raw) == [200, 200]
+
+    def test_a_read_body_keeps_the_connection_alive(self, served):
+        host, port, _ = served
+        body = json.dumps({"query": QUERY}).encode()
+        raw = (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\n\r\n"
+            + body
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        assert exchange(host, port, raw) == [200, 200]
+
+
 class TestRetiredWorkers:
     def test_no_live_worker_is_500_and_not_ready(self, figure1):
         """Every process worker retired: a query is a server-side fault
-        (500, so a router fails over, not a 422) and /healthz leaves
-        rotation (503 "no-workers")."""
+        (500, not a 422) and /healthz reports not ready (503
+        "no-workers")."""
         with serving(figure1) as (host, port, service):
             service.backend.close()
             service.backend = retired_backend(service.handle)
@@ -331,7 +394,7 @@ def _submit_raises(error):
 #: case -> (serving() arguments, steps).  A step is a request
 #: ``(method, path, body, expected status)`` or a callable
 #: ``(service, monkeypatch)`` run between requests.  Together the cases
-#: make the replica write every body it can: results fresh, cached, with
+#: make the server write every body it can: results fresh, cached, with
 #: feature scores and degraded; the GET endpoints on both backends with
 #: the adaptive re-indexer on; and each 4xx/5xx envelope.
 WIRE_CASES = {

@@ -1,10 +1,9 @@
 """Tests for :mod:`repro.service.keys` — the one canonical-key helper.
 
-The result cache (replica side) and the consistent-hash router (fleet
-side) must agree on the canonical form of a query, or routing affinity
-silently stops lining up with cache locality.  This suite pins that
-contract: both call sites import the *same* helper, and equivalent query
-spellings collapse to one key everywhere.
+The service keys its result cache and its adaptive workload recorder with
+one canonical form of a query.  This suite pins that contract: the service
+and the cache import the *same* helper, and equivalent query spellings
+collapse to one key.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 from repro.query.parser import parse_query
 from repro.service import cache as cache_module
 from repro.service import http as http_module
-from repro.service import router as router_module
+from repro.service import service as service_module
 from repro.service.keys import BODY_ERRORS, canonical_query_key, extract_query_text
 
 #: Distinct spellings of the same logical query: whitespace, case of
@@ -52,17 +51,11 @@ class TestCanonicalQueryKey:
         )
         assert base != other
 
-    def test_cache_and_router_share_the_helper(self):
-        """Regression for the pre-refactor duplicate: the replica cache and
-        the router must canonicalize through the *same* function object."""
+    def test_service_and_cache_share_the_helper(self):
+        """Regression for the pre-refactor duplicate: the service keys its
+        cache and recorder through the *same* function object."""
         assert cache_module.canonical_query_key is canonical_query_key
-        assert router_module.canonical_query_key is canonical_query_key
-
-    def test_cache_and_router_agree_on_every_spelling(self):
-        for text in EQUIVALENT_SPELLINGS:
-            assert cache_module.canonical_query_key(
-                text
-            ) == router_module.canonical_query_key(text)
+        assert service_module.canonical_query_key is canonical_query_key
 
 
 class TestExtractQueryText:
@@ -96,8 +89,7 @@ class TestExtractQueryText:
             extract_query_text(body)
         assert isinstance(excinfo.value, BODY_ERRORS)
 
-    def test_both_front_doors_catch_the_same_errors(self):
-        """Regression: each front door caught its own triple, which missed
+    def test_the_front_door_catches_the_body_errors(self):
+        """Regression: the front door caught its own triple, which missed
         ``UnicodeDecodeError`` and dropped the connection unanswered."""
         assert http_module.BODY_ERRORS is BODY_ERRORS
-        assert router_module.BODY_ERRORS is BODY_ERRORS

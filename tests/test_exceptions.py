@@ -18,11 +18,9 @@ from repro.exceptions import (
     MeasureError,
     MetaPathError,
     NetworkError,
-    NoReplicasAvailableError,
     QueryError,
     QuerySemanticError,
     QuerySyntaxError,
-    ReplicaUnavailableError,
     ReproError,
     ResourceLimitError,
     SchemaError,
@@ -163,37 +161,6 @@ def raise_worker_crashed():
     )
 
 
-def raise_replica_unavailable():
-    # Through the router's single-attempt seam against an injected
-    # connection refusal.  (The end-to-end failover path — this error
-    # feeding the breaker and the next ring candidate answering — is
-    # covered in tests/service/test_router.py.)
-    from repro import faultinject
-    from repro.service import Router
-
-    router = Router(["replica-0"])
-    router.set_replica_address("replica-0", "127.0.0.1", 1)
-    rule = faultinject.FaultRule(
-        point="router.connect", error=ConnectionRefusedError
-    )
-    with faultinject.inject(rule):
-        router._attempt(
-            router.replicas["replica-0"], "GET", "/healthz", None, None
-        )
-
-
-def raise_no_replicas_available():
-    # A router whose only replica has never reported an address: every
-    # candidate is unusable, so routing fails fast with the typed 503.
-    from repro.service import Router
-
-    router = Router(["replica-0"])
-    router.route_query(
-        b'{"query": "FIND OUTLIERS FROM author{\\"Zoe\\"}.paper.author '
-        b'JUDGED BY author.paper.venue TOP 3;"}'
-    )
-
-
 def raise_unsupported_schema():
     # Through the zoo contract boundary: a detector fitted on the security
     # network is asked to score a bibliographic scenario, whose feature
@@ -233,8 +200,6 @@ RAISERS = {
     ServiceOverloadedError: raise_service_overloaded,
     ServiceClosedError: raise_service_closed,
     WorkerCrashedError: raise_worker_crashed,
-    ReplicaUnavailableError: raise_replica_unavailable,
-    NoReplicasAvailableError: raise_no_replicas_available,
 }
 
 
@@ -281,8 +246,6 @@ class TestHierarchyCoverage:
         for cls in (
             ServiceOverloadedError,
             ServiceClosedError,
-            ReplicaUnavailableError,
-            NoReplicasAvailableError,
         ):
             assert issubclass(cls, ServiceError)
             assert not issubclass(cls, ExecutionError)
