@@ -16,6 +16,12 @@ The stacked form is also the one every transport uses
 process backend's worker segments), so attaching an index never builds
 per-row Python objects.
 
+:class:`LazyPMIndex` is the PM index a server holds: it covers every legal
+length-2 path like the eager :func:`build_pm_index`, but forms each matrix
+on its first read, from the adjacency operands of its build version.  The
+library (``PMStrategy(index=None)``, Figures 3-5, ``save_index``) stays
+eager.
+
 Index size is accounted in bytes under a conventional CSR storage model
 (8-byte values, 4-byte column indices, 8-byte row pointers) — the quantity
 Figure 5(b) reports.
@@ -23,6 +29,9 @@ Figure 5(b) reports.
 
 from __future__ import annotations
 
+import logging
+import threading
+import time
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -44,10 +53,14 @@ from repro.utils.sparsetools import (
 
 __all__ = [
     "MetaPathIndex",
+    "LazyPMIndex",
     "build_pm_index",
     "build_spm_index",
     "DEFAULT_BUILD_BLOCK_ROWS",
+    "estimate_product_nnz",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Default row-block width of the index builders: large enough that
 #: per-block Python overhead vanishes against the sparse products, small
@@ -200,7 +213,7 @@ class MetaPathIndex:
             with :meth:`coverage_mask` first.
         """
         slots = np.asarray(vertex_indices, dtype=np.int64)
-        matrix = self._full.get(path)
+        matrix = self.full_matrix(path)
         if matrix is not None:
             found = _all_within(slots, matrix.shape[0])
         else:
@@ -345,6 +358,121 @@ class MetaPathIndex:
         )
 
 
+class LazyPMIndex(MetaPathIndex):
+    """A PM index whose length-2 matrices are formed at their first read.
+
+    It covers every legal length-2 path of ``network``: coverage and row
+    counts answer as the eager :func:`build_pm_index` would, but only the
+    matrices something has read are held (and :meth:`has_row`, "is it
+    stored", answers for those).  Construction
+    captures the adjacency operands of the network's current version — the
+    network's own cached CSR objects, so they cost no bytes while the
+    network does not change — and every build multiplies those, so after
+    a mutation a stale-tolerated rung forms exactly what an eager index
+    built alongside would hold, and never reads the live network.
+
+    :meth:`full_matrix` forms a missing product under one lock and
+    publishes it whole: the stored mapping is replaced, never mutated, so
+    concurrent first reads build once, a read of a built matrix takes no
+    lock, and an accounting pass never sees the mapping change under it.
+    A build checks the request's deadline, then passes the ``index_build``
+    fault point and, given a ``policy``, its memory guard and its
+    ``pm-index-build`` breaker and retry.  The guard prices what the index
+    would hold after the build, the matrices built so far plus this
+    product, so the budget bounds the whole index as it bounds the eager
+    one.  The deadline is checked outside the breaker: a request out of
+    time is not a failed build.  A failed or refused build raises and
+    publishes nothing.
+    """
+
+    def __init__(
+        self,
+        network: HeterogeneousInformationNetwork,
+        *,
+        policy=None,
+    ) -> None:
+        super().__init__()
+        self._operands = {
+            path: (
+                network.adjacency(path.types[0], path.types[1]),
+                network.adjacency(path.types[1], path.types[2]),
+            )
+            for path in _all_length2_paths(network)
+        }
+        self._policy = policy
+        self._lock = threading.Lock()
+        self.builds = 0
+        self.build_seconds = 0.0
+
+    def full_matrix(self, path: MetaPath) -> sparse.csr_matrix | None:
+        """The matrix of ``path``, formed now if no read has formed it yet."""
+        matrix = self._full.get(path)
+        if matrix is None and path in self._operands:
+            matrix = self._build(path)
+        return matrix
+
+    def _build(self, path: MetaPath) -> sparse.csr_matrix:
+        with self._lock:
+            matrix = self._full.get(path)
+            if matrix is not None:  # formed while this reader waited
+                return matrix
+            check_deadline("lazy PM index build")
+            first, second = self._operands[path]
+
+            def product() -> sparse.csr_matrix:
+                faultinject.check("index_build")
+                return (first @ second).tocsr()
+
+            started = time.perf_counter()
+            if self._policy is None:
+                matrix = product()
+            else:
+                nnz = estimate_product_nnz(first, second)
+                estimate = nnz * (VALUE_BYTES + INDEX_BYTES) + POINTER_BYTES * (
+                    first.shape[0] + 1
+                )
+                matrix = self._policy.guarded_build(
+                    "pm",
+                    self.size_bytes() + int(estimate),
+                    f"the PM index with {path} built",
+                    product,
+                )
+            elapsed = time.perf_counter() - started
+            self._full = {**self._full, path: matrix}
+            self.builds += 1
+            self.build_seconds += elapsed
+        _log.info(
+            "built PM matrix %s on first read: %d nnz in %.1f ms",
+            path,
+            matrix.nnz,
+            elapsed * 1e3,
+        )
+        return matrix
+
+    def coverage_mask(self, path: MetaPath, width: int) -> np.ndarray | None:
+        if path in self._operands:
+            return None
+        return super().coverage_mask(path, width)
+
+    def _rows_per_path(self) -> dict[MetaPath, int]:
+        return {
+            path: int(first.shape[0]) for path, (first, _) in self._operands.items()
+        }
+
+    def coverage_summary(self) -> dict:
+        """The eager index's summary, every legal row counted as covered,
+        where ``full_paths`` and ``size_bytes`` are the matrices built so
+        far; a ``lazy`` block adds the legal paths they are out of, and how
+        many builds took how many seconds here."""
+        summary = super().coverage_summary()
+        summary["lazy"] = {
+            "legal_paths": len(self._operands),
+            "builds": self.builds,
+            "build_seconds": self.build_seconds,
+        }
+        return summary
+
+
 def _all_length2_paths(network: HeterogeneousInformationNetwork) -> list[MetaPath]:
     return [MetaPath(types) for types in network.schema.length2_metapaths()]
 
@@ -352,6 +480,18 @@ def _all_length2_paths(network: HeterogeneousInformationNetwork) -> list[MetaPat
 # ----------------------------------------------------------------------
 # PM: every vertex covered
 # ----------------------------------------------------------------------
+def estimate_product_nnz(first: sparse.spmatrix, second: sparse.spmatrix) -> float:
+    """Expected non-zeros of ``first @ second``, priced without forming it.
+
+    The standard sparse-product estimate ``nnz(A·B) ≈ nnz(A) · (nnz(B) /
+    rows(B))``, capped at dense: it reads only the operands' shapes and
+    non-zero counts.
+    """
+    rows, cols = first.shape[0], second.shape[1]
+    fanout = second.nnz / max(1, second.shape[0])
+    return min(float(rows) * float(cols), first.nnz * fanout)
+
+
 def _effective_block_rows(
     a1: sparse.csr_matrix,
     a2: sparse.csr_matrix,

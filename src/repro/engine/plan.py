@@ -95,7 +95,9 @@ def _segment_coverage(strategy: MaterializationStrategy, segment: MetaPath) -> s
     if rung is None:
         return "none"
     index = rung.index
-    if index.full_matrix(segment) is not None:
+    # Coverage, not the matrix: reading a lazy index's matrix builds it.
+    width = strategy.network.num_vertices(segment.source)
+    if index.coverage_mask(segment, width) is None:
         return "full"
     return "partial" if segment in index.paths else "none"
 

@@ -45,7 +45,7 @@ from repro.engine.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.engine.index import MetaPathIndex
+from repro.engine.index import MetaPathIndex, estimate_product_nnz
 from repro.engine.strategies import (
     DEGRADATION_LADDER,
     Rung,
@@ -57,6 +57,7 @@ from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
     ExecutionError,
+    InexactCountError,
     ResourceLimitError,
     TransientFaultError,
 )
@@ -213,11 +214,10 @@ def estimate_length2_nnz(
         raise ExecutionError(
             f"estimate_length2_nnz expects a 2-hop path, got {path}"
         )
-    first = network.adjacency(path.types[0], path.types[1])
-    second = network.adjacency(path.types[1], path.types[2])
-    rows, cols = first.shape[0], second.shape[1]
-    fanout = second.nnz / max(1, second.shape[0])
-    return min(float(rows) * float(cols), first.nnz * fanout)
+    return estimate_product_nnz(
+        network.adjacency(path.types[0], path.types[1]),
+        network.adjacency(path.types[1], path.types[2]),
+    )
 
 
 def estimate_pm_index_bytes(network: HeterogeneousInformationNetwork) -> int:
@@ -360,6 +360,15 @@ class ResiliencePolicy:
             deadline=current_deadline(),
         )
 
+    def guarded_build(
+        self, name: str, estimated_bytes: int, what: str, build: Callable[[], object]
+    ):
+        """``build()`` as this policy builds an index: refused when
+        ``estimated_bytes`` is over the memory budget, else run through the
+        ``<name>-index-build`` breaker with retry."""
+        self.resource_guard().check_estimate(estimated_bytes, what)
+        return self.breaker(f"{name}-index-build").call(lambda: self.retry(build))
+
 
 # ----------------------------------------------------------------------
 # The degradation ladder
@@ -376,7 +385,9 @@ class FallbackStrategy(_CoverageStrategy):
     failures demote once and the losers re-run on the winner's rung.  The
     demotion history is ``degradation_reason``, which flags the result.
     The final rung (on-the-fly traversal) needs no index and cannot fail to
-    build, so a query always gets an answer unless its deadline expires.
+    build, so a query always gets an answer unless its deadline expires or
+    its counts reach 2**53 (:class:`~repro.exceptions.InexactCountError`),
+    which no rung can help and which therefore never demotes.
 
     Parameters
     ----------
@@ -444,15 +455,13 @@ class FallbackStrategy(_CoverageStrategy):
         if name == "baseline":
             return Rung.of(self.network, name)
         network, selected = self.network, self._spm_selected
-        self.policy.resource_guard().check_estimate(
+        index = self.policy.guarded_build(
+            name,
             estimate_pm_index_bytes(network)
             if name == "pm"
             else estimate_spm_index_bytes(network, selected),
             f"the {name.upper()} index build",
-        )
-        breaker = self.policy.breaker(f"{name}-index-build")
-        index = breaker.call(
-            lambda: self.policy.retry(lambda: build_index(network, name, selected))
+            lambda: build_index(network, name, selected),
         )
         return Rung.of(network, name, index)
 
@@ -492,8 +501,8 @@ class FallbackStrategy(_CoverageStrategy):
             rung = self.rung
             try:
                 return call(*args)
-            except DeadlineExceededError:
-                raise
+            except (DeadlineExceededError, InexactCountError):
+                raise  # no rung answers these: the budget or the data refuses
             except ExecutionError as error:
                 if not self.policy.allow_degraded or rung.name == self.ladder[-1]:
                     raise

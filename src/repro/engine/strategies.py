@@ -56,7 +56,9 @@ one :meth:`~MaterializationStrategy._materialize_block` call and one
 cooperative deadline check per block, and canonicalizes what it returns
 (``float64``, duplicate-free, sorted indices) so downstream equality
 comparisons and cache hashing are stable.  ``neighbor_row`` is the one-row
-block.
+block.  Rows and visibilities are refused, naming the path, once a count
+reaches 2⁵³ (:func:`~repro.metapath.materialize.check_exact`), as
+:func:`~repro.metapath.materialize.connectivity_sums` refuses its sums.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ from repro.engine.stats import (
 from repro.exceptions import ExecutionError, MetaPathError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.metapath.materialize import (
+    check_exact,
     connectivity_sums,
     decompose_length2,
     materialize_segment,
@@ -307,7 +310,9 @@ class MaterializationStrategy(abc.ABC):
         stacked = blocks[0] if len(blocks) == 1 else sparse.vstack(
             blocks, format="csr"
         )
-        return _canonical(stacked)
+        rows = _canonical(stacked)
+        check_exact(rows.data, path, "path counts")
+        return rows
 
     def _checked_indices(self, path, vertex_indices) -> np.ndarray:
         """``vertex_indices`` as int64, all within ``path.source``'s range."""
@@ -329,7 +334,8 @@ class MaterializationStrategy(abc.ABC):
     ) -> np.ndarray:
         """``‖φ_path(v)‖²`` per requested vertex — a property of the path and
         the vertex, never of the query — from :meth:`neighbor_matrix` rows,
-        at most :data:`BLOCK_ROWS` of them held at once."""
+        at most :data:`BLOCK_ROWS` of them held at once.  Refused, naming
+        the path, once one reaches 2⁵³ (:func:`check_exact`)."""
         indices = self._checked_indices(path, vertex_indices)
         result = np.empty(len(indices), dtype=np.float64)
         for start in range(0, len(indices), BLOCK_ROWS):
@@ -337,6 +343,7 @@ class MaterializationStrategy(abc.ABC):
             result[start:start + BLOCK_ROWS] = row_visibilities(
                 self.neighbor_matrix(path, block, stats)
             )
+        check_exact(result, path, "visibilities")
         return result
 
     def index_size_bytes(self) -> int:

@@ -22,6 +22,7 @@ __all__ = [
     "MeasureError",
     "UnsupportedSchemaError",
     "DeadlineExceededError",
+    "InexactCountError",
     "ResourceLimitError",
     "CircuitOpenError",
     "TransientFaultError",
@@ -151,6 +152,17 @@ class DeadlineExceededError(ExecutionError):
         super().__init__(message)
         self.budget_seconds = budget_seconds
         self.elapsed_seconds = elapsed_seconds
+
+
+class InexactCountError(ExecutionError):
+    """A path count reached 2**53, past which float64 holds no exact integer.
+
+    Raised from materialization once a row, a visibility or a numerator of
+    the sums route reaches the bound, naming the path, instead of answering
+    with a rounded count.  The fault is in the data, not in the index an
+    execution serves from, so a degradation ladder re-raises it rather than
+    demoting: every rung forms the same counts.
+    """
 
 
 class ResourceLimitError(ExecutionError):

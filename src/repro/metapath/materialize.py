@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.exceptions import MetaPathError
+from repro.exceptions import InexactCountError, MetaPathError
 from repro.hin.network import HeterogeneousInformationNetwork, VertexId
 from repro.metapath.metapath import MetaPath
 
@@ -27,12 +27,36 @@ __all__ = [
     "materialize_segment",
     "connectivity_sums",
     "decompose_length2",
+    "check_exact",
 ]
 
 #: Share of a hop's edges up to which :func:`connectivity_sums` visits the
 #: frontier's edges one by one; beyond it one sweep over the whole hop is
 #: cheaper (a gathered edge costs about four times a swept one).
 PUSH_SHARE = 0.25
+
+#: 2⁵³: below it every path count, partial sum and product is an exact
+#: integer in float64, so any summation order gives the same number.
+EXACT_LIMIT = float(2**53)
+
+
+def check_exact(values: np.ndarray, path: MetaPath, what: str) -> None:
+    """Refuse ``values`` of ``path`` once any reaches :data:`EXACT_LIMIT`.
+
+    One ``max`` over a vector just formed.  Every term is a non-negative
+    integer, so a partial sum never exceeds its final value and rounding is
+    monotone: a vector below the limit was formed exactly.
+
+    Raises
+    ------
+    InexactCountError
+        Naming ``path`` and ``what`` reached the limit.
+    """
+    if values.size and values.max() >= EXACT_LIMIT:
+        raise InexactCountError(
+            f"{what} of {path} reach 2**53, past which float64 holds no "
+            "exact integer count; the answer would not be exact"
+        )
 
 
 def materialize(
@@ -140,6 +164,11 @@ def connectivity_sums(
     frontier are at most :data:`PUSH_SHARE` of the hop's, only they are
     visited; from then on a hop is one matrix-vector product.  Counts are
     integers below 2⁵³, so every order of summation gives the same float64.
+    The numerators are checked against that bound (:func:`check_exact`),
+    which covers every value a hop forms on the way: each one read later
+    reaches some candidate's numerator with an integer weight of at least
+    1, so it is at most that numerator.  A count past the bound raises
+    instead of answering.
 
     The hops are those of :func:`decompose_length2`: a length-2 segment
     for which ``stored(segment)`` returns its count matrix ``M`` (a PM
@@ -169,7 +198,9 @@ def connectivity_sums(
             weights=matrix.data[edges] * vector[matrix.indices[edges]],
             minlength=matrix.shape[0],
         )
-    return vector[candidates]
+    numerators = vector[candidates]
+    check_exact(numerators, path, "numerators")
+    return numerators
 
 
 def materialize_segment(

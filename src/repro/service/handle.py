@@ -20,11 +20,15 @@ allocated inside each ``execute`` call, and deadlines live in
 thread-local scopes (:mod:`repro.engine.deadline`).  The shared pieces are
 read-only after :meth:`warm`, which forces every lazy structure — adjacency
 matrices rebuilt on first access, a ladder's first rung — to materialize
-before the first concurrent request can race on it.  Two shared mutable
+before the first concurrent request can race on it.  Three shared mutable
 structures carry their own locks: the optional
-:class:`~repro.engine.caching.CachingStrategy` row cache, and a ladder's
+:class:`~repro.engine.caching.CachingStrategy` row cache, a ladder's
 installed rung (:class:`~repro.engine.resilience.FallbackStrategy`), which
-a demotion replaces whole.
+a demotion replaces whole, and the thread backend's served PM index, a
+:class:`~repro.engine.index.LazyPMIndex`, which forms a missing matrix
+under its lock and publishes its stored matrices whole, so reading a
+built matrix takes no lock.  Warm-up builds none of its matrices: each is
+formed by the first request that reads it.
 """
 
 from __future__ import annotations

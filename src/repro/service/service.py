@@ -43,7 +43,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.results import OutlierResult
-from repro.engine.index import DEFAULT_BUILD_BLOCK_ROWS, MetaPathIndex, build_pm_index
+from repro.engine.index import (
+    DEFAULT_BUILD_BLOCK_ROWS,
+    LazyPMIndex,
+    MetaPathIndex,
+    build_pm_index,
+)
 from repro.engine.strategies import strategy_name
 from repro.hin.network import HeterogeneousInformationNetwork
 from repro.hin.storage import MmapArrayStore
@@ -170,20 +175,28 @@ class QueryService:
         (fewer under ``config.max_build_memory_mb``), and serves it through
         read-only file-backed views (under ``<storage_dir>/pm-index``, or a
         private temp dir) — the path that keeps million-vertex networks off
-        the RAM budget entirely.
+        the RAM budget entirely.  On the RAM tier the thread backend serves
+        ``pm`` from a :class:`~repro.engine.index.LazyPMIndex`: nothing is
+        built here, each length-2 matrix is formed at its first read, and a
+        ladder's policy (``allow_degraded``) guards each build.  The process
+        backend keeps the eager index, built once at warm-up and mapped by
+        every worker from one shared segment.
         """
         config = config if config is not None else ServiceConfig()
-        out_of_core = config.storage == "mmap" and strategy_name(strategy) == "pm"
-        if index is None and out_of_core:
-            directory = config.storage_dir
-            index = build_pm_index(
-                network,
-                block_rows=DEFAULT_BUILD_BLOCK_ROWS,
-                max_build_memory_mb=config.max_build_memory_mb,
-                store=MmapArrayStore(
-                    Path(directory) / "pm-index" if directory else None
-                ),
-            )
+        if index is None and strategy_name(strategy) == "pm":
+            if config.storage == "mmap":
+                directory = config.storage_dir
+                index = build_pm_index(
+                    network,
+                    block_rows=DEFAULT_BUILD_BLOCK_ROWS,
+                    max_build_memory_mb=config.max_build_memory_mb,
+                    store=MmapArrayStore(
+                        Path(directory) / "pm-index" if directory else None
+                    ),
+                )
+            elif config.backend == "thread":
+                ladder = resilience is not None and resilience.allow_degraded
+                index = LazyPMIndex(network, policy=resilience if ladder else None)
         handle = EngineHandle(
             network,
             strategy=strategy,

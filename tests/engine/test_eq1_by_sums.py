@@ -34,6 +34,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     DegradedResultWarning,
     ExecutionError,
+    InexactCountError,
     MetaPathError,
 )
 from repro.faultinject import FaultRule
@@ -429,9 +430,74 @@ class TestExactnessBound:
         )
 
     def test_past_the_bound_counts_stop_being_integers(self):
+        """So a visibility past the bound is refused, naming the path,
+        where it used to come back rounded."""
         assert float(2**53) + 1.0 == float(2**53)  # the bound itself
         edges = 2**14 + 1  # visibility ≈ 2⁵⁶
         strategy = BaselineStrategy(self._network(float(edges)))
         _, visibility = self._exact(edges)
         assert visibility > 2**53
-        assert int(strategy.visibilities(APV, [0])[0]) != visibility
+        with pytest.raises(ExecutionError, match="visibilities of author.paper.venue"):
+            strategy.visibilities(APV, [0])
+
+    # A path count of exactly 2⁵³ + 1: 3 · 3002399751580331, each factor an
+    # exact float64, whose product rounds to 2⁵³.
+    PAST = 3002399751580331
+    PAST_QUERY = (
+        'FIND OUTLIERS FROM author{"a"}.paper.author '
+        "JUDGED BY author.paper.venue TOP 2;"
+    )
+
+    def _past_network(self):
+        schema = NetworkSchema(["author", "paper", "venue"])
+        schema.add_edge_type("author", "paper")
+        schema.add_edge_type("paper", "venue")
+        network = HeterogeneousInformationNetwork(schema)
+        a, b = (network.add_vertex("author", name) for name in "ab")
+        paper = network.add_vertex("paper", "p")
+        venue = network.add_vertex("venue", "v")
+        network.add_edge(a, paper, 3.0)
+        network.add_edge(b, paper, 1.0)
+        network.add_edge(paper, venue, float(self.PAST))
+        return network
+
+    def test_a_count_of_two_to_the_53_plus_one_is_refused_on_the_rows_route(self):
+        assert 3 * self.PAST == 2**53 + 1
+        assert 3.0 * float(self.PAST) == float(2**53)  # what used to be answered
+        rows = QueryExecutor(DefinitionRows(self._past_network()))
+        with pytest.raises(ExecutionError, match="path counts of author.paper.venue"):
+            rows.execute(self.PAST_QUERY)
+
+    @pytest.mark.parametrize("route", [BaselineStrategy, PMStrategy])
+    def test_a_count_of_two_to_the_53_plus_one_is_refused_on_the_sums_route(
+        self, route
+    ):
+        strategy = route(self._past_network())
+        assert strategy.can_propagate
+        with pytest.raises(ExecutionError, match="numerators of author.paper.venue"):
+            strategy.connectivity_sums(APV, np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ExecutionError, match="of author.paper.venue reach 2"):
+            QueryExecutor(strategy).execute(self.PAST_QUERY)
+
+    @pytest.mark.parametrize("route", ["rows", "sums"])
+    def test_a_ladder_refuses_an_inexact_count_without_demoting(self, route):
+        """Every rung forms the same counts, so a count past the bound is
+        the data's fault: the ladder re-raises it and stays on PM."""
+        ladder = FallbackStrategy(self._past_network(), policy=make_policy())
+        if route == "rows":
+            ladder.can_propagate = False
+        with pytest.raises(InexactCountError, match="of author.paper.venue reach 2"):
+            QueryExecutor(ladder).execute(self.PAST_QUERY)
+        assert (ladder.active_rung, ladder.events) == ("pm", [])
+
+    def test_a_served_ladder_refuses_an_inexact_count_and_stays_on_pm(self):
+        from repro.service import QueryService, ServiceConfig
+
+        config = ServiceConfig(workers=1)
+        with QueryService.from_network(
+            self._past_network(), config, resilience=make_policy()
+        ) as service:
+            with pytest.raises(InexactCountError):
+                service.execute(self.PAST_QUERY)
+            ladder = service.handle._concrete_strategy()
+            assert (ladder.active_rung, ladder.events) == ("pm", [])

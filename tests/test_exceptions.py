@@ -15,6 +15,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     DegradedResultWarning,
     ExecutionError,
+    InexactCountError,
     MeasureError,
     MetaPathError,
     NetworkError,
@@ -111,6 +112,18 @@ def raise_resource_limit():
     ResourceGuard(max_memory_bytes=1).check_estimate(10**9, "a giant build")
 
 
+def raise_inexact_count():
+    from repro.engine.strategies import BaselineStrategy
+    from repro.metapath.metapath import MetaPath
+
+    schema = NetworkSchema(["author", "paper"])
+    schema.add_edge_type("author", "paper")
+    network = HeterogeneousInformationNetwork(schema)
+    author = network.add_vertex("author", "a")
+    network.add_edge(author, network.add_vertex("paper", "p"), float(2**53))
+    BaselineStrategy(network).neighbor_row(MetaPath.parse("author.paper"), 0)
+
+
 def raise_circuit_open():
     breaker = CircuitBreaker(failure_threshold=1, clock=lambda: 0.0)
     try:
@@ -195,6 +208,7 @@ RAISERS = {
     UnsupportedSchemaError: raise_unsupported_schema,
     DeadlineExceededError: raise_deadline_exceeded,
     ResourceLimitError: raise_resource_limit,
+    InexactCountError: raise_inexact_count,
     CircuitOpenError: raise_circuit_open,
     TransientFaultError: raise_transient_fault,
     ServiceOverloadedError: raise_service_overloaded,
@@ -264,6 +278,7 @@ class TestHierarchyCoverage:
         ``except ExecutionError`` call sites keep catching everything."""
         for cls in (
             DeadlineExceededError,
+            InexactCountError,
             ResourceLimitError,
             CircuitOpenError,
             TransientFaultError,
